@@ -30,7 +30,6 @@ from .analysis import (
     inequality_ratio,
     objective,
     optimal_dual,
-    relative_residual,
     spectral_gap,
 )
 from .experiments import (
@@ -41,7 +40,7 @@ from .experiments import (
     paired_success_cells,
     poisson_data,
 )
-from .initializers import InitSpec, make_initial_state, null_vector, random_lift, random_object
+from .initializers import InitSpec, make_initial_state, null_vector, random_lift
 from .operators import (
     AliasingError,
     CodedDiffractionEnsemble,

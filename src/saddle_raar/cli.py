@@ -345,7 +345,7 @@ def _execute_solve(cfg: RunConfig) -> int:
         cert = analysis.certify_fixed_point(E, b, w_final, min(param, 1.0 - 1e-12))
         cert_doc = cert.summary()
 
-    converged = result.stop_reason != "max_iters"
+    converged = result.stop_reason in ("residual", "deriv_norm")
     summary = {
         "algo": algo,
         "param": param,

@@ -25,7 +25,6 @@ __all__ = [
     "InitSpec",
     "NullVectorResult",
     "null_vector",
-    "random_object",
     "random_lift",
     "make_initial_state",
 ]
@@ -107,12 +106,6 @@ def null_vector(E: MeasurementEnsemble, b, spec: InitSpec | None = None) -> Null
     return NullVectorResult(
         x=x, eigenvalue=mu, residual=resid, converged=resid <= spec.tol, iterations=iters
     )
-
-
-def random_object(n: int, seed: int) -> np.ndarray:
-    """I.i.d. complex-Gaussian object vector, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def random_lift(N: int, seed: int) -> np.ndarray:

@@ -232,7 +232,8 @@ class GaussianEnsemble(MeasurementEnsemble):
         return self._adjoint @ self._check_object(x)
 
     def apply(self, w):
-        return self._adjoint.conj().T @ self._check_measurement(w)
+        # (A*)^H w without materializing the conjugate transpose
+        return np.conj(np.conj(self._check_measurement(w)) @ self._adjoint)
 
     def materialize_adjoint(self):
         return self._adjoint.copy()

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, diagnostics
+from .analysis import DiagnosticsRecord, diagnostics, diagnostics_from_projections
 from .operators import MeasurementEnsemble, project_torus
 
 __all__ = [
@@ -63,11 +65,6 @@ def rho_from_beta(beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(name, v):
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-
-
 @dataclass
 class RaarState:
     """Lifted iterate of the relaxed-reflection recursion."""
@@ -78,7 +75,6 @@ class RaarState:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.complex128)
-        _check_finite("w", self.w)
         if self.beta is not None and not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
@@ -161,7 +157,7 @@ def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float | None = 
     if beta is None or not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     d = state.z - state.lam
-    y = d - beta * E.project_complement(d)
+    y = d - beta * (d - E.project_range(d))  # (I - beta Q) d
     z = project_torus(y + state.lam, b)
     lam = state.lam + (y - z)
     return AdmmState(y=y, z=z, lam=lam, k=state.k + 1, beta=beta)
@@ -253,13 +249,6 @@ class ParameterSchedule:
         return pts[-1][1]
 
 
-_PARAM_RANGES = {
-    "raar": (lambda v: 0.0 < v <= 1.0, "(0, 1]"),
-    "admm": (lambda v: 0.0 < v < 1.0, "(0, 1)"),
-    "drs": (lambda v: v > 0.0, "(0, inf)"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
@@ -291,19 +280,73 @@ class RunResult:
         return self.records[-1]
 
 
-def _decompose(state, b):
-    if isinstance(state, RaarState):
-        z = project_torus(state.w, b)
-        return z, state.w - z
+# ``run`` takes a record's ``P z`` and ``P lambda`` from the one range
+# projection the next step makes, ``p = P(z + lambda/rho)``, and a carried
+# ``P(lambda - rho_prev z)``, with ``rho`` the splitting penalty of the next
+# step and ``rho_prev`` that of the step before.  raar and admm fit with
+# ``rho = -1``: their step projects ``z - lambda``.  Every form keeps
+# ``lambda_{k+1} - rho z_{k+1} = lambda_k - rho y_{k+1}`` with ``P y_{k+1} = p``
+# (raar in its multiplier form, where this reads ``P w_{k+1} = P z_k``), so
+# the next carry is ``P lambda - rho p``.  A carried roundoff error is halved
+# at each step (by ``rho / (rho + rho_prev)`` in general), so none builds up.
+
+
+def _range_parts(p, carry, rho_prev, rho):
+    """``(P z, P lambda, next carry)`` of an iterate from ``p`` and ``carry``."""
+    pz = (rho * p - carry) / (rho + rho_prev)
+    pl = carry + rho_prev * pz
+    return pz, pl, pl - rho * p
+
+
+def _raar_pair(state, b):
+    z = project_torus(state.w, b)
+    return z, state.w - z
+
+
+def _state_pair(state, b):
     return state.z, state.lam
 
 
-def _lift(state):
-    if isinstance(state, RaarState):
-        return state.w
-    if isinstance(state, AdmmState):
-        return state.lift
-    return state.z
+def _raar_advance(E, b, state, beta):
+    return RaarState(w=raar_step(E, b, state.w, beta), k=state.k + 1, beta=beta)
+
+
+class _Form(NamedTuple):
+    state: type
+    in_range: Callable[[float], bool]
+    range_text: str
+    pair: Callable  # (state, b) -> (z, lambda)
+    lift: Callable  # state -> the kept iterate
+    penalty: Callable  # step parameter -> rho of the step's projection
+
+
+_FORMS = {
+    "raar": _Form(RaarState, lambda v: 0.0 < v <= 1.0, "(0, 1]", _raar_pair, attrgetter("w"), lambda beta: -1.0),
+    "admm": _Form(AdmmState, lambda v: 0.0 < v < 1.0, "(0, 1)", _state_pair, attrgetter("lift"), lambda beta: -1.0),
+    "drs": _Form(DrsState, lambda v: v > 0.0, "(0, inf)", _state_pair, attrgetter("z"), lambda rho: rho),
+}
+
+
+class _StepView:
+    """The ensemble as a step sees it, keeping the range projection the step makes."""
+
+    def __init__(self, E: MeasurementEnsemble):
+        self.E = E
+        self.projection = None
+
+    def project_range(self, w):
+        self.projection = self.E.project_range(w)
+        return self.projection
+
+
+def _stop_reason(stop: StoppingRule, rec: DiagnosticsRecord):
+    if stop.fixed_budget or rec.k == 0:
+        return None
+    if rec.residual <= stop.residual_tol:
+        return "residual"
+    if rec.deriv_norm <= stop.deriv_tol:
+        return "deriv_norm"
+    return None
 
 
 def run(
@@ -320,57 +363,80 @@ def run(
     """Drive one solver with a parameter schedule and record diagnostics.
 
     The schedule is evaluated at the 1-based iteration index before each
-    step.  Diagnostics are recorded at ``k = 0``, every ``record_every``
-    steps, and at the final step; with a stopping rule they are evaluated
-    every iteration regardless so the rule can fire between records.
+    step, and the iterates are those of the public step functions.  A
+    record costs vector norms only: its ``P z`` and ``P lambda`` come from
+    the range projection of the step after it, so each step costs one
+    ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
+    stopping rule is set.  The start costs one more of each; a run that
+    reaches ``max_iters`` records its final iterate by direct projection
+    (two of each), and a stopping rule that fires at iterate ``k`` has
+    made step ``k + 1`` for its record and drops that step's iterate.
+    Diagnostics are recorded at ``k = 0``, every ``record_every`` steps,
+    and at the final step; with a stopping rule they are evaluated every
+    iteration so the rule can fire between records.  A non-finite iterate
+    ends the run with ``stop_reason="nonfinite"``: the state is then the
+    last finite iterate, and the trace ends with its record when the
+    projection made at it is finite.
     """
-    if algo not in _PARAM_RANGES:
+    if algo not in _FORMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    expected_state = {"raar": RaarState, "admm": AdmmState, "drs": DrsState}[algo]
-    if not isinstance(init, expected_state):
-        raise TypeError(f"{algo} expects a {expected_state.__name__} initial state, got {type(init).__name__}")
-    in_range, range_text = _PARAM_RANGES[algo]
+    form = _FORMS[algo]
+    if not isinstance(init, form.state):
+        raise TypeError(f"{algo} expects a {form.state.__name__} initial state, got {type(init).__name__}")
     b = np.asarray(b, dtype=np.float64)
+    b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
+    # looked up per call, so that a wrapper installed on a public step sees every step
+    advance = {"raar": _raar_advance, "admm": admm_step, "drs": drs_step}[algo]
+    view = _StepView(E)
     t0 = time.perf_counter_ns()
 
+    if not all(np.isfinite(v).all() for v in vars(init).values() if isinstance(v, np.ndarray)):
+        raise ValueError(f"initial {algo} state contains non-finite entries")
     state = init
-    z, lam = _decompose(state, b)
-    first_param = schedule.value_at(1)
-    records = [diagnostics(E, b, z, lam, first_param, 0, 0, algo=algo)]
-    iterates = [_lift(state).copy()] if keep_iterates else None
-    reason = "max_iters"
+    z, lam = form.pair(state, b)
+    param = schedule.value_at(1)
+    rho = form.penalty(param)
+    carry = E.project_range(lam - rho * z)
+    records = []
+    iterates = [form.lift(state).copy()] if keep_iterates else None
 
-    for k in range(1, max_iters + 1):
-        param = schedule.value_at(k)
-        if not in_range(param):
+    def record(z, lam, pz, pl, param, k, reached):
+        return diagnostics_from_projections(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo)
+
+    reason = None
+    k, reached = 0, t0
+
+    while k < max_iters:
+        next_param = schedule.value_at(k + 1)
+        if not form.in_range(next_param):
             raise ValueError(
-                f"schedule value {param} at iteration {k} outside the admissible range {range_text} for {algo}"
+                f"schedule value {next_param} at iteration {k + 1} outside the admissible range "
+                f"{form.range_text} for {algo}"
             )
-        if algo == "raar":
-            state = RaarState(w=raar_step(E, b, state.w, param), k=k, beta=param)
-        elif algo == "admm":
-            state = admm_step(E, b, state, beta=param)
-        else:
-            state = drs_step(E, b, state, rho=param)
-        if keep_iterates:
-            iterates.append(_lift(state).copy())
-
-        want_record = (k % record_every == 0) or (k == max_iters)
-        if want_record or not stop.fixed_budget:
-            z, lam = _decompose(state, b)
-            rec = diagnostics(E, b, z, lam, param, k, time.perf_counter_ns() - t0, algo=algo)
-            if want_record:
+        nxt = advance(view, b, state, next_param)
+        rho_prev, rho = rho, form.penalty(next_param)
+        pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
+        next_z, next_lam = form.pair(nxt, b)
+        if not (np.isfinite(next_z).all() and np.isfinite(next_lam).all()):
+            reason = "nonfinite"
+            if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
+                records.append(record(z, lam, pz, pl, param, k, reached))
+            break
+        if k % record_every == 0 or not stop.fixed_budget:
+            rec = record(z, lam, pz, pl, param, k, reached)
+            reason = _stop_reason(stop, rec)
+            if k % record_every == 0 or reason:
                 records.append(rec)
-            if not stop.fixed_budget:
-                if rec.residual <= stop.residual_tol:
-                    reason = "residual"
-                elif rec.deriv_norm <= stop.deriv_tol:
-                    reason = "deriv_norm"
-                else:
-                    continue
-                if not want_record:
-                    records.append(rec)
+            if reason:
                 break
+        state, z, lam, param, k = nxt, next_z, next_lam, next_param, k + 1
+        reached = time.perf_counter_ns()
+        if keep_iterates:
+            iterates.append(form.lift(state).copy())
+    else:
+        rec = diagnostics(E, b, z, lam, param, k, reached - t0, algo=algo)
+        reason = _stop_reason(stop, rec) or "max_iters"
+        records.append(rec)
 
     return RunResult(records=records, state=state, stop_reason=reason, iterates=iterates)

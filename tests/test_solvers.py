@@ -3,13 +3,18 @@ import pytest
 
 from saddle_raar import (
     DrsState,
+    MeasurementEnsemble,
     ParameterSchedule,
+    RaarState,
     StoppingRule,
     admm_step,
     beta_from_rho,
     beta_prime,
+    build_gaussian_ensemble,
+    diagnostics,
     drs_step,
     make_initial_state,
+    project_torus,
     raar_step,
     random_lift,
     reconstruct,
@@ -321,3 +326,241 @@ def test_run_with_zero_magnitudes_stays_finite(dense_small):
     assert np.all(np.isfinite(result.state.w))
     assert np.isfinite(result.final_record.objective)
     assert np.isfinite(result.final_record.deriv_norm)
+
+
+# ---------------------------------------------------------------------------
+# One projection per iteration: operator counts, non-finite stop, records
+# ---------------------------------------------------------------------------
+
+
+ALGOS = ["raar", "admm", "drs"]
+_PARAM = {"raar": 0.9, "admm": 0.9, "drs": 0.25}
+_LIFT = {"raar": "w", "admm": "lift", "drs": "z"}  # the vector run keeps per iterate
+
+
+class CountingEnsemble(MeasurementEnsemble):
+    """Delegates to an ensemble and counts ``apply``/``apply_adjoint`` calls.
+
+    With ``nan_on_apply = j`` the j-th ``apply`` call returns NaNs.
+    """
+
+    def __init__(self, inner, nan_on_apply=None):
+        self.inner, self.n, self.N = inner, inner.n, inner.N
+        self.applies = self.adjoints = 0
+        self.nan_on_apply = nan_on_apply
+
+    def apply(self, w):
+        self.applies += 1
+        out = self.inner.apply(w)
+        return out * np.nan if self.applies == self.nan_on_apply else out
+
+    def apply_adjoint(self, x):
+        self.adjoints += 1
+        return self.inner.apply_adjoint(x)
+
+
+def _initial_state(algo, E, b, seed, rho=0.25):
+    raar0, admm0 = make_initial_state(E, b, w0=random_lift(E.N, seed=seed))
+    if algo == "raar":
+        return raar0
+    if algo == "admm":
+        return admm0
+    return DrsState(y=raar0.w, z=raar0.w, lam=np.zeros_like(raar0.w), rho=rho)
+
+
+def _public_steps(algo, E, b, state, param, n):
+    """``(lift, z, lambda)`` of ``state`` and of ``n`` public steps from it."""
+    out = []
+    for k in range(n + 1):
+        if k:
+            if algo == "raar":
+                state = RaarState(w=raar_step(E, b, state.w, param))
+            elif algo == "admm":
+                state = admm_step(E, b, state, beta=param)
+            else:
+                state = drs_step(E, b, state, rho=param)
+        if algo == "raar":
+            z = project_torus(state.w, b)
+            out.append((state.w, z, state.w - z))
+        else:
+            out.append((getattr(state, _LIFT[algo]), state.z, state.lam))
+    return out
+
+
+def _direct_record(E, b, z, lam, param, algo):
+    """Residual, derivative norm, objective and basin ratio written out from their definitions."""
+    qz, ql = E.project_complement(z), E.project_complement(lam)
+    a_lam = np.linalg.norm(E.apply(lam))
+    residual = np.linalg.norm(qz) / np.linalg.norm(b)
+    if algo == "drs":
+        rho = param
+        beta = 1.0 / (1.0 + rho)
+        deriv = np.hypot(np.linalg.norm(qz), a_lam / rho)
+        obj = 0.5 * np.linalg.norm(np.abs(z) - b) ** 2
+        obj += 0.5 * rho * (np.linalg.norm(qz + ql / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)
+    else:
+        beta = param
+        deriv = np.hypot(np.linalg.norm(E.project_complement((1.0 - beta) * lam + beta * z)), a_lam)
+        obj = 0.5 * beta * np.linalg.norm(E.project_complement(z - lam)) ** 2 - 0.5 * np.linalg.norm(lam) ** 2
+    denom = beta * np.linalg.norm(qz) ** 2 + (1.0 - beta) * np.linalg.norm(ql) ** 2 + a_lam**2
+    return residual, deriv, obj, 1.0 + 2.0 * np.real(np.vdot(z, lam)) / denom
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize(
+    "stop, record_every",
+    [(StoppingRule(fixed_budget=True), 1), (StoppingRule(fixed_budget=True), 10),
+     (StoppingRule(residual_tol=1e-10, deriv_tol=1e-10), 7)],
+)
+def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_every):
+    E0, _, b = dense_wide
+    E = CountingEnsemble(E0)
+    init = _initial_state(algo, E0, b, seed=5)
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 400, stop,
+                 record_every=record_every)
+    k = result.state.k
+    assert result.final_record.k == k
+    if stop.fixed_budget:
+        # one projection starts the run, one per step, two for the final record
+        assert k == 400 and (E.applies, E.adjoints) == (403, 403)
+    else:
+        # one projection starts the run and one per step; step k + 1 gave the stopping record
+        assert result.stop_reason in ("residual", "deriv_norm") and k < 400
+        assert (E.applies, E.adjoints) == (k + 2, k + 2)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
+    E, _, b = cdp_8x8
+    init = _initial_state(algo, E, b, seed=4)
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 60,
+                 StoppingRule(fixed_budget=True), keep_iterates=True)
+    expected = _public_steps(algo, E, b, init, _PARAM[algo], 60)
+    for k, (lift, _z, _lam) in enumerate(expected):
+        np.testing.assert_array_equal(result.iterates[k], lift)
+
+
+def test_public_steps_cost_one_projection(dense_small):
+    E0, _, b = dense_small
+    for algo in ALGOS:
+        E = CountingEnsemble(E0)
+        state = _initial_state(algo, E0, b, seed=3)
+        if algo == "raar":
+            raar_step(E, b, state.w, 0.9)
+        elif algo == "admm":
+            admm_step(E, b, state, beta=0.9)
+        else:
+            drs_step(E, b, state)
+        assert (E.applies, E.adjoints) == (1, 1), algo
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every):
+    # apply call 1 starts the run and call j + 1 is step j's projection, so
+    # step 4 goes non-finite; iterate 3's record would need that projection
+    E0, _, b = dense_small
+    E = CountingEnsemble(E0, nan_on_apply=5)
+    init = _initial_state(algo, E0, b, seed=2)
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
+                 StoppingRule(fixed_budget=True), record_every=record_every, keep_iterates=True)
+    assert result.stop_reason == "nonfinite"
+    assert [r.k for r in result.records] == ([0, 1, 2] if record_every == 1 else [0])
+    assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
+    assert result.state.k == 3 and len(result.iterates) == 4
+    assert all(np.isfinite(w).all() for w in result.iterates)
+    np.testing.assert_array_equal(result.iterates[-1], _public_steps(algo, E0, b, init, _PARAM[algo], 3)[-1][0])
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_nonfinite_magnitudes_stop_after_the_last_finite_record(dense_small, algo):
+    # step 4 sees a NaN magnitude after its projection: iterate 3 keeps its record
+    E0, _, b0 = dense_small
+    b = b0.copy()
+
+    class SpoilsMagnitudes(CountingEnsemble):
+        def apply(self, w):
+            if self.applies == 4:
+                b[0] = np.nan
+            return super().apply(w)
+
+    init = _initial_state(algo, E0, b0, seed=2)
+    with np.errstate(invalid="ignore"):
+        result = run(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
+                     StoppingRule(residual_tol=0.0, deriv_tol=0.0))
+    assert result.stop_reason == "nonfinite"
+    assert [r.k for r in result.records] == [0, 1, 2, 3] and result.state.k == 3
+    assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio]).all() for r in result.records)
+    expected = _public_steps(algo, E0, b0, init, _PARAM[algo], 3)[-1][0]
+    np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected)
+
+
+def test_nonfinite_initial_state_rejected(dense_small):
+    E, _, b = dense_small
+    for algo in ALGOS:
+        init = _initial_state(algo, E, b, seed=2)
+        vec = "w" if algo == "raar" else "lam"
+        setattr(init, vec, getattr(init, vec).copy())
+        getattr(init, vec)[0] = np.inf
+        with pytest.raises(ValueError):
+            run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 5)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
+def test_run_records_match_direct_formulas(request, algo, ensemble):
+    E, _, b = request.getfixturevalue(ensemble)
+    param = _PARAM[algo]
+    init = _initial_state(algo, E, b, seed=11)
+    steps = 150
+    result = run(E, b, algo, ParameterSchedule.constant(param), init, steps,
+                 StoppingRule(fixed_budget=True), keep_iterates=True)
+    pairs = [(z, lam) for _lift, z, lam in _public_steps(algo, E, b, init, param, steps)]
+    assert len(result.records) == len(pairs) == steps + 1
+
+    def close(a, ref, rel):
+        return abs(a - ref) <= rel * abs(ref)
+
+    checked = 0
+    for rec, (z, lam) in zip(result.records, pairs):
+        assert np.sign(rec.t_ratio) == np.sign(diagnostics(E, b, z, lam, param, rec.k, algo=algo).t_ratio), rec.k
+        residual, deriv, obj, t_ratio = _direct_record(E, b, z, lam, param, algo)
+        if residual >= 1e-4:
+            assert close(rec.t_ratio, t_ratio, 1e-6), rec.k
+        if residual < 1e-6:
+            continue
+        checked += 1
+        assert close(rec.residual, residual, 1e-9), rec.k
+        assert close(rec.deriv_norm, deriv, 1e-9), rec.k
+        assert close(rec.objective, obj, 1e-9), rec.k
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_carried_projections_stay_on_the_range(monkeypatch, algo):
+    # criterion 10's instance and stopping rule; raar/admm at the paired beta
+    import saddle_raar.solvers as solvers
+
+    E = build_gaussian_ensemble(16, 64, seed=1)
+    rng = np.random.default_rng(5)
+    b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+    w0 = random_lift(E.N, seed=0)
+    if algo == "drs":
+        param, init = 0.25, DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=0.25)
+    else:
+        param, init = beta_from_rho(0.25), make_initial_state(E, b, w0=w0)[algo == "admm"]
+    seen = []
+    record = solvers.diagnostics_from_projections
+
+    def keep_last(b, b_norm, z, lam, pz, pl, *rest):
+        seen[:] = [(z, lam, pz, pl)]
+        return record(b, b_norm, z, lam, pz, pl, *rest)
+
+    monkeypatch.setattr(solvers, "diagnostics_from_projections", keep_last)
+    result = run(E, b, algo, ParameterSchedule.constant(param), init, 6000,
+                 StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
+    assert result.stop_reason in ("residual", "deriv_norm") and result.state.k >= 100
+    z, lam, pz, pl = seen[0]
+    scale = 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(pz - E.project_range(z)) <= scale
+    assert np.linalg.norm(pl - E.project_range(lam)) <= scale
