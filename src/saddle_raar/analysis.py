@@ -17,9 +17,9 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 * the convergence functional ``T`` and its self-referenced inequality
   ratio used as a basin-of-attraction indicator.
 
-All evaluators are pure.  Dense eigen/SVD paths are used up to
-``DENSE_CAP`` ambient dimensions; beyond that, matrix-free Lanczos with a
-convergence flag.
+All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient
+dimensions compute only the extreme eigenvalues they need; beyond that,
+matrix-free Lanczos with a convergence flag.
 """
 
 from __future__ import annotations
@@ -348,38 +348,46 @@ def certify_fixed_point(
 # ---------------------------------------------------------------------------
 
 
+def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``H x`` for the Householder reflector ``H`` with ``H b = -s ||b|| e_0``.
+
+    ``s`` is the sign of ``b_0``, so ``v_0 = b_0/||b|| + s`` never cancels.
+    """
+    v = np.asarray(b, dtype=np.float64) / np.linalg.norm(b)
+    v[0] += np.copysign(1.0, v[0])
+    return x - np.outer((2.0 / (v @ v)) * v, v @ x)
+
+
 def tangent_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of ``Xi = { xi real : <xi, b> = 0 }``."""
-    b = np.asarray(b, dtype=np.float64)
-    return scipy.linalg.null_space(b[None, :])
+    """Orthonormal basis (columns) of ``Xi = { xi real : <xi, b> = 0 }``: ``H[:, 1:]``."""
+    return _reflect(np.eye(len(b)), b)[:, 1:]
 
 
-def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
-    """Dense real symmetric form ``Re(diag(conj(u)) Q diag(u))``."""
-    ad = E.materialize_adjoint()
-    p = ad @ ad.conj().T
-    m = np.conj(u)[:, None] * (np.eye(E.N) - p) * u[None, :]
-    k = np.real(m)
-    return 0.5 * (k + k.T)
+def _restrict_to_tangent(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tangent_basis(b).T @ m @ tangent_basis(b)`` for symmetric ``m``, in O(N^2) work."""
+    return _reflect(_reflect(m, b).T, b)[1:, 1:]
+
+
+def _min_eigpair(hr: np.ndarray):
+    """Smallest eigenvalue of a dense symmetric form, with its residual norm."""
+    vals, vecs = scipy.linalg.eigh(hr, subset_by_index=[0, 0])
+    resid = np.linalg.norm(hr @ vecs[:, 0] - vals[0] * vecs[:, 0])
+    return float(vals[0]), float(resid), True
 
 
 def assemble_range_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
     """Dense real symmetric form ``Re(diag(conj(u)) P diag(u))``."""
-    ad = E.materialize_adjoint()
-    p = ad @ ad.conj().T
-    m = np.conj(u)[:, None] * p * u[None, :]
-    k = np.real(m)
+    bstar = np.conj(u)[:, None] * E.materialize_adjoint()
+    k = bstar.real @ bstar.real.T + bstar.imag @ bstar.imag.T
     return 0.5 * (k + k.T)
 
 
-def _restricted_min_eig_dense(h: np.ndarray, basis: np.ndarray):
-    hr = basis.T @ h @ basis
-    hr = 0.5 * (hr + hr.T)
-    vals, vecs = scipy.linalg.eigh(hr)
-    lam = float(vals[0])
-    y = vecs[:, 0]
-    resid = float(np.linalg.norm(hr @ y - lam * y))
-    return lam, resid, True
+def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
+    """Dense real symmetric form ``Re(diag(conj(u)) Q diag(u))``.
+
+    Equals ``I -`` the range form because ``|u| = 1`` entrywise.
+    """
+    return np.eye(E.N) - assemble_range_form(E, u)
 
 
 def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float, tol: float):
@@ -468,9 +476,10 @@ def certify_cross_section_minimizer(
     ``||Im q - rho * 1||`` at the fitted multiplier ``rho``.
 
     Coordinates where ``z`` vanishes carry no phase freedom; all
-    quantities restrict to the support.  Dense assembly up to
-    ``DENSE_CAP`` support dimensions; beyond that a matrix-free Lanczos
-    path computes the restricted eigenvalue (beta bounds then unavailable).
+    quantities restrict to the support.  Up to ``DENSE_CAP`` support
+    dimensions one subset eigen-solve and one generalized one on ``Xi``;
+    beyond that a matrix-free Lanczos path computes the restricted
+    eigenvalue (beta bounds then unavailable).
     """
     z = np.asarray(z, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.complex128)
@@ -489,27 +498,19 @@ def certify_cross_section_minimizer(
     first_order_defect = float(np.linalg.norm(np.imag(q) - rho))
 
     req = np.real(q)
-    n_support = int(np.count_nonzero(s))
     q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
-    if n_support <= DENSE_CAP:
-        kperp = assemble_complement_form(E, u_full)[np.ix_(s, s)]
-        h = kperp - np.diag(req)
-        basis = tangent_basis(b)
-        min_eig, eig_resid, converged = _restricted_min_eig_dense(h, basis)
+    if b.size <= DENSE_CAP:
+        g2 = _restrict_to_tangent(assemble_complement_form(E, u_full)[np.ix_(s, s)], b)
+        min_eig, eig_resid, converged = _min_eigpair(g2 - _restrict_to_tangent(np.diag(req), b))
         method = "dense"
 
-        # generalized-eigenvalue beta bounds against the K_perp form on Xi
-        g2 = basis.T @ kperp @ basis
-        g2 = 0.5 * (g2 + g2.T)
-        h0 = basis.T @ (kperp - np.diag(q0)) @ basis
-        h0 = 0.5 * (h0 + h0.T)
-        d0 = basis.T @ np.diag(q0) @ basis
-        d0 = 0.5 * (d0 + d0.T)
+        # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
+        d0 = _restrict_to_tangent(np.diag(q0), b)
+        top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
         try:
-            saddle_vals = scipy.linalg.eigh(h0, g2, eigvals_only=True)
-            contraction_vals = scipy.linalg.eigh(d0, g2, eigvals_only=True)
-            beta_saddle = float(min(max(saddle_vals[0], 0.0), 1.0))
-            beta_contraction = float(min(max(1.0 - 2.0 * contraction_vals[-1], 0.0), 1.0))
+            nu_max = float(scipy.linalg.eigh(d0, g2, subset_by_index=top, eigvals_only=True)[0])
+            beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
+            beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
             beta_bound = min(beta_saddle, beta_contraction)
         except scipy.linalg.LinAlgError:
             beta_saddle = beta_contraction = beta_bound = None
@@ -523,7 +524,7 @@ def certify_cross_section_minimizer(
 
         shift = 2.0 + float(np.max(np.abs(req)))
         min_eig, eig_resid, converged = _restricted_min_eig_lanczos(
-            apply_h, b, n_support, shift, eig_tol
+            apply_h, b, b.size, shift, eig_tol
         )
         method = "lanczos"
         beta_saddle = beta_contraction = beta_bound = None
@@ -574,10 +575,8 @@ def certify_drs_cross_section(
         )
         method = "lanczos"
     else:
-        k = assemble_range_form(E, u)
-        h = (rho + 1.0) * np.eye(E.N) - np.diag(b / mag) - rho * k
-        basis = tangent_basis(mag)
-        min_eig, eig_resid, converged = _restricted_min_eig_dense(h, basis)
+        h = (rho + 1.0) * np.eye(E.N) - np.diag(b / mag) - rho * assemble_range_form(E, u)
+        min_eig, eig_resid, converged = _min_eigpair(_restrict_to_tangent(h, mag))
         method = "dense"
     return SaddleCertificate(
         q=np.zeros_like(z),

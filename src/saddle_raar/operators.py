@@ -278,13 +278,12 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         self.l = masks.shape[0]
         self.n = r * c
         self.N = self.l * self.padded[0] * self.padded[1]
-        # Analytic isometry scale for the unnormalized DFT, then a probe;
-        # fall back to the measured scale if the analytic value is off.
+        # Isometry scale for the unnormalized DFT: exact for unit-modulus
+        # masks, so a probe that disagrees is a defect, never a calibration.
         self.c0 = 1.0 / math.sqrt(self.l * self.padded[0] * self.padded[1])
         ratio = self._probe_scale()
         if abs(ratio - 1.0) > 1e-8:
-            self.c0 /= ratio
-        self.analytic_scale_ok = abs(ratio - 1.0) <= 1e-8
+            raise RuntimeError(f"analytic isometry scale is off: probe ratio {ratio!r}")
 
     def _probe_scale(self) -> float:
         rng = np.random.default_rng(0xC0DED)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from saddle_raar import (
     MeasurementEnsemble,
@@ -27,6 +28,7 @@ from saddle_raar import (
     spectral_gap,
 )
 from saddle_raar.analysis import (
+    _restrict_to_tangent,
     assemble_complement_form,
     beta_max_from_threshold,
     margin_positivity_probe,
@@ -303,6 +305,108 @@ class TestCrossSectionCertificate:
         cert = certify_drs_cross_section(E, b, z_star, rho=0.25)
         assert cert.converged
         assert cert.hessian_min_eig >= -1e-10
+
+
+
+def _dense_oracle_forms(E, z):
+    """Range projector and phase-conjugated complement form, from ``A*``."""
+    a = E.materialize_adjoint()
+    p = a @ a.conj().T
+    u = z / np.abs(z)
+    k = np.real(np.conj(u)[:, None] * (np.eye(E.N) - p) * u[None, :])
+    return p, 0.5 * (k + k.T)
+
+
+def _on_null_space(m, b):
+    basis = scipy.linalg.null_space(b[None, :])
+    r = basis.T @ m @ basis
+    return 0.5 * (r + r.T)
+
+
+def _cross_section_oracle(E, z, lam):
+    """Certificate values written out from the definitions: explicit
+    null-space basis, full eigen-solve, both generalized solves."""
+    p, kperp = _dense_oracle_forms(E, z)
+    b = np.abs(z)
+    q = np.real((z - lam - p @ (z - lam)) / z)
+    q0 = np.real((z - p @ z) / z)
+    min_eig = scipy.linalg.eigh(_on_null_space(kperp - np.diag(q), b), eigvals_only=True)[0]
+    g2 = _on_null_space(kperp, b)
+    saddle = scipy.linalg.eigh(_on_null_space(kperp - np.diag(q0), b), g2, eigvals_only=True)[0]
+    nu = scipy.linalg.eigh(_on_null_space(np.diag(q0), b), g2, eigvals_only=True)[-1]
+    return min_eig, min(max(saddle, 0.0), 1.0), min(max(1.0 - 2.0 * nu, 0.0), 1.0)
+
+
+class TestDenseCertificateOracle:
+    def test_implicit_restriction_matches_basis_products(self):
+        rng = np.random.default_rng(4)
+        for n, sign, tail in ((7, 1.0, 1.0), (30, -1.0, 1.0), (64, 1.0, 1.0), (9, 1.0, 1e-9)):
+            b = tail * (rng.random(n) + 0.1)
+            b[0] = sign  # both reflector signs; b nearly on e_0 would cancel with the wrong one
+            m = rng.standard_normal((n, n))
+            m = m + m.T
+            basis = tangent_basis(b)
+            assert np.linalg.norm(basis.T @ basis - np.eye(n - 1)) <= 1e-13
+            assert np.linalg.norm(basis.T @ b) <= 1e-13 * np.linalg.norm(b)
+            ref = basis.T @ m @ basis
+            assert np.linalg.norm(_restrict_to_tangent(m, b) - ref) <= 1e-12 * np.linalg.norm(m)
+
+    def _check(self, E, z, lam):
+        min_eig, saddle, contraction = _cross_section_oracle(E, z, lam)
+        cert = certify_cross_section_minimizer(E, z, lam)
+        assert cert.method == "dense"
+        assert cert.hessian_min_eig == pytest.approx(min_eig, abs=1e-12)
+        assert cert.eig_residual <= 1e-10
+        assert cert.beta_bound_saddle == pytest.approx(saddle, abs=1e-10)
+        assert cert.beta_bound_contraction == pytest.approx(contraction, abs=1e-10)
+        return saddle, contraction
+
+    def test_cross_section_at_solution(self, cdp_8x8):
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        self._check(E, z_star, np.zeros_like(z_star))
+
+    def test_cross_section_at_interior_point(self, cdp_8x8):
+        # a perturbed torus point with its optimal dual: both beta bounds
+        # lie strictly inside (0, 1), so no clamp hides a wrong eigenvalue
+        E, x0, b = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        noise = random_complex(np.random.default_rng(8), E.N)
+        z = project_torus(z_star + 0.02 * np.mean(b) * noise, b)
+        saddle, contraction = self._check(E, z, optimal_dual(E, z, 0.8))
+        assert 0.05 < contraction < saddle < 0.95
+
+    def test_one_subset_solve_per_pencil(self, cdp_8x8, dense_wide, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(a, b=None, **kwargs):
+            calls.append((b is not None, kwargs.get("subset_by_index")))
+            return eigh(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
+        assert calls == [(False, [0, 0]), (True, [E.N - 2, E.N - 2])]
+        calls.clear()
+        E, x0, b = dense_wide
+        certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25)
+        assert calls == [(False, [0, 0])]
+
+    def test_drs_cross_section(self, dense_wide):
+        E, x0, b = dense_wide
+        rng = np.random.default_rng(9)
+        rho = 0.25
+        for z in (E.apply_adjoint(x0), project_torus(random_complex(rng, E.N), b)):
+            p, _ = _dense_oracle_forms(E, z)
+            u = z / np.abs(z)
+            k = np.real(np.conj(u)[:, None] * p * u[None, :])
+            h = (rho + 1.0) * np.eye(E.N) - np.diag(b / np.abs(z)) - rho * 0.5 * (k + k.T)
+            min_eig = scipy.linalg.eigh(_on_null_space(h, np.abs(z)), eigvals_only=True)[0]
+            cert = certify_drs_cross_section(E, b, z, rho=rho)
+            assert cert.hessian_min_eig == pytest.approx(min_eig, abs=1e-12)
+            assert cert.eig_residual <= 1e-10
 
 
 class TestSpectralGap:

@@ -3,6 +3,7 @@ import pytest
 
 from saddle_raar import (
     AliasingError,
+    CodedDiffractionEnsemble,
     DimensionError,
     InvalidMaskError,
     build_cdp_ensemble,
@@ -116,6 +117,13 @@ class TestCodedDiffractionEnsemble:
         dense = E.c0 * np.concatenate(rows, axis=0)
         materialized = E.materialize_adjoint()
         assert np.max(np.abs(dense - materialized)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_scale_probe_disagreement_raises(self, monkeypatch):
+        # the analytic scale is exact, so a disagreeing probe is a defect
+        # to report, never a calibration to absorb into c0
+        monkeypatch.setattr(CodedDiffractionEnsemble, "_probe_scale", lambda self: 1.0 + 1e-6)
+        with pytest.raises(RuntimeError, match="isometry scale"):
+            build_cdp_ensemble((4, 4), seed=0)
 
     def test_mask_validation(self):
         bad = np.ones((2, 4, 4), dtype=complex)

@@ -1,0 +1,122 @@
+"""Property tests of the operator invariants on both ensemble kinds.
+
+Hypothesis draws the ensemble sizes, seeds, relaxation parameters and the
+global phase; the vectors come from a numpy generator seeded by the drawn
+seed, so every entry is nonzero and finite.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from saddle_raar import (
+    AdmmState,
+    DrsState,
+    admm_step,
+    build_cdp_ensemble,
+    build_gaussian_ensemble,
+    drs_step,
+    project_torus,
+    raar_step,
+)
+from conftest import random_complex
+
+# few, small, reproducible examples: the suite's wall time is a budget
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+TOL = 1e-12
+
+seeds = st.integers(0, 2**32 - 1)
+phases = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
+
+
+@st.composite
+def gaussian_ensembles(draw):
+    n = draw(st.integers(1, 6))
+    return build_gaussian_ensemble(n, draw(st.integers(n, 4 * n)), seed=draw(seeds))
+
+
+@st.composite
+def cdp_ensembles(draw):
+    grid = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return build_cdp_ensemble(grid, seed=draw(seeds), n_masks=draw(st.integers(2, 3)))
+
+
+ENSEMBLES = {"gaussian": gaussian_ensembles(), "cdp": cdp_ensembles()}
+ensemble_kinds = pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+
+
+def _magnitudes(rng, N):
+    # nonnegative data with some exact zeros, where the torus collapses
+    b = rng.random(N)
+    b[rng.random(N) < 0.2] = 0.0
+    return b
+
+
+def _close(a, b, scale):
+    return np.linalg.norm(a - b) <= TOL * max(scale, 1.0)
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds)
+def test_isometry(kind, data, seed):
+    E = data.draw(ENSEMBLES[kind])
+    x = random_complex(np.random.default_rng(seed), E.n)
+    assert _close(E.apply(E.apply_adjoint(x)), x, np.linalg.norm(x))
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds)
+def test_range_projection_idempotent_and_pythagoras(kind, data, seed):
+    E = data.draw(ENSEMBLES[kind])
+    w = random_complex(np.random.default_rng(seed), E.N)
+    pw = E.project_range(w)
+    norm2 = np.linalg.norm(w) ** 2
+    assert _close(E.project_range(pw), pw, np.linalg.norm(w))
+    total = np.linalg.norm(w - pw) ** 2 + np.linalg.norm(E.apply(w)) ** 2
+    assert abs(total - norm2) <= TOL * norm2
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds, theta=phases)
+def test_torus_projection_phase_equivariance(kind, data, seed, theta):
+    E = data.draw(ENSEMBLES[kind])
+    rng = np.random.default_rng(seed)
+    b = _magnitudes(rng, E.N)
+    w = random_complex(rng, E.N)
+    alpha = np.exp(1j * theta)
+    assert _close(project_torus(alpha * w, b), alpha * project_torus(w, b), np.linalg.norm(b))
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    seed=seeds,
+    theta=phases,
+    beta=st.floats(0.05, 0.95),
+    rho=st.floats(0.05, 20.0),
+)
+def test_one_step_of_each_form_is_phase_equivariant(kind, data, seed, theta, beta, rho):
+    E = data.draw(ENSEMBLES[kind])
+    rng = np.random.default_rng(seed)
+    b = _magnitudes(rng, E.N)
+    y, z, lam = (random_complex(rng, E.N) for _ in range(3))
+    z = project_torus(z, b)
+    alpha = np.exp(1j * theta)
+    scale = np.linalg.norm(b) + np.linalg.norm(lam) + np.linalg.norm(y)
+
+    assert _close(raar_step(E, b, alpha * (z + lam), beta), alpha * raar_step(E, b, z + lam, beta), scale)
+
+    one = admm_step(E, b, AdmmState(y=y, z=z, lam=lam, beta=beta))
+    rot = admm_step(E, b, AdmmState(y=alpha * y, z=alpha * z, lam=alpha * lam, beta=beta))
+    for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
+        assert _close(got, alpha * ref, scale)
+
+    one = drs_step(E, b, DrsState(y=y, z=z, lam=lam, rho=rho))
+    rot = drs_step(E, b, DrsState(y=alpha * y, z=alpha * z, lam=alpha * lam, rho=rho))
+    for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
+        assert _close(got, alpha * ref, scale * (1.0 + rho))
