@@ -68,6 +68,8 @@ __all__ = [
 # Above this ambient dimension, eigen/SVD work switches to matrix-free
 # iterative routines with explicit convergence flags.
 DENSE_CAP = 4096
+# Relative tolerance of those iterative eigen-solves.
+EIG_TOL = 1e-8
 
 
 def beta_prime(beta: float) -> float:
@@ -185,7 +187,6 @@ def convergence_functional(
     z_star,
     lam_star,
     beta: float,
-    align: bool = True,
 ) -> float:
     """Distance functional ``T``.
 
@@ -197,10 +198,9 @@ def convergence_functional(
     lam = np.asarray(lam, dtype=np.complex128)
     z_star = np.asarray(z_star, dtype=np.complex128)
     lam_star = np.asarray(lam_star, dtype=np.complex128)
-    if align:
-        alpha = global_phase(z + lam, z_star + lam_star)
-        z_star = alpha * z_star
-        lam_star = alpha * lam_star
+    alpha = global_phase(z + lam, z_star + lam_star)
+    z_star = alpha * z_star
+    lam_star = alpha * lam_star
     t = beta * np.linalg.norm(E.project_complement(z - z_star)) ** 2
     t += (1.0 - beta) * np.linalg.norm(E.project_complement(lam - lam_star)) ** 2
     t += np.linalg.norm(E.apply(lam)) ** 2
@@ -233,7 +233,7 @@ def contraction_margin(
     z_star = np.asarray(z_star, dtype=np.complex128)
     lam_star = np.asarray(lam_star, dtype=np.complex128)
     alpha = global_phase(z + lam, z_star + lam_star)
-    t = convergence_functional(E, z, lam, z_star, lam_star, beta, align=True)
+    t = convergence_functional(E, z, lam, z_star, lam_star, beta)
     cross = _real_inner(alpha * z_star - z, lam - alpha * lam_star)
     return float(t - 2.0 * cross)
 
@@ -390,7 +390,7 @@ def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarra
     return np.eye(E.N) - assemble_range_form(E, u)
 
 
-def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float, tol: float):
+def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float):
     """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
 
     The excluded direction is pushed up by ``shift`` so plain Lanczos on
@@ -407,7 +407,7 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float
 
     op = scipy.sparse.linalg.LinearOperator((n_dim, n_dim), matvec=matvec, dtype=np.float64)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=tol, maxiter=5000)
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=EIG_TOL, maxiter=5000)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             return float(exc.eigenvalues[0]), float("nan"), False
@@ -465,7 +465,6 @@ def certify_cross_section_minimizer(
     z,
     lam,
     beta: float | None = None,
-    eig_tol: float = 1e-8,
 ) -> SaddleCertificate:
     """Certify second-order minimality of ``z`` on its cross section.
 
@@ -524,7 +523,7 @@ def certify_cross_section_minimizer(
 
         shift = 2.0 + float(np.max(np.abs(req)))
         min_eig, eig_resid, converged = _restricted_min_eig_lanczos(
-            apply_h, b, b.size, shift, eig_tol
+            apply_h, b, b.size, shift
         )
         method = "lanczos"
         beta_saddle = beta_contraction = beta_bound = None
@@ -550,7 +549,7 @@ def certify_cross_section_minimizer(
 
 
 def certify_drs_cross_section(
-    E: MeasurementEnsemble, b, z, rho: float, eig_tol: float = 1e-8
+    E: MeasurementEnsemble, b, z, rho: float
 ) -> SaddleCertificate:
     """Analogous restricted curvature check for the splitting competitor.
 
@@ -571,7 +570,7 @@ def certify_drs_cross_section(
 
         shift = rho + 3.0 + float(np.max(b / mag))
         min_eig, eig_resid, converged = _restricted_min_eig_lanczos(
-            apply_h, mag, E.N, shift, eig_tol
+            apply_h, mag, E.N, shift
         )
         method = "lanczos"
     else:

@@ -7,7 +7,7 @@ mask seeds).  Options come from flags, optionally seeded by a JSON config
 file (flags override the file; unknown file keys are rejected).
 
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence in strict
-mode.  SADDLE_RAAR_THREADS caps trial concurrency in the experiments.
+mode.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ _OPTIONS = {
         ("trials", int, 40, "trials per cell", _check_positive_int("trials")),
         ("max-iters", int, 2000, "iteration budget per trial", _check_positive_int("max-iters")),
         ("success-threshold", float, 1e-5, "relative residual defining success", None),
-        ("workers", int, 1, "concurrent trials (capped by SADDLE_RAAR_THREADS)", _check_positive_int("workers")),
     ],
     "cdp": _COMMON
     + [
@@ -134,7 +133,6 @@ _OPTIONS = {
         ("hold-iters", int, 300, "constant-parameter prefix length", _check_positive_int("hold-iters")),
         ("settle-iters", int, experiments.TERMINAL_SETTLE_ITERS, "terminal hold at the final value", _check_nonneg("settle-iters")),
         ("weak-fraction", float, 0.5, "weak-set fraction of the spectral initializer", _check_fraction("weak-fraction")),
-        ("workers", int, 1, "concurrent paths (capped by SADDLE_RAAR_THREADS)", _check_positive_int("workers")),
     ],
     "certify": [
         ("out", str, "out", "output directory", None),
@@ -388,7 +386,6 @@ def _execute_sweep(cfg: RunConfig) -> int:
             seed=o["seed"],
             max_iters=o["max-iters"],
             success_threshold=o["success-threshold"],
-            workers=o["workers"],
         )
     else:
         sweep = experiments.paired_success_cells(
@@ -399,7 +396,6 @@ def _execute_sweep(cfg: RunConfig) -> int:
             seed=o["seed"],
             max_iters=o["max-iters"],
             success_threshold=o["success-threshold"],
-            workers=o["workers"],
         )
     artifacts.write_csv(
         os.path.join(out, "sweep.csv"),
@@ -423,7 +419,6 @@ def _execute_cdp(cfg: RunConfig) -> int:
         settle_iters=o["settle-iters"],
         noise_target=o["noise-level"],
         weak_fraction=o["weak-fraction"],
-        workers=o["workers"],
     )
     x0 = suite.instance.phantom.values
     artifacts.write_pgm(

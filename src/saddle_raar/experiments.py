@@ -12,15 +12,12 @@ Two experiment families:
   saddle diagnostics.
 
 Trials are independent; per-trial seeds derive from the experiment seed
-by counter-based keys, so results are reproducible and order-independent
-even under the trial-level thread pool (capped by SADDLE_RAAR_THREADS).
+by counter-based keys, so results are reproducible and order-independent.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +77,6 @@ BETA_PATH_STARTS = (0.95, 0.9, 0.8, 0.7, 0.6)
 # size of one parameter step no matter how well the solver tracks; the
 # terminal hold lets the iterate reach the terminal-parameter saddle.
 TERMINAL_SETTLE_ITERS = 240
-
-
-def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get("SADDLE_RAAR_THREADS")
-    workers = requested if requested is not None else 1
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
 
 
 def _child_seeds(*key) -> np.ndarray:
@@ -326,7 +315,6 @@ def gaussian_success_sweep(
     seed: int = 0,
     max_iters: int = 2000,
     success_threshold: float = 1e-5,
-    workers: int | None = None,
 ) -> SweepResult:
     """Success-rate sweep over sampling ratios and solver parameters.
 
@@ -344,18 +332,10 @@ def gaussian_success_sweep(
             for trial in range(trials):
                 jobs.append(("drs", ratio, rho, idx, trial))
 
-    def do(job):
-        algo, ratio, param, idx, trial = job
-        return _run_success_trial(
-            n, ratio, algo, param, idx, trial, seed, max_iters, success_threshold
-        )
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            outcomes = list(pool.map(do, jobs))
-    else:
-        outcomes = [do(j) for j in jobs]
+    outcomes = [
+        _run_success_trial(n, ratio, algo, param, idx, trial, seed, max_iters, success_threshold)
+        for algo, ratio, param, idx, trial in jobs
+    ]
 
     sweep = SweepResult(n=n, trials=trials, seed=seed, success_threshold=success_threshold)
     keyed = {}
@@ -376,7 +356,6 @@ def paired_success_cells(
     seed: int = 0,
     max_iters: int = 2000,
     success_threshold: float = 1e-5,
-    workers: int | None = None,
 ) -> SweepResult:
     """The two paired cells (one relaxation value, its penalty partner)."""
     rho = rho_from_beta(beta)
@@ -389,7 +368,6 @@ def paired_success_cells(
         seed=seed,
         max_iters=max_iters,
         success_threshold=success_threshold,
-        workers=workers,
     )
 
 
@@ -446,8 +424,6 @@ class CdpPathResult:
     final_deriv_norm: float
     aligned_error: float
     tail_t_ratios: np.ndarray
-    w_final: np.ndarray
-    iterates: list | None = None
 
 
 def cdp_case_run(
@@ -461,7 +437,7 @@ def cdp_case_run(
     noise_target: float = 0.18,
     weak_fraction: float = 0.5,
     instance: CdpInstance | None = None,
-    keep_iterates: bool = False,
+    on_iterate=None,
 ) -> CdpPathResult:
     """Run one relaxation path on the phantom instance.
 
@@ -471,8 +447,10 @@ def cdp_case_run(
     before the end: the dual maximizer moves with the parameter, so the
     dual gradient at the final iterate would otherwise measure one
     parameter step's worth of target motion rather than convergence
-    quality.  Returns the mid-run snapshot reconstruction, the final
+    quality.  Returns the mid-run snapshot reconstruction (at iterate
+    ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and the tail of the basin indicator.
+    ``on_iterate`` is passed on to ``run``.
     """
     inst = instance or cdp_instance(case, grid, seed, noise_target)
     E, b = inst.ensemble, inst.b
@@ -486,8 +464,17 @@ def cdp_case_run(
 
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(
-        ((1, beta_start), (hold_iters, beta_start), (knee, 0.5), (total_iters, 0.5))
+        ((1, beta_start), (hold_iters, beta_start), (knee, 0.5), (max(knee, total_iters), 0.5))
     )
+    w_snap = None
+
+    def observe(k, w):
+        nonlocal w_snap
+        if k <= hold_iters:
+            w_snap = w
+        if on_iterate is not None:
+            on_iterate(k, w)
+
     result = run(
         E,
         b,
@@ -497,9 +484,8 @@ def cdp_case_run(
         max_iters=total_iters,
         stop=StoppingRule(fixed_budget=True),
         record_every=1,
-        keep_iterates=True,
+        on_iterate=observe,
     )
-    w_snap = result.iterates[min(hold_iters, len(result.iterates) - 1)]
     z_snap = project_torus(w_snap, b)
     x_snap = reconstruct(E, z_snap, w_snap - z_snap)
 
@@ -518,8 +504,6 @@ def cdp_case_run(
         final_deriv_norm=result.final_record.deriv_norm,
         aligned_error=analysis.aligned_error(x_fin, inst.phantom.values),
         tail_t_ratios=tail,
-        w_final=w_fin,
-        iterates=result.iterates if keep_iterates else None,
     )
 
 
@@ -548,13 +532,11 @@ def cdp_case_suite(
     settle_iters: int = TERMINAL_SETTLE_ITERS,
     noise_target: float = 0.18,
     weak_fraction: float = 0.5,
-    workers: int | None = None,
 ) -> CdpCaseResult:
     """Run all relaxation paths of one case on a shared instance."""
     inst = cdp_instance(case, grid, seed, noise_target)
-
-    def do(start):
-        return cdp_case_run(
+    paths = [
+        cdp_case_run(
             case,
             start,
             grid=grid,
@@ -566,13 +548,8 @@ def cdp_case_suite(
             weak_fraction=weak_fraction,
             instance=inst,
         )
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            paths = list(pool.map(do, beta_starts))
-    else:
-        paths = [do(s) for s in beta_starts]
+        for start in beta_starts
+    ]
 
     k = len(paths)
     corr = np.eye(k)

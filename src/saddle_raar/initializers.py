@@ -39,15 +39,12 @@ class InitSpec:
     power iteration; ``seed`` fixes the iteration's random start.
     """
 
-    kind: str = "null-vector"
     weak_fraction: float = 0.5
     power_iters: int = 200
     seed: int = 0
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("null-vector", "random"):
-            raise ValueError(f"unknown initializer kind {self.kind!r}")
         if not 0.0 < self.weak_fraction < 1.0:
             raise ValueError(f"weak_fraction must lie in (0, 1), got {self.weak_fraction}")
         if self.power_iters < 1:
@@ -119,7 +116,6 @@ def make_initial_state(
     b,
     x_init: np.ndarray | None = None,
     w0: np.ndarray | None = None,
-    beta: float | None = None,
 ):
     """Wrap an object vector or a raw lift into matched starting states.
 
@@ -141,6 +137,6 @@ def make_initial_state(
         raise InvalidDataError("initial vector must be nonzero")
     z1 = project_torus(w0, b)
     lam1 = w0 - z1
-    raar = RaarState(w=w0, k=0, beta=beta)
-    admm = AdmmState(y=z1, z=z1, lam=lam1, k=0, beta=beta)
+    raar = RaarState(w=w0, k=0)
+    admm = AdmmState(y=z1, z=z1, lam=lam1, k=0)
     return raar, admm

@@ -333,19 +333,16 @@ def build_gaussian_ensemble(n: int, N: int, seed: int) -> GaussianEnsemble:
     return GaussianEnsemble(n, N, seed)
 
 
-def random_unit_masks(grid, l: int, seed: int, first_uncoded: bool = True) -> np.ndarray:
-    """Stack of ``l`` unit-modulus masks; the first is all-ones by default.
+def random_unit_masks(grid, l: int, seed: int) -> np.ndarray:
+    """Stack of ``l`` unit-modulus masks; the first is all-ones.
 
     Remaining masks have i.i.d. phases uniform on the circle, drawn
     deterministically from ``seed``.
     """
     rng = np.random.default_rng(seed)
     masks = np.empty((l, grid[0], grid[1]), dtype=np.complex128)
-    start = 0
-    if first_uncoded:
-        masks[0] = 1.0
-        start = 1
-    for j in range(start, l):
+    masks[0] = 1.0
+    for j in range(1, l):
         masks[j] = np.exp(2j * np.pi * rng.random(grid))
     return masks
 

@@ -92,7 +92,6 @@ class AdmmState:
     lam: np.ndarray
     k: int = 0
     beta: float | None = None
-    s: float = 1.0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
@@ -100,8 +99,6 @@ class AdmmState:
         self.lam = np.asarray(self.lam, dtype=np.complex128)
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.s != 1.0:
-            raise ValueError("only unit dual step size is supported")
 
     @property
     def lift(self) -> np.ndarray:
@@ -229,13 +226,6 @@ class ParameterSchedule:
     def constant(cls, value: float) -> "ParameterSchedule":
         return cls(((1, value),))
 
-    @classmethod
-    def relaxation_path(
-        cls, start: float, hold: int = 300, total: int = 600, final: float = 0.5
-    ) -> "ParameterSchedule":
-        """Hold ``start`` for ``hold`` iterations, then decrease linearly to ``final`` at ``total``."""
-        return cls(((1, start), (hold, start), (total, final)))
-
     def value_at(self, k: int) -> float:
         pts = self.breakpoints
         if k <= pts[0][0]:
@@ -273,7 +263,6 @@ class RunResult:
     records: list
     state: object
     stop_reason: str
-    iterates: list | None = None
 
     @property
     def final_record(self) -> DiagnosticsRecord:
@@ -358,7 +347,7 @@ def run(
     max_iters: int,
     stop: StoppingRule | None = None,
     record_every: int = 1,
-    keep_iterates: bool = False,
+    on_iterate: Callable[[int, np.ndarray], None] | None = None,
 ) -> RunResult:
     """Drive one solver with a parameter schedule and record diagnostics.
 
@@ -376,7 +365,9 @@ def run(
     iteration so the rule can fire between records.  A non-finite iterate
     ends the run with ``stop_reason="nonfinite"``: the state is then the
     last finite iterate, and the trace ends with its record when the
-    projection made at it is finite.
+    projection made at it is finite.  ``on_iterate(k, w)``, when given, is
+    called with the lifted iterate ``w`` at ``k = 0`` and after each
+    accepted step, so a caller keeps only what it needs of the path.
     """
     if algo not in _FORMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -399,7 +390,8 @@ def run(
     rho = form.penalty(param)
     carry = E.project_range(lam - rho * z)
     records = []
-    iterates = [form.lift(state).copy()] if keep_iterates else None
+    if on_iterate is not None:
+        on_iterate(0, form.lift(state))
 
     def record(z, lam, pz, pl, param, k, reached):
         return diagnostics_from_projections(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo)
@@ -432,11 +424,11 @@ def run(
                 break
         state, z, lam, param, k = nxt, next_z, next_lam, next_param, k + 1
         reached = time.perf_counter_ns()
-        if keep_iterates:
-            iterates.append(form.lift(state).copy())
+        if on_iterate is not None:
+            on_iterate(k, form.lift(state))
     else:
         rec = diagnostics(E, b, z, lam, param, k, reached - t0, algo=algo)
         reason = _stop_reason(stop, rec) or "max_iters"
         records.append(rec)
 
-    return RunResult(records=records, state=state, stop_reason=reason, iterates=iterates)
+    return RunResult(records=records, state=state, stop_reason=reason)

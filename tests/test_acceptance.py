@@ -220,15 +220,16 @@ def test_criterion_09_fejer_contraction_along_case_a():
     t0 = time.perf_counter()
     suite, _ = _timed("case_a", _case_a)
     inst = suite.instance
-    path = cdp_case_run("a", 0.95, instance=inst, keep_iterates=True)
+    ws = []
+    path = cdp_case_run("a", 0.95, instance=inst, on_iterate=lambda k, w: ws.append(w))
     E, b = inst.ensemble, inst.b
     z_star = E.apply_adjoint(inst.phantom.values)
     lam_star = np.zeros_like(z_star)
     betas = [r.param for r in path.records]
-    mon = fejer_monitor(E, b, path.iterates, betas, z_star, lam_star)
+    mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
     nonpos = np.where(mon["margin"] <= 0)[0]
     k0 = int(nonpos[-1]) + 2 if nonpos.size else 1
-    ok = k0 < len(path.iterates) - 100
+    ok = k0 < len(ws) - 100
     window_d = mon["distance"][k0 - 1:]
     max_increase = float(np.max(np.diff(window_d)))
     ok &= max_increase <= 1e-8

@@ -394,6 +394,28 @@ class TestDenseCertificateOracle:
         certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25)
         assert calls == [(False, [0, 0])]
 
+    def test_eig_residual_sees_a_perturbed_eigenvector(self, cdp_8x8, dense_wide, monkeypatch):
+        # a residual forced to 0, or taken from a vector other than the one
+        # eigh returned, would stay at roundoff here
+        eigh = scipy.linalg.eigh
+        rng = np.random.default_rng(6)
+
+        def perturbed_eigh(a, b=None, **kwargs):
+            out = eigh(a, b, **kwargs)
+            if kwargs.get("eigvals_only"):
+                return out
+            vals, vecs = out
+            step = rng.standard_normal(vecs.shape)
+            vecs = vecs + 1e-3 * step / np.linalg.norm(step, axis=0)
+            return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_eigh)
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        assert certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star)).eig_residual > 1e-6
+        E, x0, b = dense_wide
+        assert certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25).eig_residual > 1e-6
+
     def test_drs_cross_section(self, dense_wide):
         E, x0, b = dense_wide
         rng = np.random.default_rng(9)

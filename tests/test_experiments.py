@@ -1,9 +1,20 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from saddle_raar import build_cdp_ensemble, build_rpp, poisson_data
+from saddle_raar import (
+    InitSpec,
+    ParameterSchedule,
+    build_cdp_ensemble,
+    build_rpp,
+    null_vector,
+    poisson_data,
+    project_torus,
+    raar_step,
+    reconstruct,
+)
 from saddle_raar.experiments import (
     InvalidDataError,
     NoiseSpec,
@@ -122,6 +133,17 @@ class TestCdpCases:
             p = cdp_case_run("d", start, instance=inst)
             assert p.final_residual >= ref.final_residual
 
+    @staticmethod
+    def _reconstruction_at(inst, schedule, k_snap):
+        # case a's start and path, stepped with the public raar_step
+        E, b = inst.ensemble, inst.b
+        nv = null_vector(E, b, InitSpec(weak_fraction=0.5, seed=inst.init_seed))
+        w = E.apply_adjoint(nv.x * np.linalg.norm(b))
+        for k in range(1, k_snap + 1):
+            w = raar_step(E, b, w, schedule.value_at(k))
+        z = project_torus(w, b)
+        return reconstruct(E, z, w - z)
+
     def test_snapshot_and_trace_shape(self):
         inst = cdp_instance("a", (16, 16), 1)
         p = cdp_case_run("a", 0.9, instance=inst, total_iters=60, hold_iters=30,
@@ -130,24 +152,26 @@ class TestCdpCases:
         assert p.records[-1].k == 60
         assert p.x_snapshot.shape == (inst.ensemble.n,)
         assert p.records[35].param < 0.9
+        schedule = ParameterSchedule(((1, 0.9), (30, 0.9), (50, 0.5), (60, 0.5)))
+        np.testing.assert_array_equal(p.x_snapshot, self._reconstruction_at(inst, schedule, 30))
 
+    def test_snapshot_is_the_last_iterate_when_the_hold_outlasts_the_run(self):
+        inst = cdp_instance("a", (16, 16), 1)
+        for hold in (40, 55):
+            p = cdp_case_run("a", 0.9, instance=inst, total_iters=40, hold_iters=hold,
+                             settle_iters=10)
+            assert [r.param for r in p.records] == [0.9] * 41
+            np.testing.assert_array_equal(p.x_snapshot, p.x_final)
+            expected = self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 40)
+            np.testing.assert_array_equal(p.x_snapshot, expected)
 
-class TestConcurrencyCap:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from saddle_raar.experiments import _worker_count
-
-        monkeypatch.delenv("SADDLE_RAAR_THREADS", raising=False)
-        assert _worker_count(None) == 1
-        assert _worker_count(8) == 8
-        monkeypatch.setenv("SADDLE_RAAR_THREADS", "2")
-        assert _worker_count(8) == 2
-        assert _worker_count(1) == 1
-
-    def test_threaded_suite_matches_serial(self):
-        a = gaussian_success_sweep(n=12, ratios=(3.0,), betas=(0.8,), rhos=(0.5,),
-                                   trials=4, seed=0, max_iters=300, workers=4)
-        b = gaussian_success_sweep(n=12, ratios=(3.0,), betas=(0.8,), rhos=(0.5,),
-                                   trials=4, seed=0, max_iters=300, workers=1)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
-        )
+    def test_memory_does_not_grow_with_iterations(self):
+        inst = cdp_instance("a", (16, 16), 1)
+        peaks = {}
+        for total in (60, 120):
+            tracemalloc.start()
+            cdp_case_run("a", 0.9, instance=inst, total_iters=total, hold_iters=total // 2,
+                         settle_iters=total // 6)
+            peaks[total] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[120] <= 1.2 * peaks[60], peaks

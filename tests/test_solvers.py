@@ -119,9 +119,11 @@ class TestAdmmEquivalence:
         raar0, admm0 = make_initial_state(E, b, w0=w0)
         sched = ParameterSchedule.constant(0.75)
         stop = StoppingRule(fixed_budget=True)
-        res_r = run(E, b, "raar", sched, raar0, 40, stop, keep_iterates=True)
-        res_a = run(E, b, "admm", sched, admm0, 40, stop, keep_iterates=True)
-        for wr, wa in zip(res_r.iterates, res_a.iterates):
+        ws_r, ws_a = [], []
+        run(E, b, "raar", sched, raar0, 40, stop, on_iterate=lambda k, w: ws_r.append(w))
+        run(E, b, "admm", sched, admm0, 40, stop, on_iterate=lambda k, w: ws_a.append(w))
+        assert len(ws_r) == len(ws_a) == 41
+        for wr, wa in zip(ws_r, ws_a):
             assert np.linalg.norm(wr - wa) <= 1e-10 * np.linalg.norm(wr)
 
 
@@ -185,7 +187,7 @@ class TestSchedule:
         assert s.value_at(1000) == 0.9
 
     def test_hold_then_decay_midpoint(self):
-        s = ParameterSchedule.relaxation_path(0.95, hold=300, total=600)
+        s = ParameterSchedule(((1, 0.95), (300, 0.95), (600, 0.5)))
         assert s.value_at(450) == pytest.approx(0.725)
         assert s.value_at(1) == 0.95
         assert s.value_at(300) == 0.95
@@ -272,15 +274,16 @@ class TestFejerContraction:
         z_star = E.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
         raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=0))
-        result = run(
+        ws = []
+        run(
             E, b, "raar", ParameterSchedule.constant(beta), raar0, 400,
-            StoppingRule(fixed_budget=True), keep_iterates=True,
+            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w),
         )
-        mon = fejer_monitor(E, b, result.iterates, [beta] * len(result.iterates), z_star, lam_star)
+        mon = fejer_monitor(E, b, ws, [beta] * len(ws), z_star, lam_star)
         margins = mon["margin"]
         nonpos = np.where(margins <= 0)[0]
         k0 = int(nonpos[-1]) + 2 if nonpos.size else 1
-        assert k0 < len(result.iterates) - 50, "no positive-margin window formed"
+        assert k0 < len(ws) - 50, "no positive-margin window formed"
         window_d = mon["distance"][k0 - 1:]
         assert np.max(np.diff(window_d)) <= 1e-8
         r_max = float(np.max(mon["ratio"][k0 - 1:]))
@@ -433,11 +436,13 @@ def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_e
 def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
     E, _, b = cdp_8x8
     init = _initial_state(algo, E, b, seed=4)
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 60,
-                 StoppingRule(fixed_budget=True), keep_iterates=True)
+    seen = []
+    run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 60,
+        StoppingRule(fixed_budget=True), on_iterate=lambda k, w: seen.append((k, w)))
     expected = _public_steps(algo, E, b, init, _PARAM[algo], 60)
-    for k, (lift, _z, _lam) in enumerate(expected):
-        np.testing.assert_array_equal(result.iterates[k], lift)
+    assert [k for k, _w in seen] == list(range(61))
+    for (_k, w), (lift, _z, _lam) in zip(seen, expected):
+        np.testing.assert_array_equal(w, lift)
 
 
 def test_public_steps_cost_one_projection(dense_small):
@@ -462,14 +467,16 @@ def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every
     E0, _, b = dense_small
     E = CountingEnsemble(E0, nan_on_apply=5)
     init = _initial_state(algo, E0, b, seed=2)
+    ws = []
     result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
-                 StoppingRule(fixed_budget=True), record_every=record_every, keep_iterates=True)
+                 StoppingRule(fixed_budget=True), record_every=record_every,
+                 on_iterate=lambda k, w: ws.append(w))
     assert result.stop_reason == "nonfinite"
     assert [r.k for r in result.records] == ([0, 1, 2] if record_every == 1 else [0])
     assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
-    assert result.state.k == 3 and len(result.iterates) == 4
-    assert all(np.isfinite(w).all() for w in result.iterates)
-    np.testing.assert_array_equal(result.iterates[-1], _public_steps(algo, E0, b, init, _PARAM[algo], 3)[-1][0])
+    assert result.state.k == 3 and len(ws) == 4
+    assert all(np.isfinite(w).all() for w in ws)
+    np.testing.assert_array_equal(ws[-1], _public_steps(algo, E0, b, init, _PARAM[algo], 3)[-1][0])
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -514,7 +521,7 @@ def test_run_records_match_direct_formulas(request, algo, ensemble):
     init = _initial_state(algo, E, b, seed=11)
     steps = 150
     result = run(E, b, algo, ParameterSchedule.constant(param), init, steps,
-                 StoppingRule(fixed_budget=True), keep_iterates=True)
+                 StoppingRule(fixed_budget=True))
     pairs = [(z, lam) for _lift, z, lam in _public_steps(algo, E, b, init, param, steps)]
     assert len(result.records) == len(pairs) == steps + 1
 
