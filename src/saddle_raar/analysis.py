@@ -828,30 +828,29 @@ def diagnostics_from_projections(
     """
     zq = z - pz
     lq = lam - pl
-    residual = float(np.linalg.norm(zq)) / b_norm
+    zq_norm = float(np.linalg.norm(zq))
+    lq_norm = float(np.linalg.norm(lq))
+    lam_norm = float(np.linalg.norm(lam))
+    residual = zq_norm / b_norm
     pl_norm = float(np.linalg.norm(pl))  # equals ||A lam||
 
     if algo == "drs":
         rho = param
-        beta_eq = 1.0 / (1.0 + rho)
-        mu = lam / rho
-        deriv = float(np.hypot(np.linalg.norm(zq), pl_norm / rho))
+        beta = 1.0 / (1.0 + rho)
+        deriv = float(np.hypot(zq_norm, pl_norm / rho))
         obj = 0.5 * float(np.linalg.norm(np.abs(z) - b) ** 2)
-        obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(mu) ** 2)
-        beta = beta_eq
+        obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)
     else:
         beta = param
         deriv = float(np.hypot(np.linalg.norm((1.0 - beta) * lq + beta * zq), pl_norm))
-        obj = 0.5 * beta * float(np.linalg.norm(zq - lq) ** 2) - 0.5 * float(
-            np.linalg.norm(lam) ** 2
-        )
+        obj = 0.5 * beta * float(np.linalg.norm(zq - lq) ** 2) - 0.5 * lam_norm**2
 
-    denom = beta * float(np.linalg.norm(zq) ** 2)
-    denom += (1.0 - beta) * float(np.linalg.norm(lq) ** 2)
+    denom = beta * zq_norm**2
+    denom += (1.0 - beta) * lq_norm**2
     denom += pl_norm**2
     # at machine-precision convergence the quotient is 0/0 and only the
     # marker is meaningful (see inequality_ratio)
-    t_scale = max(float(np.linalg.norm(z)), float(np.linalg.norm(lam)))
+    t_scale = max(float(np.linalg.norm(z)), lam_norm)
     if denom <= (1e-13 * t_scale) ** 2:
         t_ratio = float("inf")
     else:

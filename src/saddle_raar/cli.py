@@ -425,13 +425,9 @@ def _execute_cdp(cfg: RunConfig) -> int:
         os.path.join(out, "phantom_magnitude.pgm"),
         artifacts.magnitude_image(x0, grid),
     )
-    if o["case"] in ("a", "c"):
+    nv = suite.instance.null_init
+    if nv is not None:
         # the spectral initializer the paths start from, for inspection
-        nv = null_vector(
-            suite.instance.ensemble,
-            suite.instance.b,
-            InitSpec(weak_fraction=o["weak-fraction"], seed=suite.instance.init_seed),
-        )
         artifacts.write_pgm(
             os.path.join(out, "init_magnitude.pgm"),
             artifacts.magnitude_image(nv.x, grid),
@@ -444,22 +440,9 @@ def _execute_cdp(cfg: RunConfig) -> int:
     for p in suite.paths:
         tag = f"{p.beta_start:.2f}".replace(".", "p")
         artifacts.write_trace_csv(os.path.join(out, f"trace_beta{tag}.csv"), p.records)
-        artifacts.write_pgm(
-            os.path.join(out, f"snapshot_beta{tag}.pgm"),
-            artifacts.aligned_real_image(p.x_snapshot, x0, grid),
-        )
-        artifacts.write_pgm(
-            os.path.join(out, f"snapshot_beta{tag}_magnitude.pgm"),
-            artifacts.magnitude_image(p.x_snapshot, grid),
-        )
-        artifacts.write_pgm(
-            os.path.join(out, f"final_beta{tag}.pgm"),
-            artifacts.aligned_real_image(p.x_final, x0, grid),
-        )
-        artifacts.write_pgm(
-            os.path.join(out, f"final_beta{tag}_magnitude.pgm"),
-            artifacts.magnitude_image(p.x_final, grid),
-        )
+        for stem, x in ((f"snapshot_beta{tag}", p.x_snapshot), (f"final_beta{tag}", p.x_final)):
+            artifacts.write_pgm(os.path.join(out, f"{stem}.pgm"), artifacts.aligned_real_image(x, x0, grid))
+            artifacts.write_pgm(os.path.join(out, f"{stem}_magnitude.pgm"), artifacts.magnitude_image(x, grid))
         path_docs.append(
             {
                 "beta_start": p.beta_start,

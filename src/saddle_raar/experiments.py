@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .initializers import InitSpec, make_initial_state, null_vector, random_lift
+from .initializers import InitSpec, NullVectorResult, make_initial_state, null_vector, random_lift
 from .operators import (
     InvalidDataError,
     MeasurementEnsemble,
@@ -386,10 +386,11 @@ class CdpInstance:
     b: np.ndarray
     noise: PoissonData | None
     init_seed: int
+    null_init: NullVectorResult | None  # spectral initializer of cases a and c, shared by the paths
 
 
 def cdp_instance(
-    case: str, grid=(32, 32), seed: int = 0, noise_target: float = 0.18
+    case: str, grid=(32, 32), seed: int = 0, noise_target: float = 0.18, weak_fraction: float = 0.5
 ) -> CdpInstance:
     """Build the shared instance for one experiment case.
 
@@ -407,8 +408,10 @@ def cdp_instance(
     else:
         noise = poisson_data(phantom, E, noise_target, seed=int(seeds[2]))
         b = noise.b
+    init_seed = int(seeds[3])
+    nv = null_vector(E, b, InitSpec(weak_fraction=weak_fraction, seed=init_seed)) if case in ("a", "c") else None
     return CdpInstance(
-        case=case, ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=int(seeds[3])
+        case=case, ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv
     )
 
 
@@ -450,15 +453,14 @@ def cdp_case_run(
     quality.  Returns the mid-run snapshot reconstruction (at iterate
     ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and the tail of the basin indicator.
-    ``on_iterate`` is passed on to ``run``.
+    ``grid``, ``seed``, ``noise_target`` and ``weak_fraction`` build the
+    instance when none is given.  ``on_iterate`` is passed on to ``run``.
     """
-    inst = instance or cdp_instance(case, grid, seed, noise_target)
+    inst = instance or cdp_instance(case, grid, seed, noise_target, weak_fraction)
     E, b = inst.ensemble, inst.b
-    if inst.case in ("a", "c"):
-        nv = null_vector(E, b, InitSpec(weak_fraction=weak_fraction, seed=inst.init_seed))
+    if inst.null_init is not None:
         # scale to the data's energy; direction is what matters
-        x_init = nv.x * np.linalg.norm(b)
-        raar0, _ = make_initial_state(E, b, x_init=x_init)
+        raar0, _ = make_initial_state(E, b, x_init=inst.null_init.x * np.linalg.norm(b))
     else:
         raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, inst.init_seed))
 
@@ -534,18 +536,14 @@ def cdp_case_suite(
     weak_fraction: float = 0.5,
 ) -> CdpCaseResult:
     """Run all relaxation paths of one case on a shared instance."""
-    inst = cdp_instance(case, grid, seed, noise_target)
+    inst = cdp_instance(case, grid, seed, noise_target, weak_fraction)
     paths = [
         cdp_case_run(
             case,
             start,
-            grid=grid,
-            seed=seed,
             total_iters=total_iters,
             hold_iters=hold_iters,
             settle_iters=settle_iters,
-            noise_target=noise_target,
-            weak_fraction=weak_fraction,
             instance=inst,
         )
         for start in beta_starts

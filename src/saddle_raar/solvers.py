@@ -129,18 +129,19 @@ class DrsState:
 # ---------------------------------------------------------------------------
 
 
-def raar_step(E: MeasurementEnsemble, b, w, beta: float) -> np.ndarray:
+def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None) -> np.ndarray:
     """One relaxed-reflection update.
 
     ``w -> beta w + (1 - 2 beta) [w]_Z + beta P(2 [w]_Z - w)`` where
     ``[w]_Z`` is the torus projection and ``P`` the range projection.
     At ``beta = 1/2`` this is alternating projections plus a halved
     complement term; at ``beta = 1`` the averaged reflector composition.
+    A caller that already holds ``[w]_Z`` passes it as ``t``.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     w = np.asarray(w, dtype=np.complex128)
-    t = project_torus(w, b)
+    t = project_torus(w, b) if t is None else t
     return beta * w + (1.0 - 2.0 * beta) * t + beta * E.project_range(2.0 * t - w)
 
 
@@ -282,9 +283,10 @@ class RunResult:
 
 def _range_parts(p, carry, rho_prev, rho):
     """``(P z, P lambda, next carry)`` of an iterate from ``p`` and ``carry``."""
-    pz = (rho * p - carry) / (rho + rho_prev)
+    rho_p = rho * p
+    pz = (rho_p - carry) / (rho + rho_prev)
     pl = carry + rho_prev * pz
-    return pz, pl, pl - rho * p
+    return pz, pl, pl - rho_p
 
 
 def _raar_pair(state, b):
@@ -296,8 +298,8 @@ def _state_pair(state, b):
     return state.z, state.lam
 
 
-def _raar_advance(E, b, state, beta):
-    return RaarState(w=raar_step(E, b, state.w, beta), k=state.k + 1, beta=beta)
+def _raar_advance(E, b, state, beta, z):
+    return RaarState(w=raar_step(E, b, state.w, beta, z), k=state.k + 1, beta=beta)
 
 
 class _Form(NamedTuple):
@@ -378,7 +380,11 @@ def run(
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
     # looked up per call, so that a wrapper installed on a public step sees every step
-    advance = {"raar": _raar_advance, "admm": admm_step, "drs": drs_step}[algo]
+    advance = {
+        "raar": _raar_advance,  # hands the step the [w]_Z of the iterate's record
+        "admm": lambda E, b, state, beta, z: admm_step(E, b, state, beta),
+        "drs": lambda E, b, state, rho, z: drs_step(E, b, state, rho),
+    }[algo]
     view = _StepView(E)
     t0 = time.perf_counter_ns()
 
@@ -406,7 +412,7 @@ def run(
                 f"schedule value {next_param} at iteration {k + 1} outside the admissible range "
                 f"{form.range_text} for {algo}"
             )
-        nxt = advance(view, b, state, next_param)
+        nxt = advance(view, b, state, next_param, z)
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
         next_z, next_lam = form.pair(nxt, b)

@@ -19,6 +19,7 @@ from saddle_raar.experiments import (
     InvalidDataError,
     NoiseSpec,
     cdp_case_run,
+    cdp_case_suite,
     cdp_instance,
     gaussian_success_sweep,
     _sample_magnitudes,
@@ -164,6 +165,30 @@ class TestCdpCases:
             np.testing.assert_array_equal(p.x_snapshot, p.x_final)
             expected = self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 40)
             np.testing.assert_array_equal(p.x_snapshot, expected)
+
+    @pytest.mark.parametrize("case, calls", [("a", 1), ("b", 0)])
+    def test_suite_computes_the_null_vector_once(self, monkeypatch, case, calls):
+        import saddle_raar.experiments as experiments
+
+        seen = []
+        monkeypatch.setattr(experiments, "null_vector", lambda *a, **kw: seen.append(1) or null_vector(*a, **kw))
+        suite = cdp_case_suite(case, (16, 16), 1, beta_starts=(0.9, 0.8, 0.7), total_iters=6,
+                               hold_iters=3, settle_iters=1)
+        assert len(seen) == calls
+        assert len(suite.paths) == 3
+        assert (suite.instance.null_init is None) == (calls == 0)
+
+    def test_cdp_command_computes_the_null_vector_once(self, monkeypatch, tmp_path):
+        import saddle_raar.cli as cli
+        import saddle_raar.experiments as experiments
+
+        seen = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "null_vector", lambda *a, **kw: seen.append(1) or null_vector(*a, **kw))
+        code = cli.main(["cdp", "--case", "a", "--grid", "16x16", "--seed", "1", "--total-iters", "6",
+                         "--hold-iters", "3", "--settle-iters", "1", "--out", str(tmp_path / "cdp")])
+        assert code == 0 and len(seen) == 1
+        assert (tmp_path / "cdp" / "init_magnitude.pgm").exists()
 
     def test_memory_does_not_grow_with_iterations(self):
         inst = cdp_instance("a", (16, 16), 1)

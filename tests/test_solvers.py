@@ -445,6 +445,40 @@ def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
         np.testing.assert_array_equal(w, lift)
 
 
+@pytest.mark.parametrize(
+    "stop", [StoppingRule(fixed_budget=True), StoppingRule(residual_tol=1e-10, deriv_tol=1e-10)]
+)
+def test_raar_run_projects_onto_the_torus_once_per_iteration(monkeypatch, dense_wide, stop):
+    # the record's [w]_Z is handed to the next raar_step instead of recomputed
+    import saddle_raar.solvers as solvers
+
+    E, _, b = dense_wide
+    counts = {"torus": 0, "steps": 0}
+    torus, step = solvers.project_torus, solvers.raar_step
+
+    def counted_torus(w, b):
+        counts["torus"] += 1
+        return torus(w, b)
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "project_torus", counted_torus)
+    monkeypatch.setattr(solvers, "raar_step", counted_step)
+    result = run(E, b, "raar", ParameterSchedule.constant(0.9), _initial_state("raar", E, b, seed=5),
+                 400, stop)
+    # one for the start and one per step, also for the step a stopping rule drops
+    assert counts["steps"] == result.state.k + (0 if stop.fixed_budget else 1)
+    assert counts["torus"] == counts["steps"] + 1
+
+
+def test_raar_step_with_given_torus_point_is_the_same_step(cdp_8x8):
+    E, _, b = cdp_8x8
+    w = random_lift(E.N, seed=6)
+    np.testing.assert_array_equal(raar_step(E, b, w, 0.8, project_torus(w, b)), raar_step(E, b, w, 0.8))
+
+
 def test_public_steps_cost_one_projection(dense_small):
     E0, _, b = dense_small
     for algo in ALGOS:
