@@ -180,6 +180,22 @@ def correlation(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _functional_and_margin(E: MeasurementEnsemble, z, lam, z_star, lam_star, beta: float):
+    """``(T, margin)`` of a pair against a reference, with ``T`` evaluated once."""
+    z = np.asarray(z, dtype=np.complex128)
+    lam = np.asarray(lam, dtype=np.complex128)
+    z_star = np.asarray(z_star, dtype=np.complex128)
+    lam_star = np.asarray(lam_star, dtype=np.complex128)
+    alpha = global_phase(z + lam, z_star + lam_star)
+    z_star = alpha * z_star
+    lam_star = alpha * lam_star
+    t = beta * np.linalg.norm(E.project_complement(z - z_star)) ** 2
+    t += (1.0 - beta) * np.linalg.norm(E.project_complement(lam - lam_star)) ** 2
+    t += np.linalg.norm(E.apply(lam)) ** 2
+    t = float(t)
+    return t, float(t - 2.0 * _real_inner(z_star - z, lam - lam_star))
+
+
 def convergence_functional(
     E: MeasurementEnsemble,
     z,
@@ -194,17 +210,7 @@ def convergence_functional(
     with the reference pair first rotated by the global phase aligning
     ``z* + lam*`` to ``z + lam`` (references are phase families).
     """
-    z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    z_star = np.asarray(z_star, dtype=np.complex128)
-    lam_star = np.asarray(lam_star, dtype=np.complex128)
-    alpha = global_phase(z + lam, z_star + lam_star)
-    z_star = alpha * z_star
-    lam_star = alpha * lam_star
-    t = beta * np.linalg.norm(E.project_complement(z - z_star)) ** 2
-    t += (1.0 - beta) * np.linalg.norm(E.project_complement(lam - lam_star)) ** 2
-    t += np.linalg.norm(E.apply(lam)) ** 2
-    return float(t)
+    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[0]
 
 
 def inequality_ratio(E: MeasurementEnsemble, z, lam, beta: float) -> float:
@@ -228,14 +234,7 @@ def contraction_margin(
     the reference non-increasing (Fejer-type contraction); the margin is
     zero at the reference itself.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    z_star = np.asarray(z_star, dtype=np.complex128)
-    lam_star = np.asarray(lam_star, dtype=np.complex128)
-    alpha = global_phase(z + lam, z_star + lam_star)
-    t = convergence_functional(E, z, lam, z_star, lam_star, beta)
-    cross = _real_inner(alpha * z_star - z, lam - alpha * lam_star)
-    return float(t - 2.0 * cross)
+    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +718,7 @@ def fejer_monitor(E: MeasurementEnsemble, b, iterates, betas, z_star, lam_star) 
         w_prev = iterates[k - 1]
         z = project_torus(w_prev, b)
         lam = w_prev - z
-        beta = betas[k]
-        t = convergence_functional(E, z, lam, z_star, lam_star, beta)
-        m = contraction_margin(E, z, lam, z_star, lam_star, beta)
+        t, m = _functional_and_margin(E, z, lam, z_star, lam_star, betas[k])
         t_vals.append(t)
         margins.append(m)
         ratios.append((t - m) / t if t > floor else 0.0)

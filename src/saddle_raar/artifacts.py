@@ -138,7 +138,7 @@ def interleaved_to_complex(values) -> np.ndarray:
     return arr[0::2] + 1j * arr[1::2]
 
 
-def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int, extra=None) -> None:
+def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int) -> None:
     """Persist a converged/final state with everything needed to certify it."""
     doc = {
         "algo": algo,
@@ -148,8 +148,6 @@ def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int, ext
         "b": np.asarray(b, dtype=np.float64).tolist(),
         "w_re_im": complex_to_interleaved(w),
     }
-    if extra:
-        doc["extra"] = extra
     write_json(path, doc)
 
 

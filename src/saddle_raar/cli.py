@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, artifacts, experiments
 from .initializers import InitSpec, make_initial_state, null_vector, random_lift
-from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp
+from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
 from .solvers import (
     DrsState,
     ParameterSchedule,
@@ -336,8 +336,6 @@ def _execute_solve(cfg: RunConfig) -> int:
             w_final = result.state.w
         else:
             w_final = result.state.lift
-        from .operators import project_torus
-
         z = project_torus(w_final, b)
         x = reconstruct(E, z, w_final - z)
         cert = analysis.certify_fixed_point(E, b, w_final, min(param, 1.0 - 1e-12))
@@ -497,8 +495,6 @@ def _execute_certify(cfg: RunConfig) -> int:
         "hessian_min_eig": None,
     }
     if o["cross-section"]:
-        from .operators import project_torus
-
         z = project_torus(w, b)
         lam = w - z
         saddle = analysis.certify_cross_section_minimizer(E, z, lam, beta=beta)

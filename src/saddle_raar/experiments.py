@@ -18,7 +18,7 @@ by counter-based keys, so results are reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "RHO_GRID",
     "RATIO_GRID",
     "BETA_PATH_STARTS",
-    "NoiseSpec",
     "PoissonData",
     "poisson_data",
     "TrialOutcome",
@@ -87,20 +86,6 @@ def _child_seeds(*key) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Poisson counting noise
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = "none"
-    target_level: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "poisson"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.target_level < 1.0:
-            raise ValueError("target noise level must lie in [0, 1)")
-        if self.kind == "poisson" and self.target_level == 0.0:
-            raise InvalidDataError("a zero noise level is unreachable with finite counts")
 
 
 @dataclass
@@ -184,19 +169,6 @@ class TrialOutcome:
     iterations: int
     fixed_point_pass: bool
 
-    def as_dict(self):
-        return {
-            "algo": self.algo,
-            "ratio": self.ratio,
-            "param": self.param,
-            "trial": self.trial,
-            "success": self.success,
-            "final_residual": self.final_residual,
-            "aligned_error": self.aligned_error,
-            "iterations": self.iterations,
-            "fixed_point_pass": self.fixed_point_pass,
-        }
-
 
 @dataclass
 class CellResult:
@@ -254,7 +226,7 @@ class SweepResult:
                     "successes": c.successes,
                     "trials": c.trials,
                     "success_rate": c.success_rate,
-                    "outcomes": [o.as_dict() for o in c.outcomes],
+                    "outcomes": [asdict(o) for o in c.outcomes],
                 }
                 for c in sorted(self.cells, key=lambda c: (c.algo, c.ratio, c.param))
             ],
@@ -323,28 +295,16 @@ def gaussian_success_sweep(
     at or below ``success_threshold`` within the iteration budget (the
     aligned reconstruction error is recorded alongside).
     """
-    jobs = []
-    for ratio in ratios:
-        for idx, beta in enumerate(betas):
-            for trial in range(trials):
-                jobs.append(("raar", ratio, beta, idx, trial))
-        for idx, rho in enumerate(rhos):
-            for trial in range(trials):
-                jobs.append(("drs", ratio, rho, idx, trial))
-
-    outcomes = [
-        _run_success_trial(n, ratio, algo, param, idx, trial, seed, max_iters, success_threshold)
-        for algo, ratio, param, idx, trial in jobs
-    ]
-
     sweep = SweepResult(n=n, trials=trials, seed=seed, success_threshold=success_threshold)
-    keyed = {}
-    for job, outcome in zip(jobs, outcomes):
-        algo, ratio, param, _, _ = job
-        keyed.setdefault((algo, ratio, param), []).append(outcome)
-    for (algo, ratio, param), outs in sorted(keyed.items()):
-        outs.sort(key=lambda o: o.trial)
-        sweep.cells.append(CellResult(algo=algo, ratio=ratio, param=param, outcomes=outs))
+    # cells in (algo, ratio, param) order; a parameter's grid index keys its trial seeds
+    for algo, grid in (("drs", rhos), ("raar", betas)):
+        for ratio in sorted(ratios):
+            for idx, param in sorted(enumerate(grid), key=lambda item: item[1]):
+                outcomes = [
+                    _run_success_trial(n, ratio, algo, param, idx, trial, seed, max_iters, success_threshold)
+                    for trial in range(trials)
+                ]
+                sweep.cells.append(CellResult(algo=algo, ratio=ratio, param=param, outcomes=outcomes))
     return sweep
 
 
@@ -430,19 +390,14 @@ class CdpPathResult:
 
 
 def cdp_case_run(
-    case: str,
+    instance: CdpInstance,
     beta_start: float,
-    grid=(32, 32),
-    seed: int = 0,
     total_iters: int = 600,
     hold_iters: int = 300,
     settle_iters: int = TERMINAL_SETTLE_ITERS,
-    noise_target: float = 0.18,
-    weak_fraction: float = 0.5,
-    instance: CdpInstance | None = None,
     on_iterate=None,
 ) -> CdpPathResult:
-    """Run one relaxation path on the phantom instance.
+    """Run one relaxation path on a phantom instance.
 
     The path holds ``beta_start`` for ``hold_iters`` iterations, then
     decreases piecewise linearly to 0.5 within the remaining budget
@@ -453,16 +408,14 @@ def cdp_case_run(
     quality.  Returns the mid-run snapshot reconstruction (at iterate
     ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and the tail of the basin indicator.
-    ``grid``, ``seed``, ``noise_target`` and ``weak_fraction`` build the
-    instance when none is given.  ``on_iterate`` is passed on to ``run``.
+    ``on_iterate`` is passed on to ``run``.
     """
-    inst = instance or cdp_instance(case, grid, seed, noise_target, weak_fraction)
-    E, b = inst.ensemble, inst.b
-    if inst.null_init is not None:
+    E, b = instance.ensemble, instance.b
+    if instance.null_init is not None:
         # scale to the data's energy; direction is what matters
-        raar0, _ = make_initial_state(E, b, x_init=inst.null_init.x * np.linalg.norm(b))
+        raar0, _ = make_initial_state(E, b, x_init=instance.null_init.x * np.linalg.norm(b))
     else:
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, inst.init_seed))
+        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, instance.init_seed))
 
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(
@@ -504,7 +457,7 @@ def cdp_case_run(
         x_snapshot=x_snap,
         final_residual=result.final_record.residual,
         final_deriv_norm=result.final_record.deriv_norm,
-        aligned_error=analysis.aligned_error(x_fin, inst.phantom.values),
+        aligned_error=analysis.aligned_error(x_fin, instance.phantom.values),
         tail_t_ratios=tail,
     )
 
@@ -539,12 +492,11 @@ def cdp_case_suite(
     inst = cdp_instance(case, grid, seed, noise_target, weak_fraction)
     paths = [
         cdp_case_run(
-            case,
+            inst,
             start,
             total_iters=total_iters,
             hold_iters=hold_iters,
             settle_iters=settle_iters,
-            instance=inst,
         )
         for start in beta_starts
     ]

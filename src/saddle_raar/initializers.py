@@ -137,6 +137,6 @@ def make_initial_state(
         raise InvalidDataError("initial vector must be nonzero")
     z1 = project_torus(w0, b)
     lam1 = w0 - z1
-    raar = RaarState(w=w0, k=0)
-    admm = AdmmState(y=z1, z=z1, lam=lam1, k=0)
+    raar = RaarState(w=w0)
+    admm = AdmmState(y=z1, z=z1, lam=lam1)
     return raar, admm

@@ -70,13 +70,9 @@ class RaarState:
     """Lifted iterate of the relaxed-reflection recursion."""
 
     w: np.ndarray
-    k: int = 0
-    beta: float | None = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.complex128)
-        if self.beta is not None and not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
 @dataclass
@@ -90,15 +86,11 @@ class AdmmState:
     y: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    k: int = 0
-    beta: float | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
         self.z = np.asarray(self.z, dtype=np.complex128)
         self.lam = np.asarray(self.lam, dtype=np.complex128)
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 
     @property
     def lift(self) -> np.ndarray:
@@ -114,7 +106,6 @@ class DrsState:
     z: np.ndarray
     lam: np.ndarray
     rho: float
-    k: int = 0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
@@ -145,20 +136,19 @@ def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None) -> np.ndarray:
     return beta * w + (1.0 - 2.0 * beta) * t + beta * E.project_range(2.0 * t - w)
 
 
-def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float | None = None) -> AdmmState:
+def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float) -> AdmmState:
     """One triple update of the multiplier form (unit dual step).
 
     ``y <- (I - beta Q)(z - lambda)``; ``z <- [y + lambda]_Z``;
     ``lambda <- lambda + (y - z)``, with ``Q`` the complement projection.
     """
-    beta = state.beta if beta is None else beta
-    if beta is None or not 0.0 < beta < 1.0:
+    if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     d = state.z - state.lam
     y = d - beta * (d - E.project_range(d))  # (I - beta Q) d
     z = project_torus(y + state.lam, b)
     lam = state.lam + (y - z)
-    return AdmmState(y=y, z=z, lam=lam, k=state.k + 1, beta=beta)
+    return AdmmState(y=y, z=z, lam=lam)
 
 
 def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float | None = None) -> DrsState:
@@ -175,7 +165,7 @@ def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float | None = Non
     w = y - mu
     z = (project_torus(w, b) + rho * w) / (1.0 + rho)
     lam = state.lam + rho * (z - y)
-    return DrsState(y=y, z=z, lam=lam, rho=rho, k=state.k + 1)
+    return DrsState(y=y, z=z, lam=lam, rho=rho)
 
 
 def reconstruct(E: MeasurementEnsemble, z, lam) -> np.ndarray:
@@ -298,10 +288,6 @@ def _state_pair(state, b):
     return state.z, state.lam
 
 
-def _raar_advance(E, b, state, beta, z):
-    return RaarState(w=raar_step(E, b, state.w, beta, z), k=state.k + 1, beta=beta)
-
-
 class _Form(NamedTuple):
     state: type
     in_range: Callable[[float], bool]
@@ -309,12 +295,19 @@ class _Form(NamedTuple):
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the kept iterate
     penalty: Callable  # step parameter -> rho of the step's projection
+    advance: Callable  # (E, b, state, step parameter, z of the state's pair) -> next state
 
 
+# An advance looks its public step up when called, so that a wrapper
+# installed on a step sees every step of a run; raar hands its step the
+# [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(RaarState, lambda v: 0.0 < v <= 1.0, "(0, 1]", _raar_pair, attrgetter("w"), lambda beta: -1.0),
-    "admm": _Form(AdmmState, lambda v: 0.0 < v < 1.0, "(0, 1)", _state_pair, attrgetter("lift"), lambda beta: -1.0),
-    "drs": _Form(DrsState, lambda v: v > 0.0, "(0, inf)", _state_pair, attrgetter("z"), lambda rho: rho),
+    "raar": _Form(RaarState, lambda v: 0.0 < v <= 1.0, "(0, 1]", _raar_pair, attrgetter("w"), lambda beta: -1.0,
+                  lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z))),
+    "admm": _Form(AdmmState, lambda v: 0.0 < v < 1.0, "(0, 1)", _state_pair, attrgetter("lift"), lambda beta: -1.0,
+                  lambda E, b, state, beta, z: admm_step(E, b, state, beta)),
+    "drs": _Form(DrsState, lambda v: v > 0.0, "(0, inf)", _state_pair, attrgetter("z"), lambda rho: rho,
+                 lambda E, b, state, rho, z: drs_step(E, b, state, rho)),
 }
 
 
@@ -379,12 +372,6 @@ def run(
     b = np.asarray(b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
-    # looked up per call, so that a wrapper installed on a public step sees every step
-    advance = {
-        "raar": _raar_advance,  # hands the step the [w]_Z of the iterate's record
-        "admm": lambda E, b, state, beta, z: admm_step(E, b, state, beta),
-        "drs": lambda E, b, state, rho, z: drs_step(E, b, state, rho),
-    }[algo]
     view = _StepView(E)
     t0 = time.perf_counter_ns()
 
@@ -412,7 +399,7 @@ def run(
                 f"schedule value {next_param} at iteration {k + 1} outside the admissible range "
                 f"{form.range_text} for {algo}"
             )
-        nxt = advance(view, b, state, next_param, z)
+        nxt = form.advance(view, b, state, next_param, z)
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
         next_z, next_lam = form.pair(nxt, b)

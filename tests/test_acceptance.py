@@ -221,7 +221,7 @@ def test_criterion_09_fejer_contraction_along_case_a():
     suite, _ = _timed("case_a", _case_a)
     inst = suite.instance
     ws = []
-    path = cdp_case_run("a", 0.95, instance=inst, on_iterate=lambda k, w: ws.append(w))
+    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w))
     E, b = inst.ensemble, inst.b
     z_star = E.apply_adjoint(inst.phantom.values)
     lam_star = np.zeros_like(z_star)

@@ -17,11 +17,11 @@ from saddle_raar import (
 )
 from saddle_raar.experiments import (
     InvalidDataError,
-    NoiseSpec,
     cdp_case_run,
     cdp_case_suite,
     cdp_instance,
     gaussian_success_sweep,
+    _run_success_trial,
     _sample_magnitudes,
 )
 
@@ -64,13 +64,6 @@ class TestPoissonData:
         with pytest.raises(InvalidDataError):
             poisson_data(phantom, E, 1.0, seed=0)
 
-    def test_noise_spec_validation(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="bogus")
-        with pytest.raises(InvalidDataError):
-            NoiseSpec(kind="poisson", target_level=0.0)
-        assert NoiseSpec(kind="poisson", target_level=0.18).target_level == 0.18
-
 
 class TestSuccessSweep:
     def test_summary_determinism(self):
@@ -111,6 +104,23 @@ class TestSuccessSweep:
         assert all(len(r) == 4 for r in rows)
         assert {r[2] for r in rows} == {"drs", "raar"}
 
+    def test_unsorted_grids_give_sorted_cells_seeded_by_grid_index(self):
+        n, trials, seed, max_iters, threshold = 8, 2, 3, 60, 1e-5
+        ratios, betas, rhos = (4.0, 3.0), (0.9, 0.5), (1.0, 0.25)
+        sweep = gaussian_success_sweep(n=n, ratios=ratios, betas=betas, rhos=rhos, trials=trials,
+                                       seed=seed, max_iters=max_iters, success_threshold=threshold)
+        assert [(c.algo, c.ratio, c.param) for c in sweep.cells] == [
+            (algo, ratio, param)
+            for algo, grid in (("drs", (0.25, 1.0)), ("raar", (0.5, 0.9)))
+            for ratio in (3.0, 4.0)
+            for param in grid
+        ]
+        for c in sweep.cells:
+            idx = (betas if c.algo == "raar" else rhos).index(c.param)
+            expected = [_run_success_trial(n, c.ratio, c.algo, c.param, idx, trial, seed, max_iters, threshold)
+                        for trial in range(trials)]
+            assert c.outcomes == expected
+
 
 class TestCdpCases:
     def test_unknown_case_rejected(self):
@@ -122,16 +132,16 @@ class TestCdpCases:
         # dual gradient collapses and the basin indicator stays positive
         inst = cdp_instance("b", (32, 32), 0)
         for start in (0.95, 0.9):
-            p = cdp_case_run("b", start, instance=inst)
+            p = cdp_case_run(inst, start)
             assert p.final_residual <= 1e-5
             assert p.final_deriv_norm <= 1e-8
             assert np.all(p.tail_t_ratios > 0)
 
     def test_noisy_random_init_small_start_stagnates(self):
         inst = cdp_instance("d", (32, 32), 0)
-        ref = cdp_case_run("d", 0.95, instance=inst)
+        ref = cdp_case_run(inst, 0.95)
         for start in (0.7, 0.6):
-            p = cdp_case_run("d", start, instance=inst)
+            p = cdp_case_run(inst, start)
             assert p.final_residual >= ref.final_residual
 
     @staticmethod
@@ -147,7 +157,7 @@ class TestCdpCases:
 
     def test_snapshot_and_trace_shape(self):
         inst = cdp_instance("a", (16, 16), 1)
-        p = cdp_case_run("a", 0.9, instance=inst, total_iters=60, hold_iters=30,
+        p = cdp_case_run(inst, 0.9, total_iters=60, hold_iters=30,
                          settle_iters=10)
         assert len(p.records) == 61
         assert p.records[-1].k == 60
@@ -159,7 +169,7 @@ class TestCdpCases:
     def test_snapshot_is_the_last_iterate_when_the_hold_outlasts_the_run(self):
         inst = cdp_instance("a", (16, 16), 1)
         for hold in (40, 55):
-            p = cdp_case_run("a", 0.9, instance=inst, total_iters=40, hold_iters=hold,
+            p = cdp_case_run(inst, 0.9, total_iters=40, hold_iters=hold,
                              settle_iters=10)
             assert [r.param for r in p.records] == [0.9] * 41
             np.testing.assert_array_equal(p.x_snapshot, p.x_final)
@@ -195,7 +205,7 @@ class TestCdpCases:
         peaks = {}
         for total in (60, 120):
             tracemalloc.start()
-            cdp_case_run("a", 0.9, instance=inst, total_iters=total, hold_iters=total // 2,
+            cdp_case_run(inst, 0.9, total_iters=total, hold_iters=total // 2,
                          settle_iters=total // 6)
             peaks[total] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()

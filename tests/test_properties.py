@@ -111,8 +111,8 @@ def test_one_step_of_each_form_is_phase_equivariant(kind, data, seed, theta, bet
 
     assert _close(raar_step(E, b, alpha * (z + lam), beta), alpha * raar_step(E, b, z + lam, beta), scale)
 
-    one = admm_step(E, b, AdmmState(y=y, z=z, lam=lam, beta=beta))
-    rot = admm_step(E, b, AdmmState(y=alpha * y, z=alpha * z, lam=alpha * lam, beta=beta))
+    one = admm_step(E, b, AdmmState(y=y, z=z, lam=lam), beta)
+    rot = admm_step(E, b, AdmmState(y=alpha * y, z=alpha * z, lam=alpha * lam), beta)
     for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
         assert _close(got, alpha * ref, scale)
 

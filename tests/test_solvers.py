@@ -21,7 +21,7 @@ from saddle_raar import (
     rho_from_beta,
     run,
 )
-from saddle_raar.analysis import aligned_error, fejer_monitor
+from saddle_raar.analysis import aligned_error, contraction_margin, convergence_functional, fejer_monitor
 from saddle_raar.solvers import drs_fixed_point_residuals
 from conftest import random_complex
 
@@ -99,8 +99,8 @@ class TestAdmmEquivalence:
         z_star = E.apply_adjoint(x0)
         from saddle_raar import AdmmState
 
-        state = AdmmState(y=z_star, z=z_star, lam=np.zeros_like(z_star), beta=0.7)
-        new = admm_step(E, b, state)
+        state = AdmmState(y=z_star, z=z_star, lam=np.zeros_like(z_star))
+        new = admm_step(E, b, state, 0.7)
         assert np.linalg.norm(new.z - z_star) <= 1e-12 * np.linalg.norm(z_star)
         assert np.linalg.norm(new.lam) <= 1e-12 * np.linalg.norm(z_star)
 
@@ -290,6 +290,25 @@ class TestFejerContraction:
         bound = window_d[0] ** 2 / (1.0 - max(r_max, 0.0))
         assert np.sum(mon["T"][k0 - 1:]) <= bound
 
+    def test_monitor_evaluates_the_functional_once_per_step(self, dense_wide):
+        # T and the margin share one evaluation: two complement projections and one A per step
+        E0, x0, b = dense_wide
+        z_star = E0.apply_adjoint(x0)
+        lam_star = np.zeros_like(z_star)
+        raar0, _ = make_initial_state(E0, b, w0=random_lift(E0.N, seed=0))
+        ws = []
+        run(E0, b, "raar", ParameterSchedule.constant(0.9), raar0, 20, StoppingRule(fixed_budget=True),
+            on_iterate=lambda k, w: ws.append(w))
+        betas = [0.9 - 0.01 * k for k in range(len(ws))]
+        E = CountingEnsemble(E0)
+        mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
+        assert (E.applies, E.adjoints) == (3 * 20, 2 * 20)
+        for k in range(1, len(ws)):
+            z = project_torus(ws[k - 1], b)
+            lam = ws[k - 1] - z
+            assert mon["T"][k - 1] == convergence_functional(E, z, lam, z_star, lam_star, betas[k])
+            assert mon["margin"][k - 1] == contraction_margin(E, z, lam, z_star, lam_star, betas[k])
+
 
 def test_run_rejects_mismatched_state(dense_small):
     E, _, b = dense_small
@@ -421,8 +440,7 @@ def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_e
     init = _initial_state(algo, E0, b, seed=5)
     result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 400, stop,
                  record_every=record_every)
-    k = result.state.k
-    assert result.final_record.k == k
+    k = result.final_record.k
     if stop.fixed_budget:
         # one projection starts the run, one per step, two for the final record
         assert k == 400 and (E.applies, E.adjoints) == (403, 403)
@@ -469,7 +487,7 @@ def test_raar_run_projects_onto_the_torus_once_per_iteration(monkeypatch, dense_
     result = run(E, b, "raar", ParameterSchedule.constant(0.9), _initial_state("raar", E, b, seed=5),
                  400, stop)
     # one for the start and one per step, also for the step a stopping rule drops
-    assert counts["steps"] == result.state.k + (0 if stop.fixed_budget else 1)
+    assert counts["steps"] == result.final_record.k + (0 if stop.fixed_budget else 1)
     assert counts["torus"] == counts["steps"] + 1
 
 
@@ -508,7 +526,7 @@ def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every
     assert result.stop_reason == "nonfinite"
     assert [r.k for r in result.records] == ([0, 1, 2] if record_every == 1 else [0])
     assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
-    assert result.state.k == 3 and len(ws) == 4
+    assert len(ws) == 4
     assert all(np.isfinite(w).all() for w in ws)
     np.testing.assert_array_equal(ws[-1], _public_steps(algo, E0, b, init, _PARAM[algo], 3)[-1][0])
 
@@ -530,7 +548,7 @@ def test_nonfinite_magnitudes_stop_after_the_last_finite_record(dense_small, alg
         result = run(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
                      StoppingRule(residual_tol=0.0, deriv_tol=0.0))
     assert result.stop_reason == "nonfinite"
-    assert [r.k for r in result.records] == [0, 1, 2, 3] and result.state.k == 3
+    assert [r.k for r in result.records] == [0, 1, 2, 3]
     assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio]).all() for r in result.records)
     expected = _public_steps(algo, E0, b0, init, _PARAM[algo], 3)[-1][0]
     np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected)
@@ -600,7 +618,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     monkeypatch.setattr(solvers, "diagnostics_from_projections", keep_last)
     result = run(E, b, algo, ParameterSchedule.constant(param), init, 6000,
                  StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
-    assert result.stop_reason in ("residual", "deriv_norm") and result.state.k >= 100
+    assert result.stop_reason in ("residual", "deriv_norm") and result.final_record.k >= 100
     z, lam, pz, pl = seen[0]
     scale = 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(pz - E.project_range(z)) <= scale
