@@ -47,4 +47,4 @@ print(f"\nCDP ensemble: object {C.grid}, padded {C.padded}, masks {C.l}, N = {C.
 print(f"CDP isometry defect: {C.isometry_defect(probes=20):.2e}")
 data = np.abs(C.apply_adjoint(phantom.values))
 print(f"phantom magnitudes: ||b|| = {np.linalg.norm(data):.4f}, "
-      f"rank of the phantom image = {phantom.matricized_rank()}")
+      f"rank of the phantom image = {np.linalg.matrix_rank(phantom.values.reshape(phantom.grid))}")

@@ -40,7 +40,7 @@ from .experiments import (
     paired_success_cells,
     poisson_data,
 )
-from .initializers import InitSpec, make_initial_state, null_vector, random_lift
+from .initializers import make_initial_state, null_vector, random_lift
 from .operators import (
     AliasingError,
     CodedDiffractionEnsemble,

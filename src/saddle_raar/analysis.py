@@ -24,7 +24,7 @@ matrix-free Lanczos with a convergence flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -152,13 +152,10 @@ def global_phase(w: np.ndarray, w_ref: np.ndarray) -> complex:
 
 def aligned_error(x: np.ndarray, x0: np.ndarray) -> float:
     """Relative error ``min_{|alpha|=1} ||x - alpha x0|| / ||x0||``."""
-    x = np.asarray(x, dtype=np.complex128)
-    x0 = np.asarray(x0, dtype=np.complex128)
     nrm = np.linalg.norm(x0)
     if nrm == 0:
         raise ValueError("reference object must be nonzero")
-    alpha = global_phase(x, x0)
-    return float(np.linalg.norm(x - alpha * x0) / nrm)
+    return aligned_distance(x, x0) / float(nrm)
 
 
 def aligned_distance(w: np.ndarray, w_ref: np.ndarray) -> float:
@@ -264,17 +261,9 @@ class FixedPointCertificate:
     certified: bool
 
     def summary(self) -> dict:
-        return {
-            "beta": self.beta,
-            "tol": self.tol,
-            "phase_residual": self.phase_residual,
-            "c_imag_norm": self.c_imag_norm,
-            "magnitude_ok": self.magnitude_ok,
-            "threshold": self.threshold,
-            "beta_max": self.beta_max,
-            "beta_interval": [0.0, self.beta_max],
-            "certified": self.certified,
-        }
+        """Every field but the arrays ``c`` and ``magnitude_margin``, plus ``beta_interval``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("c", "magnitude_margin")}
+        return doc | {"beta_interval": [0.0, self.beta_max]}
 
 
 def beta_max_from_threshold(threshold: float) -> float:
@@ -443,20 +432,7 @@ class SaddleCertificate:
     converged: bool
 
     def summary(self) -> dict:
-        return {
-            "rho": self.rho,
-            "first_order_defect": self.first_order_defect,
-            "hessian_min_eig": self.hessian_min_eig,
-            "eig_residual": self.eig_residual,
-            "strict": self.strict,
-            "beta": self.beta,
-            "beta_ok": self.beta_ok,
-            "beta_bound_saddle": self.beta_bound_saddle,
-            "beta_bound_contraction": self.beta_bound_contraction,
-            "beta_bound": self.beta_bound,
-            "method": self.method,
-            "converged": self.converged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "q"}
 
 
 def certify_cross_section_minimizer(
@@ -617,24 +593,17 @@ class SpectralGapResult:
     notes: str = ""
 
 
-def spectral_gap(E: MeasurementEnsemble, x0, grid=None, seed: int = 0) -> SpectralGapResult:
+def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGapResult:
     """Compute the spectral gap ``lambda2`` at the noiseless solution.
 
     Builds ``B* = diag(conj(u0)) A*`` with ``u0`` the phase of ``A* x0``
     and returns the second-largest singular value of the real stack
     ``[Re(B*), Im(B*)]``.  Dense SVD for ambient dimensions up to
     ``DENSE_CAP``; matrix-free two-vector SVD beyond, with convergence flag.
+    ``grid`` is the object's shape, for the rank of the matricized object.
     """
-    from .operators import PhantomObject  # local import to keep namespaces tidy
-
-    if isinstance(x0, PhantomObject):
-        vec = x0.values
-        rank = x0.matricized_rank()
-    else:
-        vec = np.asarray(x0, dtype=np.complex128).ravel()
-        rank = (
-            int(np.linalg.matrix_rank(vec.reshape(grid))) if grid is not None else None
-        )
+    vec = np.asarray(x0, dtype=np.complex128).ravel()
+    rank = int(np.linalg.matrix_rank(vec.reshape(grid)))
     w0 = E.apply_adjoint(vec)
     b = np.abs(w0)
     if np.min(b) <= 1e-14 * np.max(b):
@@ -645,7 +614,7 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid=None, seed: int = 0) -> Spectr
     n_patterns = getattr(E, "l", None)
     hypothesis = True
     notes = []
-    if rank is not None and rank < 2:
+    if rank < 2:
         hypothesis = False
         notes.append("object rank < 2")
     if n_patterns is not None and (n_patterns < 2 or random_masks < 1):

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .analysis import DiagnosticsRecord, global_phase
-from .operators import ensemble_from_descriptor, unit_phase
+from .operators import complex_to_interleaved, ensemble_from_descriptor, interleaved_to_complex, unit_phase
 
 __all__ = [
     "atomic_write_bytes",
@@ -123,19 +123,6 @@ def aligned_real_image(vec: np.ndarray, reference: np.ndarray, grid) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Solver state files
 # ---------------------------------------------------------------------------
-
-
-def complex_to_interleaved(vec: np.ndarray) -> list:
-    vec = np.asarray(vec, dtype=np.complex128).ravel()
-    out = np.empty(2 * vec.size, dtype=np.float64)
-    out[0::2] = vec.real
-    out[1::2] = vec.imag
-    return out.tolist()
-
-
-def interleaved_to_complex(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr[0::2] + 1j * arr[1::2]
 
 
 def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int) -> None:

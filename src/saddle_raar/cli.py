@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, artifacts, experiments
-from .initializers import InitSpec, make_initial_state, null_vector, random_lift
+from .initializers import make_initial_state, null_vector, random_lift
 from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
 from .solvers import (
     DrsState,
@@ -288,7 +288,7 @@ def _execute_solve(cfg: RunConfig) -> int:
         raise UsageError(f"--beta must lie in (0, 1) for admm, got {o['beta']}")
 
     if o["init"] == "null":
-        nv = null_vector(E, b, InitSpec(weak_fraction=o["weak-fraction"], seed=int(seeds[2])))
+        nv = null_vector(E, b, weak_fraction=o["weak-fraction"], seed=int(seeds[2]))
         raar0, admm0 = make_initial_state(E, b, x_init=nv.x * np.linalg.norm(b))
     else:
         w0 = random_lift(E.N, int(seeds[2]))

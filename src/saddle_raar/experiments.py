@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis
-from .initializers import InitSpec, NullVectorResult, make_initial_state, null_vector, random_lift
+from .initializers import NullVectorResult, make_initial_state, null_vector, random_lift
 from .operators import (
     InvalidDataError,
     MeasurementEnsemble,
@@ -77,6 +77,10 @@ BETA_PATH_STARTS = (0.95, 0.9, 0.8, 0.7, 0.6)
 # terminal hold lets the iterate reach the terminal-parameter saddle.
 TERMINAL_SETTLE_ITERS = 240
 
+# Poisson noise calibration: relative window around the target level, and probe budget.
+NOISE_REL_WINDOW = 0.05
+NOISE_MAX_PROBES = 80
+
 
 def _child_seeds(*key) -> np.ndarray:
     """Four deterministic integer seeds derived from a counter key."""
@@ -109,15 +113,14 @@ def poisson_data(
     E: MeasurementEnsemble,
     target_level: float,
     seed: int,
-    rel_window: float = 0.05,
-    max_steps: int = 80,
 ) -> PoissonData:
     """Poisson counting noise calibrated to a relative magnitude error.
 
     Squared magnitudes are Poisson with mean ``kappa * |A* x0|^2``; the
     scale ``kappa`` is bisected (each probe resampling with a fixed
     per-probe seed) until the realized level ``||b - |A* x0||| / ||b||``
-    is within ``rel_window`` of the target.
+    is within ``NOISE_REL_WINDOW`` of the target, in at most
+    ``NOISE_MAX_PROBES`` probes.
     """
     if not 0.0 < target_level < 1.0:
         raise InvalidDataError("target noise level must lie in (0, 1)")
@@ -136,8 +139,8 @@ def poisson_data(
     lo = hi = None
     probe = 0
     b, level = realize(kappa, probe)
-    for _ in range(max_steps):
-        if abs(level - target_level) <= rel_window * target_level:
+    for _ in range(NOISE_MAX_PROBES):
+        if abs(level - target_level) <= NOISE_REL_WINDOW * target_level:
             return PoissonData(b=b, kappa=kappa, realized_level=level, target_level=target_level)
         if level > target_level:
             lo = kappa  # too noisy: need more counts
@@ -148,7 +151,7 @@ def poisson_data(
         probe += 1
         b, level = realize(kappa, probe)
     raise InvalidDataError(
-        f"could not reach noise level {target_level} within {max_steps} probes (last {level})"
+        f"could not reach noise level {target_level} within {NOISE_MAX_PROBES} probes (last {level})"
     )
 
 
@@ -192,7 +195,7 @@ class CellResult:
 
 @dataclass
 class SweepResult:
-    """Per-cell success counts over the (ratio x parameter x algo) grid."""
+    """Per-cell success counts over the (ratio x parameter x algo) grid, cells in (algo, ratio, param) order."""
 
     n: int
     trials: int
@@ -207,10 +210,7 @@ class SweepResult:
         raise KeyError((algo, ratio, param))
 
     def to_rows(self):
-        rows = []
-        for c in sorted(self.cells, key=lambda c: (c.algo, c.ratio, c.param)):
-            rows.append((c.ratio, repr(c.param), c.algo, repr(c.success_rate)))
-        return rows
+        return [(c.ratio, repr(c.param), c.algo, repr(c.success_rate)) for c in self.cells]
 
     def to_json_dict(self):
         return {
@@ -228,7 +228,7 @@ class SweepResult:
                     "success_rate": c.success_rate,
                     "outcomes": [asdict(o) for o in c.outcomes],
                 }
-                for c in sorted(self.cells, key=lambda c: (c.algo, c.ratio, c.param))
+                for c in self.cells
             ],
         }
 
@@ -369,7 +369,7 @@ def cdp_instance(
         noise = poisson_data(phantom, E, noise_target, seed=int(seeds[2]))
         b = noise.b
     init_seed = int(seeds[3])
-    nv = null_vector(E, b, InitSpec(weak_fraction=weak_fraction, seed=init_seed)) if case in ("a", "c") else None
+    nv = null_vector(E, b, weak_fraction=weak_fraction, seed=init_seed) if case in ("a", "c") else None
     return CdpInstance(
         case=case, ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv
     )

@@ -22,7 +22,6 @@ from .operators import (
 from .solvers import AdmmState, RaarState
 
 __all__ = [
-    "InitSpec",
     "NullVectorResult",
     "null_vector",
     "random_lift",
@@ -30,25 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Configuration of an initializer.
-
-    ``weak_fraction`` is the fraction of measurement coordinates counted
-    as weak (null-vector only); ``power_iters`` and ``tol`` control the
-    power iteration; ``seed`` fixes the iteration's random start.
-    """
-
-    weak_fraction: float = 0.5
-    power_iters: int = 200
-    seed: int = 0
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.weak_fraction < 1.0:
-            raise ValueError(f"weak_fraction must lie in (0, 1), got {self.weak_fraction}")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be at least 1")
+# Power-iteration residual at which the null vector counts as converged.
+POWER_TOL = 1e-8
 
 
 @dataclass
@@ -62,20 +44,26 @@ class NullVectorResult:
     iterations: int
 
 
-def null_vector(E: MeasurementEnsemble, b, spec: InitSpec | None = None) -> NullVectorResult:
+def null_vector(
+    E: MeasurementEnsemble, b, weak_fraction: float = 0.5, seed: int = 0, power_iters: int = 200
+) -> NullVectorResult:
     """Spectral initializer minimizing the measurement energy on the weak set.
 
     With ``I`` the indices of the ``floor(weak_fraction * N)`` smallest
     entries of ``b``, returns the unit ``x`` minimizing ``||1_I * (A* x)||``,
-    computed as the dominant eigenvector of ``I - A diag(1_I) A*`` by
-    power iteration (eigenvalues lie in [0, 1]).  Deterministic given the
-    spec seed; non-convergence within the iteration budget is flagged.
+    computed as the dominant eigenvector of ``I - A diag(1_I) A*`` by at
+    most ``power_iters`` power iterations (eigenvalues lie in [0, 1]) from
+    a random start drawn from ``seed``.  Non-convergence within that budget
+    is flagged.
     """
-    spec = spec or InitSpec()
+    if not 0.0 < weak_fraction < 1.0:
+        raise ValueError(f"weak_fraction must lie in (0, 1), got {weak_fraction}")
+    if power_iters < 1:
+        raise ValueError("power_iters must be at least 1")
     b = check_magnitudes(b)
     if b.size != E.N:
         raise InvalidDataError(f"magnitude data has length {b.size}, expected {E.N}")
-    weak_count = math.floor(spec.weak_fraction * E.N)
+    weak_count = math.floor(weak_fraction * E.N)
     if weak_count < 1:
         raise InvalidDataError("weak fraction selects no coordinates")
     weak = np.zeros(E.N)
@@ -84,13 +72,13 @@ def null_vector(E: MeasurementEnsemble, b, spec: InitSpec | None = None) -> Null
     def apply_op(x):
         return x - E.apply(weak * E.apply_adjoint(x))
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(E.n) + 1j * rng.standard_normal(E.n)
     x /= np.linalg.norm(x)
     mu = 0.0
     resid = np.inf
     iters = 0
-    for iters in range(1, spec.power_iters + 1):
+    for iters in range(1, power_iters + 1):
         y = apply_op(x)
         mu = float(np.real(np.vdot(x, y)))
         resid = float(np.linalg.norm(y - mu * x))
@@ -98,10 +86,10 @@ def null_vector(E: MeasurementEnsemble, b, spec: InitSpec | None = None) -> Null
         if ny == 0:
             break
         x = y / ny
-        if resid <= spec.tol:
+        if resid <= POWER_TOL:
             break
     return NullVectorResult(
-        x=x, eigenvalue=mu, residual=resid, converged=resid <= spec.tol, iterations=iters
+        x=x, eigenvalue=mu, residual=resid, converged=resid <= POWER_TOL, iterations=iters
     )
 
 

@@ -319,10 +319,6 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         return np.ascontiguousarray(self._lift(basis).reshape(self.n, self.N).T)
 
     def descriptor(self):
-        inter = np.empty(2 * self.masks.size, dtype=np.float64)
-        flat = self.masks.reshape(-1)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
         return {
             "kind": self.kind,
             "grid": list(self.grid),
@@ -330,7 +326,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
             "seed": self.seed,
             "n_masks": self.l,
             "random_mask_count": self.random_mask_count,
-            "masks_re_im": inter.tolist(),
+            "masks_re_im": complex_to_interleaved(self.masks),
         }
 
 
@@ -378,16 +374,27 @@ def build_cdp_ensemble(
     )
 
 
+def complex_to_interleaved(vec: np.ndarray) -> list:
+    vec = np.asarray(vec, dtype=np.complex128).ravel()
+    out = np.empty(2 * vec.size, dtype=np.float64)
+    out[0::2] = vec.real
+    out[1::2] = vec.imag
+    return out.tolist()
+
+
+def interleaved_to_complex(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    return arr[0::2] + 1j * arr[1::2]
+
+
 def ensemble_from_descriptor(d: dict) -> MeasurementEnsemble:
     """Rebuild an ensemble from its JSON-friendly descriptor."""
     kind = d.get("kind")
     if kind == GaussianEnsemble.kind:
         return GaussianEnsemble(d["n"], d["N"], d["seed"])
     if kind == CodedDiffractionEnsemble.kind:
-        inter = np.asarray(d["masks_re_im"], dtype=np.float64)
-        flat = inter[0::2] + 1j * inter[1::2]
         grid = tuple(d["grid"])
-        masks = flat.reshape(d["n_masks"], *grid)
+        masks = interleaved_to_complex(d["masks_re_im"]).reshape(d["n_masks"], *grid)
         return CodedDiffractionEnsemble(
             grid,
             masks,
@@ -441,15 +448,8 @@ class PhantomObject:
     grid: tuple
 
     @property
-    def image(self) -> np.ndarray:
-        return self.values.reshape(self.grid)
-
-    @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values.reshape(self.grid))
-
-    def matricized_rank(self, tol: float | None = None) -> int:
-        return int(np.linalg.matrix_rank(self.values.reshape(self.grid), tol=tol))
 
 
 def build_rpp(grid, seed: int) -> PhantomObject:

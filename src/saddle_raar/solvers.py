@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, diagnostics, diagnostics_from_projections
+from .analysis import DiagnosticsRecord, diagnostics_from_projections
 from .operators import MeasurementEnsemble, project_torus
 
 __all__ = [
@@ -290,8 +290,6 @@ def _state_pair(state, b):
 
 class _Form(NamedTuple):
     state: type
-    in_range: Callable[[float], bool]
-    range_text: str
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the kept iterate
     penalty: Callable  # step parameter -> rho of the step's projection
@@ -302,11 +300,11 @@ class _Form(NamedTuple):
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(RaarState, lambda v: 0.0 < v <= 1.0, "(0, 1]", _raar_pair, attrgetter("w"), lambda beta: -1.0,
+    "raar": _Form(RaarState, _raar_pair, attrgetter("w"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z))),
-    "admm": _Form(AdmmState, lambda v: 0.0 < v < 1.0, "(0, 1)", _state_pair, attrgetter("lift"), lambda beta: -1.0,
+    "admm": _Form(AdmmState, _state_pair, attrgetter("lift"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: admm_step(E, b, state, beta)),
-    "drs": _Form(DrsState, lambda v: v > 0.0, "(0, inf)", _state_pair, attrgetter("z"), lambda rho: rho,
+    "drs": _Form(DrsState, _state_pair, attrgetter("z"), lambda rho: rho,
                  lambda E, b, state, rho, z: drs_step(E, b, state, rho)),
 }
 
@@ -351,10 +349,11 @@ def run(
     record costs vector norms only: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
-    stopping rule is set.  The start costs one more of each; a run that
-    reaches ``max_iters`` records its final iterate by direct projection
-    (two of each), and a stopping rule that fires at iterate ``k`` has
-    made step ``k + 1`` for its record and drops that step's iterate.
+    stopping rule is set.  The start costs one more of each, and so does
+    the final record of a run that reaches ``max_iters`` (it projects the
+    vector the next step would); a stopping rule that fires at iterate
+    ``k`` has made step ``k + 1`` for its record and drops that step's
+    iterate.  A step rejects a schedule value outside its range.
     Diagnostics are recorded at ``k = 0``, every ``record_every`` steps,
     and at the final step; with a stopping rule they are evaluated every
     iteration so the rule can fire between records.  A non-finite iterate
@@ -394,11 +393,6 @@ def run(
 
     while k < max_iters:
         next_param = schedule.value_at(k + 1)
-        if not form.in_range(next_param):
-            raise ValueError(
-                f"schedule value {next_param} at iteration {k + 1} outside the admissible range "
-                f"{form.range_text} for {algo}"
-            )
         nxt = form.advance(view, b, state, next_param, z)
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
@@ -420,7 +414,8 @@ def run(
         if on_iterate is not None:
             on_iterate(k, form.lift(state))
     else:
-        rec = diagnostics(E, b, z, lam, param, k, reached - t0, algo=algo)
+        pz, pl, _ = _range_parts(E.project_range(z + lam / rho), carry, rho, rho)
+        rec = record(z, lam, pz, pl, param, k, reached)
         reason = _stop_reason(stop, rec) or "max_iters"
         records.append(rec)
 

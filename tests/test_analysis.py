@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -589,6 +591,25 @@ class TestMatrixFreePaths:
         assert free.converged
         assert free.lambda2 == pytest.approx(dense.lambda2, abs=1e-8)
         assert free.sigma_top == pytest.approx(1.0, abs=1e-8)
+
+
+def test_certificate_summaries_hold_every_scalar_field(dense_wide):
+    # a summary is its dataclass's fields minus the arrays, each value as stored
+    E, x0, b = dense_wide
+    z_star = E.apply_adjoint(x0)
+    fixed = certify_fixed_point(E, b, z_star, 0.9)
+    saddles = [certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star), beta=0.9),
+               certify_drs_cross_section(E, b, z_star, rho=0.25)]
+    cases = [(fixed, {"c", "magnitude_margin"}, {"beta_interval"})]
+    cases += [(cert, {"q"}, set()) for cert in saddles]
+    for cert, arrays, extra in cases:
+        summary = cert.summary()
+        names = {f.name for f in dataclasses.fields(cert)}
+        assert set(summary) == (names - arrays) | extra, type(cert).__name__
+        for name in names - arrays:
+            assert summary[name] is getattr(cert, name), name
+            assert not isinstance(summary[name], np.ndarray), name
+    assert fixed.summary()["beta_interval"] == [0.0, fixed.beta_max]
 
 
 def test_zero_dual_quotient_matches_assembled_form(dense_small):

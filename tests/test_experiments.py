@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from saddle_raar import (
-    InitSpec,
     ParameterSchedule,
     build_cdp_ensemble,
     build_rpp,
@@ -148,7 +147,7 @@ class TestCdpCases:
     def _reconstruction_at(inst, schedule, k_snap):
         # case a's start and path, stepped with the public raar_step
         E, b = inst.ensemble, inst.b
-        nv = null_vector(E, b, InitSpec(weak_fraction=0.5, seed=inst.init_seed))
+        nv = null_vector(E, b, weak_fraction=0.5, seed=inst.init_seed)
         w = E.apply_adjoint(nv.x * np.linalg.norm(b))
         for k in range(1, k_snap + 1):
             w = raar_step(E, b, w, schedule.value_at(k))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from saddle_raar import (
-    InitSpec,
     InvalidDataError,
     build_cdp_ensemble,
     build_gaussian_ensemble,
@@ -17,8 +16,8 @@ from saddle_raar.solvers import ParameterSchedule, StoppingRule, raar_step, run
 class TestNullVector:
     def test_unit_norm_and_determinism(self, dense_small):
         E, _, b = dense_small
-        r1 = null_vector(E, b, InitSpec(seed=5))
-        r2 = null_vector(E, b, InitSpec(seed=5))
+        r1 = null_vector(E, b, seed=5)
+        r2 = null_vector(E, b, seed=5)
         assert np.isclose(np.linalg.norm(r1.x), 1.0, atol=1e-12)
         assert np.array_equal(r1.x, r2.x)
 
@@ -27,7 +26,7 @@ class TestNullVector:
         a = E.materialize_adjoint()
         b = np.full(8, 1e-3)
         b[3] = 10.0
-        result = null_vector(E, b, InitSpec(weak_fraction=7 / 8, seed=0))
+        result = null_vector(E, b, weak_fraction=7 / 8, seed=0)
         # oracle: bottom eigenvector of A diag(1_I) A* over the weak set
         idx = np.argsort(b)[:7]
         mask = np.zeros(8)
@@ -42,10 +41,10 @@ class TestNullVector:
 
     def test_convergence_flag_honest(self, dense_small):
         E, _, b = dense_small
-        result = null_vector(E, b, InitSpec(seed=1, power_iters=500))
+        result = null_vector(E, b, seed=1, power_iters=500)
         if result.converged:
             assert result.residual <= 1e-8
-        starved = null_vector(E, b, InitSpec(seed=1, power_iters=1))
+        starved = null_vector(E, b, seed=1, power_iters=1)
         assert starved.iterations == 1
 
     def test_beats_random_on_cdp_phantom(self):
@@ -57,7 +56,7 @@ class TestNullVector:
         nx0 = np.linalg.norm(x0)
         null_corr, rand_corr = [], []
         for s in range(10):
-            nv = null_vector(E, b, InitSpec(weak_fraction=0.5, seed=s))
+            nv = null_vector(E, b, weak_fraction=0.5, seed=s)
             null_corr.append(abs(np.vdot(nv.x, x0)) / nx0)
             r = rng.standard_normal(E.n) + 1j * rng.standard_normal(E.n)
             rand_corr.append(abs(np.vdot(r / np.linalg.norm(r), x0)) / nx0)
@@ -66,15 +65,16 @@ class TestNullVector:
     def test_invalid_data(self, dense_small):
         E, _, _ = dense_small
         with pytest.raises(InvalidDataError):
-            null_vector(E, np.zeros(E.N), InitSpec())
+            null_vector(E, np.zeros(E.N))
         with pytest.raises(InvalidDataError):
-            null_vector(E, np.ones(E.N - 1), InitSpec())
+            null_vector(E, np.ones(E.N - 1))
 
-    def test_spec_validation(self):
+    def test_spec_validation(self, dense_small):
+        E, _, b = dense_small
         with pytest.raises(ValueError):
-            InitSpec(weak_fraction=0.0)
+            null_vector(E, b, weak_fraction=0.0)
         with pytest.raises(ValueError):
-            InitSpec(power_iters=0)
+            null_vector(E, b, power_iters=0)
 
 
 class TestMakeInitialState:

@@ -205,6 +205,9 @@ class TestSchedule:
             run(E, b, "admm", ParameterSchedule.constant(1.0), admm0, 2)
         with pytest.raises(ValueError):
             run(E, b, "raar", ParameterSchedule.constant(1.2), raar0, 2)
+        drs0 = DrsState(y=raar0.w, z=raar0.w, lam=np.zeros_like(raar0.w), rho=0.25)
+        with pytest.raises(ValueError):
+            run(E, b, "drs", ParameterSchedule(((1, 0.25), (2, 0.0))), drs0, 5)
 
 
 class TestRunLoop:
@@ -442,8 +445,8 @@ def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_e
                  record_every=record_every)
     k = result.final_record.k
     if stop.fixed_budget:
-        # one projection starts the run, one per step, two for the final record
-        assert k == 400 and (E.applies, E.adjoints) == (403, 403)
+        # one projection starts the run, one per step, one for the final record
+        assert k == 400 and (E.applies, E.adjoints) == (402, 402)
     else:
         # one projection starts the run and one per step; step k + 1 gave the stopping record
         assert result.stop_reason in ("residual", "deriv_norm") and k < 400
@@ -616,10 +619,24 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
         return record(b, b_norm, z, lam, pz, pl, *rest)
 
     monkeypatch.setattr(solvers, "diagnostics_from_projections", keep_last)
-    result = run(E, b, algo, ParameterSchedule.constant(param), init, 6000,
-                 StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
-    assert result.stop_reason in ("residual", "deriv_norm") and result.final_record.k >= 100
-    z, lam, pz, pl = seen[0]
     scale = 1e-12 * np.linalg.norm(b)
+    stopped = run(E, b, algo, ParameterSchedule.constant(param), init, 6000,
+                  StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
+    assert stopped.stop_reason in ("residual", "deriv_norm") and stopped.final_record.k >= 100
+    z, lam, pz, pl = seen[0]
+    assert np.linalg.norm(pz - E.project_range(z)) <= scale
+    assert np.linalg.norm(pl - E.project_range(lam)) <= scale
+
+    # a full budget records its final iterate from the carry as well
+    full = run(E, b, algo, ParameterSchedule.constant(param), init, 150, StoppingRule(fixed_budget=True))
+    assert full.stop_reason == "max_iters" and full.final_record.k == 150
+    z, lam, pz, pl = seen[0]
+    if algo == "raar":
+        final_z = project_torus(full.state.w, b)
+        final_lam = full.state.w - final_z
+    else:
+        final_z, final_lam = full.state.z, full.state.lam
+    np.testing.assert_array_equal(z, final_z)
+    np.testing.assert_array_equal(lam, final_lam)
     assert np.linalg.norm(pz - E.project_range(z)) <= scale
     assert np.linalg.norm(pl - E.project_range(lam)) <= scale
