@@ -11,13 +11,12 @@ relaxation value beta = 1/(rho + 1).
 import numpy as np
 
 from saddle_raar import (
-    DrsState,
     ParameterSchedule,
     StoppingRule,
     admm_step,
     beta_from_rho,
     build_gaussian_ensemble,
-    make_initial_state,
+    initial_state,
     raar_step,
     random_lift,
     run,
@@ -30,7 +29,7 @@ b = np.abs(E.apply_adjoint(x0))
 
 beta = 0.9
 w = random_lift(E.N, seed=42)
-_, admm = make_initial_state(E, b, w0=w)
+admm = initial_state(E, b, "admm", w)
 
 print("step   ||w'_k - w_k|| / ||w_k||")
 for k in range(1, 11):
@@ -41,16 +40,14 @@ for k in range(1, 11):
     print(f"{k:4d}   {np.linalg.norm(w_prime - w) / np.linalg.norm(w):.3e}")
 
 # Full runs through the shared loop, with the default stopping rule.
-raar0, admm0 = make_initial_state(E, b, w0=random_lift(E.N, seed=7))
-res = run(E, b, "raar", ParameterSchedule.constant(beta), raar0, 3000)
+w0 = random_lift(E.N, seed=7)
+res = run(E, b, "raar", ParameterSchedule.constant(beta), initial_state(E, b, "raar", w0), 3000)
 print(f"\nrelaxed reflections: stopped by {res.stop_reason} at k={res.final_record.k}, "
       f"residual {res.final_record.residual:.2e}")
 
 rho = 1.0 / 9.0
 print(f"paired splitting penalty: rho = 1/9 -> beta = {beta_from_rho(rho):.3f}")
-w0 = random_lift(E.N, seed=7)
-drs0 = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=rho)
-res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), drs0, 6000,
+res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), initial_state(E, b, "drs", w0, rho), 6000,
               StoppingRule(residual_tol=1e-12, deriv_tol=1e-11))
 print(f"splitting: stopped by {res_drs.stop_reason} at k={res_drs.final_record.k}, "
       f"residual {res_drs.final_record.residual:.2e}")

@@ -19,7 +19,7 @@ from saddle_raar import (
     certify_cross_section_minimizer,
     certify_fixed_point,
     build_gaussian_ensemble,
-    make_initial_state,
+    initial_state,
     random_lift,
     run,
     spectral_gap,
@@ -31,7 +31,7 @@ rng = np.random.default_rng(5)
 x0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
 b = np.abs(E.apply_adjoint(x0))
 
-raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=3))
+raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=3))
 res = run(E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
           StoppingRule(residual_tol=1e-12, deriv_tol=0.0))
 cert = certify_fixed_point(E, b, res.state.w, beta=0.9)

@@ -40,7 +40,7 @@ from .experiments import (
     paired_success_cells,
     poisson_data,
 )
-from .initializers import make_initial_state, null_vector, random_lift
+from .initializers import null_vector, random_lift
 from .operators import (
     AliasingError,
     CodedDiffractionEnsemble,
@@ -67,8 +67,8 @@ from .solvers import (
     StoppingRule,
     admm_step,
     beta_from_rho,
-    drs_reconstruct,
     drs_step,
+    initial_state,
     raar_step,
     reconstruct,
     rho_from_beta,

@@ -82,23 +82,20 @@ def write_trace_csv(path, records: list[DiagnosticsRecord]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_pgm(path, image: np.ndarray, bits: int = 8) -> None:
-    """Write a 2-D real array as binary PGM (8- or 16-bit grayscale).
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a 2-D real array as binary 8-bit grayscale PGM.
 
-    Values are mapped linearly from [min, max] to the full pixel range;
-    a constant image maps to zero.
+    Values are mapped linearly from [min, max] to 0..255; a constant image
+    maps to zero.
     """
-    if bits not in (8, 16):
-        raise ValueError("PGM bit depth must be 8 or 16")
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("PGM images must be 2-D")
     lo, hi = float(img.min()), float(img.max())
     span = hi - lo
     scaled = np.zeros_like(img) if span == 0 else (img - lo) / span
-    maxval = (1 << bits) - 1
-    pixels = np.round(scaled * maxval).astype(np.uint8 if bits == 8 else ">u2")
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+    pixels = np.round(scaled * 255).astype(np.uint8)
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + pixels.tobytes())
 
 

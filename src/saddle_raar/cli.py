@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, artifacts, experiments
-from .initializers import make_initial_state, null_vector, random_lift
+from .initializers import null_vector, random_lift
 from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
 from .solvers import (
-    DrsState,
     ParameterSchedule,
     StoppingRule,
+    beta_from_rho,
     drs_fixed_point_residuals,
-    drs_reconstruct,
+    initial_state,
     reconstruct,
     run,
 )
@@ -289,18 +289,10 @@ def _execute_solve(cfg: RunConfig) -> int:
 
     if o["init"] == "null":
         nv = null_vector(E, b, weak_fraction=o["weak-fraction"], seed=int(seeds[2]))
-        raar0, admm0 = make_initial_state(E, b, x_init=nv.x * np.linalg.norm(b))
+        w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
     else:
         w0 = random_lift(E.N, int(seeds[2]))
-        raar0, admm0 = make_initial_state(E, b, w0=w0)
-
-    if algo == "raar":
-        init = raar0
-    elif algo == "admm":
-        init = admm0
-    else:
-        w0 = raar0.w
-        init = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=param)
+    init = initial_state(E, b, algo, w0, param)
 
     stop = StoppingRule(
         residual_tol=o["residual-tol"],
@@ -320,10 +312,9 @@ def _execute_solve(cfg: RunConfig) -> int:
     artifacts.write_trace_csv(os.path.join(out, "trace.csv"), result.records)
 
     if algo == "drs":
-        st = result.state
-        x = drs_reconstruct(E, st.z, st.lam, param)
-        w_final = st.z + st.lam / param
-        resids = drs_fixed_point_residuals(E, b, st)
+        x = reconstruct(E, result.z, result.lam, param)
+        w_final = result.z + result.lam / param
+        resids = drs_fixed_point_residuals(E, b, result.state)
         cert_doc = {
             "fixed_point_residuals": {
                 "range_dual": resids[0],
@@ -332,10 +323,7 @@ def _execute_solve(cfg: RunConfig) -> int:
             }
         }
     else:
-        if algo == "raar":
-            w_final = result.state.w
-        else:
-            w_final = result.state.lift
+        w_final = result.state.w if algo == "raar" else result.state.lift
         z = project_torus(w_final, b)
         x = reconstruct(E, z, w_final - z)
         cert = analysis.certify_fixed_point(E, b, w_final, min(param, 1.0 - 1e-12))
@@ -481,25 +469,14 @@ def _execute_certify(cfg: RunConfig) -> int:
         raise UsageError(f"cannot load state file {o['state']}: {exc}") from exc
     E, b, w = doc["ensemble"], doc["b"], doc["w"]
     param = doc["param"]
-    beta = param if doc["algo"] != "drs" else 1.0 / (1.0 + param)
+    beta = param if doc["algo"] != "drs" else beta_from_rho(param)
     beta = min(max(beta, 1e-12), 1.0 - 1e-12)
     cert = analysis.certify_fixed_point(E, b, w, beta, tol=o["tol"])
-    summary = {
-        "phase_residual": cert.phase_residual,
-        "beta": beta,
-        "beta_max": cert.beta_max,
-        "beta_interval": [0.0, cert.beta_max],
-        "magnitude_ok": cert.magnitude_ok,
-        "certified": cert.certified,
-        "threshold": cert.threshold,
-        "hessian_min_eig": None,
-    }
+    summary = cert.summary() | {"hessian_min_eig": None}
     if o["cross-section"]:
         z = project_torus(w, b)
-        lam = w - z
-        saddle = analysis.certify_cross_section_minimizer(E, z, lam, beta=beta)
-        summary["hessian_min_eig"] = saddle.hessian_min_eig
-        summary["cross_section"] = saddle.summary()
+        saddle = analysis.certify_cross_section_minimizer(E, z, w - z, beta=beta)
+        summary |= {"hessian_min_eig": saddle.hessian_min_eig, "cross_section": saddle.summary()}
     artifacts.write_json(os.path.join(out, "summary.json"), summary)
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis
-from .initializers import NullVectorResult, make_initial_state, null_vector, random_lift
+from .initializers import NullVectorResult, null_vector, random_lift
 from .operators import (
     InvalidDataError,
     MeasurementEnsemble,
@@ -34,11 +34,10 @@ from .operators import (
     project_torus,
 )
 from .solvers import (
-    DrsState,
     ParameterSchedule,
     StoppingRule,
     drs_fixed_point_residuals,
-    drs_reconstruct,
+    initial_state,
     reconstruct,
     rho_from_beta,
     run,
@@ -109,7 +108,7 @@ def _sample_magnitudes(clean: np.ndarray, kappa: float, seed_key) -> np.ndarray:
 
 
 def poisson_data(
-    x0,
+    x0: PhantomObject,
     E: MeasurementEnsemble,
     target_level: float,
     seed: int,
@@ -124,8 +123,7 @@ def poisson_data(
     """
     if not 0.0 < target_level < 1.0:
         raise InvalidDataError("target noise level must lie in (0, 1)")
-    vec = x0.values if isinstance(x0, PhantomObject) else np.asarray(x0)
-    clean = np.abs(E.apply_adjoint(vec))
+    clean = np.abs(E.apply_adjoint(x0.values))
     norm_clean = np.linalg.norm(clean)
 
     def realize(kappa, probe):
@@ -248,19 +246,14 @@ def _run_success_trial(
     # stop well below the success threshold so converged iterates sit
     # comfortably inside the fixed-point certificate tolerance
     stop = StoppingRule(residual_tol=min(1e-8, 0.1 * threshold), deriv_tol=0.0)
+    init = initial_state(E, b, algo, w0, param)
+    result = run(E, b, algo, ParameterSchedule.constant(param), init, max_iters, stop)
     if algo == "raar":
-        raar0, _ = make_initial_state(E, b, w0=w0)
-        result = run(E, b, "raar", ParameterSchedule.constant(param), raar0, max_iters, stop)
-        z = project_torus(result.state.w, b)
-        lam = result.state.w - z
-        x = reconstruct(E, z, lam)
-        w_final = result.state.w
-        cert = analysis.certify_fixed_point(E, b, w_final, param, tol=1e-6)
+        x = reconstruct(E, result.z, result.lam)
+        cert = analysis.certify_fixed_point(E, b, result.state.w, param, tol=1e-6)
         cert_pass = bool(cert.certified)
     else:
-        state = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=param)
-        result = run(E, b, "drs", ParameterSchedule.constant(param), state, max_iters, stop)
-        x = drs_reconstruct(E, result.state.z, result.state.lam, param)
+        x = reconstruct(E, result.z, result.lam, param)
         resids = drs_fixed_point_residuals(E, b, result.state)
         cert_pass = bool(max(resids) <= 1e-6 * np.linalg.norm(b))
 
@@ -340,7 +333,6 @@ def paired_success_cells(
 class CdpInstance:
     """Shared data of one coded-diffraction case: ensemble, object, magnitudes."""
 
-    case: str
     ensemble: MeasurementEnsemble
     phantom: PhantomObject
     b: np.ndarray
@@ -371,7 +363,7 @@ def cdp_instance(
     init_seed = int(seeds[3])
     nv = null_vector(E, b, weak_fraction=weak_fraction, seed=init_seed) if case in ("a", "c") else None
     return CdpInstance(
-        case=case, ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv
+        ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv
     )
 
 
@@ -413,9 +405,9 @@ def cdp_case_run(
     E, b = instance.ensemble, instance.b
     if instance.null_init is not None:
         # scale to the data's energy; direction is what matters
-        raar0, _ = make_initial_state(E, b, x_init=instance.null_init.x * np.linalg.norm(b))
+        w0 = E.apply_adjoint(instance.null_init.x * np.linalg.norm(b))
     else:
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, instance.init_seed))
+        w0 = random_lift(E.N, instance.init_seed)
 
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(
@@ -435,7 +427,7 @@ def cdp_case_run(
         b,
         "raar",
         schedule,
-        raar0,
+        initial_state(E, b, "raar", w0),
         max_iters=total_iters,
         stop=StoppingRule(fixed_budget=True),
         record_every=1,
@@ -444,10 +436,7 @@ def cdp_case_run(
     z_snap = project_torus(w_snap, b)
     x_snap = reconstruct(E, z_snap, w_snap - z_snap)
 
-    w_fin = result.state.w
-    z_fin = project_torus(w_fin, b)
-    lam_fin = w_fin - z_fin
-    x_fin = reconstruct(E, z_fin, lam_fin)
+    x_fin = reconstruct(E, result.z, result.lam)
 
     tail = np.array([r.t_ratio for r in result.records[-100:]])
     return CdpPathResult(
@@ -466,7 +455,6 @@ def cdp_case_run(
 class CdpCaseResult:
     """All five relaxation paths of one case plus cross-path correlations."""
 
-    case: str
     instance: CdpInstance
     paths: list
     correlations: np.ndarray
@@ -506,4 +494,4 @@ def cdp_case_suite(
     for i in range(k):
         for j in range(i + 1, k):
             corr[i, j] = corr[j, i] = analysis.correlation(paths[i].x_final, paths[j].x_final)
-    return CdpCaseResult(case=case, instance=inst, paths=paths, correlations=corr)
+    return CdpCaseResult(instance=inst, paths=paths, correlations=corr)

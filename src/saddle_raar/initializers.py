@@ -4,6 +4,7 @@ The null-vector method finds the unit object vector whose measurements are
 smallest on the weak index set (the coordinates with the smallest data
 magnitudes), by power iteration on ``x -> x - A(1_I * (A* x))``.  The
 result depends on the data only through the magnitudes.
+``solvers.initial_state`` turns a lift into a form's starting state.
 """
 
 from __future__ import annotations
@@ -13,19 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    InvalidDataError,
-    MeasurementEnsemble,
-    check_magnitudes,
-    project_torus,
-)
-from .solvers import AdmmState, RaarState
+from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes
 
 __all__ = [
     "NullVectorResult",
     "null_vector",
     "random_lift",
-    "make_initial_state",
 ]
 
 
@@ -98,33 +92,3 @@ def random_lift(N: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(N) + 1j * rng.standard_normal(N)
 
-
-def make_initial_state(
-    E: MeasurementEnsemble,
-    b,
-    x_init: np.ndarray | None = None,
-    w0: np.ndarray | None = None,
-):
-    """Wrap an object vector or a raw lift into matched starting states.
-
-    For an object input the lift is ``w0 = A* x_init``.  The multiplier
-    state starts from ``z1 = [w0]_Z`` and ``lambda1 = w0 - z1``, the
-    split that makes its trajectory reproduce the relaxed-reflection
-    sequence started at ``w0`` exactly.
-    """
-    if (x_init is None) == (w0 is None):
-        raise ValueError("provide exactly one of x_init or w0")
-    b = np.asarray(b, dtype=np.float64)
-    if x_init is not None:
-        w0 = E.apply_adjoint(x_init)
-    else:
-        w0 = np.asarray(w0, dtype=np.complex128)
-        if w0.size != E.N:
-            raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
-    if np.linalg.norm(w0) == 0:
-        raise InvalidDataError("initial vector must be nonzero")
-    z1 = project_torus(w0, b)
-    lam1 = w0 - z1
-    raar = RaarState(w=w0)
-    admm = AdmmState(y=z1, z=z1, lam=lam1)
-    return raar, admm

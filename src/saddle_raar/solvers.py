@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import DiagnosticsRecord, diagnostics_from_projections
-from .operators import MeasurementEnsemble, project_torus
+from .operators import InvalidDataError, MeasurementEnsemble, project_torus
 
 __all__ = [
     "RaarState",
@@ -37,9 +37,9 @@ __all__ = [
     "raar_step",
     "admm_step",
     "drs_step",
+    "initial_state",
     "run",
     "reconstruct",
-    "drs_reconstruct",
     "drs_fixed_point_residuals",
     "beta_from_rho",
     "rho_from_beta",
@@ -111,7 +111,7 @@ class DrsState:
         self.y = np.asarray(self.y, dtype=np.complex128)
         self.z = np.asarray(self.z, dtype=np.complex128)
         self.lam = np.asarray(self.lam, dtype=np.complex128)
-        if self.rho <= 0:
+        if self.rho is None or self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
 
@@ -168,13 +168,8 @@ def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float | None = Non
     return DrsState(y=y, z=z, lam=lam, rho=rho)
 
 
-def reconstruct(E: MeasurementEnsemble, z, lam) -> np.ndarray:
-    """Object estimate ``A(z - lambda)`` from a primal/dual pair."""
-    return E.apply(np.asarray(z) - np.asarray(lam))
-
-
-def drs_reconstruct(E: MeasurementEnsemble, z, lam, rho: float) -> np.ndarray:
-    """Object estimate ``A(z + lambda/rho)`` from a splitting state."""
+def reconstruct(E: MeasurementEnsemble, z, lam, rho: float = -1.0) -> np.ndarray:
+    """Object estimate ``A(z + lambda/rho)``; raar and admm keep ``rho = -1``, ``A(z - lambda)``."""
     return E.apply(np.asarray(z) + np.asarray(lam) / rho)
 
 
@@ -251,9 +246,13 @@ class StoppingRule:
 
 @dataclass
 class RunResult:
+    """Trace, final state and stop reason of a run; ``z`` and ``lam`` are the state's pair."""
+
     records: list
     state: object
     stop_reason: str
+    z: np.ndarray
+    lam: np.ndarray
 
     @property
     def final_record(self) -> DiagnosticsRecord:
@@ -288,8 +287,14 @@ def _state_pair(state, b):
     return state.z, state.lam
 
 
+def _admm_start(w0, b, rho):
+    z, lam = _raar_pair(RaarState(w=w0), b)  # the pair of the raar start
+    return AdmmState(y=z, z=z, lam=lam)
+
+
 class _Form(NamedTuple):
     state: type
+    start: Callable  # (w0, b, rho of a drs start) -> the state lifted from w0
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the kept iterate
     penalty: Callable  # step parameter -> rho of the step's projection
@@ -300,13 +305,37 @@ class _Form(NamedTuple):
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(RaarState, _raar_pair, attrgetter("w"), lambda beta: -1.0,
+    "raar": _Form(RaarState, lambda w0, b, rho: RaarState(w=w0), _raar_pair, attrgetter("w"),
+                  lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z))),
-    "admm": _Form(AdmmState, _state_pair, attrgetter("lift"), lambda beta: -1.0,
+    "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: admm_step(E, b, state, beta)),
-    "drs": _Form(DrsState, _state_pair, attrgetter("z"), lambda rho: rho,
+    "drs": _Form(DrsState, lambda w0, b, rho: DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=rho),
+                 _state_pair, attrgetter("z"), lambda rho: rho,
                  lambda E, b, state, rho, z: drs_step(E, b, state, rho)),
 }
+
+
+def _form(algo: str) -> _Form:
+    if algo not in _FORMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return _FORMS[algo]
+
+
+def initial_state(E: MeasurementEnsemble, b, algo: str, w0, param: float | None = None):
+    """Starting state of ``algo`` lifted from ``w0`` (an object ``x`` gives ``w0 = A* x``).
+
+    raar starts at ``w0``; admm at ``z1 = [w0]_Z``, ``lambda1 = w0 - z1``, which
+    retraces the raar sequence from ``w0``; drs at ``y = z = w0``, ``lambda = 0``
+    with penalty ``rho = param``, which raar and admm ignore.
+    """
+    form = _form(algo)
+    w0 = np.asarray(w0, dtype=np.complex128)
+    if w0.size != E.N:
+        raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
+    if np.linalg.norm(w0) == 0:
+        raise InvalidDataError("initial vector must be nonzero")
+    return form.start(w0, np.asarray(b, dtype=np.float64), param)
 
 
 class _StepView:
@@ -359,13 +388,12 @@ def run(
     iteration so the rule can fire between records.  A non-finite iterate
     ends the run with ``stop_reason="nonfinite"``: the state is then the
     last finite iterate, and the trace ends with its record when the
-    projection made at it is finite.  ``on_iterate(k, w)``, when given, is
-    called with the lifted iterate ``w`` at ``k = 0`` and after each
-    accepted step, so a caller keeps only what it needs of the path.
+    projection made at it is finite.  Whatever ends the run, the result
+    holds the final state and its pair ``(z, lambda)``.  ``on_iterate(k,
+    w)``, when given, is called with the lifted iterate ``w`` at ``k = 0``
+    and after each accepted step, so a caller keeps only what it needs.
     """
-    if algo not in _FORMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    form = _FORMS[algo]
+    form = _form(algo)
     if not isinstance(init, form.state):
         raise TypeError(f"{algo} expects a {form.state.__name__} initial state, got {type(init).__name__}")
     b = np.asarray(b, dtype=np.float64)
@@ -419,4 +447,4 @@ def run(
         reason = _stop_reason(stop, rec) or "max_iters"
         records.append(rec)
 
-    return RunResult(records=records, state=state, stop_reason=reason)
+    return RunResult(records=records, state=state, stop_reason=reason, z=z, lam=lam)

@@ -44,7 +44,7 @@ def test_criterion_01_reflection_multiplier_equivalence():
     worst = 0.0
     for beta in (0.6, 0.9):
         w = sr.random_lift(E.N, seed=42)
-        _, state = sr.make_initial_state(E, b, w0=w)
+        state = sr.initial_state(E, b, "admm", w)
         for _ in range(50):
             w = sr.raar_step(E, b, w, beta)
             lam_prev = state.lam
@@ -98,7 +98,7 @@ def test_criterion_03_fixed_point_certificate():
         ok &= cert.beta_max >= 1.0 - 1e-12
     detail.append("noiseless solution certified for all beta with c=b and beta_max=1")
 
-    raar0, _ = sr.make_initial_state(E, b, w0=sr.random_lift(E.N, seed=3))
+    raar0 = sr.initial_state(E, b, "raar", sr.random_lift(E.N, seed=3))
     result = run(E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
                  StoppingRule(residual_tol=1e-12, deriv_tol=0.0))
     cert = sr.certify_fixed_point(E, b, result.state.w, 0.9)
@@ -253,7 +253,7 @@ def test_criterion_10_splitting_fixed_point_conditions():
     rng = np.random.default_rng(5)
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = sr.random_lift(E.N, seed=0)
-    state = sr.DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=0.25)
+    state = sr.initial_state(E, b, "drs", w0, 0.25)
     result = run(E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
                  StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
     resids = drs_fixed_point_residuals(E, b, result.state)

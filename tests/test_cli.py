@@ -145,6 +145,11 @@ class TestCertifyCommand:
             assert key in doc
         assert doc["certified"]
         assert doc["hessian_min_eig"] is not None
+        # the certificate's own summary, as solve writes it under "certificate"
+        solve_cert = json.loads((run_dir / "summary.json").read_text())["certificate"]
+        assert set(doc) == set(solve_cert) | {"hessian_min_eig", "cross_section"}
+        assert {"tol", "c_imag_norm"} <= set(doc)
+        assert doc["tol"] == 1e-8
 
     def test_missing_state_is_usage_error(self, tmp_path):
         assert main(["certify", "--out", str(tmp_path)]) == 1

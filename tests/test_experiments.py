@@ -199,6 +199,26 @@ class TestCdpCases:
         assert code == 0 and len(seen) == 1
         assert (tmp_path / "cdp" / "init_magnitude.pgm").exists()
 
+    def test_path_projects_onto_the_torus_once_per_iteration(self, monkeypatch):
+        # one projection for the start's record, one per step and one for the
+        # snapshot; the final estimate reads the pair the run already holds
+        import sys
+
+        from saddle_raar import operators
+
+        inst = cdp_instance("a", (16, 16), 1)
+        real, calls = operators.project_torus, []
+
+        def counted(w, b):
+            calls.append(1)
+            return real(w, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("saddle_raar") and getattr(module, "project_torus", None) is real:
+                monkeypatch.setattr(module, "project_torus", counted)
+        cdp_case_run(inst, 0.9, total_iters=40, hold_iters=20, settle_iters=10)
+        assert len(calls) == 42
+
     def test_memory_does_not_grow_with_iterations(self):
         inst = cdp_instance("a", (16, 16), 1)
         peaks = {}

@@ -6,11 +6,10 @@ from saddle_raar import (
     build_cdp_ensemble,
     build_gaussian_ensemble,
     build_rpp,
-    make_initial_state,
     null_vector,
     random_lift,
 )
-from saddle_raar.solvers import ParameterSchedule, StoppingRule, raar_step, run
+from saddle_raar.solvers import ParameterSchedule, StoppingRule, initial_state, raar_step, run
 
 
 class TestNullVector:
@@ -80,14 +79,15 @@ class TestNullVector:
 class TestMakeInitialState:
     def test_on_torus_input_gives_zero_dual(self, dense_wide):
         E, x0, b = dense_wide
-        raar0, admm0 = make_initial_state(E, b, x_init=x0)
+        w0 = E.apply_adjoint(x0)
+        raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
         assert np.linalg.norm(admm0.lam) <= 1e-12 * np.linalg.norm(b)
         assert np.allclose(raar0.w, admm0.lift)
 
     def test_raw_lift_reproduces_reflection_run(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=21)
-        raar0, admm0 = make_initial_state(E, b, w0=w0)
+        admm0 = initial_state(E, b, "admm", w0)
         ws = []
         run(
             E, b, "admm", ParameterSchedule.constant(0.85), admm0, 25,
@@ -101,9 +101,7 @@ class TestMakeInitialState:
     def test_zero_input_rejected(self, dense_small):
         E, _, b = dense_small
         with pytest.raises(InvalidDataError):
-            make_initial_state(E, b, w0=np.zeros(E.N, dtype=complex))
-        with pytest.raises(ValueError):
-            make_initial_state(E, b)
+            initial_state(E, b, "raar", np.zeros(E.N, dtype=complex))
 
     def test_random_lift_deterministic(self):
         assert np.array_equal(random_lift(32, 7), random_lift(32, 7))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from saddle_raar import (
+    AdmmState,
     DrsState,
+    InvalidDataError,
     MeasurementEnsemble,
     ParameterSchedule,
     RaarState,
@@ -13,7 +15,7 @@ from saddle_raar import (
     build_gaussian_ensemble,
     diagnostics,
     drs_step,
-    make_initial_state,
+    initial_state,
     project_torus,
     raar_step,
     random_lift,
@@ -83,7 +85,7 @@ class TestAdmmEquivalence:
     def test_matches_raar_sequence(self, dense_small, beta):
         E, _, b = dense_small
         w = random_lift(E.N, seed=42)
-        _, state = make_initial_state(E, b, w0=w)
+        state = initial_state(E, b, "admm", w)
         worst = 0.0
         for _ in range(50):
             w = raar_step(E, b, w, beta)
@@ -97,8 +99,6 @@ class TestAdmmEquivalence:
     def test_fixed_at_solution(self, dense_wide):
         E, x0, b = dense_wide
         z_star = E.apply_adjoint(x0)
-        from saddle_raar import AdmmState
-
         state = AdmmState(y=z_star, z=z_star, lam=np.zeros_like(z_star))
         new = admm_step(E, b, state, 0.7)
         assert np.linalg.norm(new.z - z_star) <= 1e-12 * np.linalg.norm(z_star)
@@ -107,7 +107,7 @@ class TestAdmmEquivalence:
     def test_dual_shares_phase_with_primal(self, dense_small):
         # the multiplier keeps z + lam on z's phase ray: lam * conj(z)/|z| real
         E, _, b = dense_small
-        _, state = make_initial_state(E, b, w0=random_lift(E.N, seed=9))
+        state = initial_state(E, b, "admm", random_lift(E.N, seed=9))
         for _ in range(30):
             state = admm_step(E, b, state, beta=0.8)
             ratio = state.lam * np.conj(state.z) / np.abs(state.z)
@@ -116,7 +116,7 @@ class TestAdmmEquivalence:
     def test_run_loop_equivalence_from_raw_lift(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=17)
-        raar0, admm0 = make_initial_state(E, b, w0=w0)
+        raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
         sched = ParameterSchedule.constant(0.75)
         stop = StoppingRule(fixed_budget=True)
         ws_r, ws_a = [], []
@@ -131,7 +131,7 @@ class TestDrs:
     def test_fixed_at_solution(self, dense_wide):
         E, x0, b = dense_wide
         z_star = E.apply_adjoint(x0)
-        state = DrsState(y=z_star, z=z_star, lam=np.zeros_like(z_star), rho=0.5)
+        state = initial_state(E, b, "drs", z_star, 0.5)
         new = drs_step(E, b, state)
         assert np.linalg.norm(new.z - z_star) <= 1e-12 * np.linalg.norm(z_star)
         assert np.linalg.norm(new.lam) <= 1e-12 * np.linalg.norm(z_star)
@@ -139,7 +139,7 @@ class TestDrs:
     def test_converged_fixed_point_conditions(self, dense_wide):
         E, x0, b = dense_wide
         w0 = random_lift(E.N, seed=0)
-        state = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=0.25)
+        state = initial_state(E, b, "drs", w0, 0.25)
         result = run(
             E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
             StoppingRule(residual_tol=1e-13, deriv_tol=1e-12),
@@ -150,8 +150,8 @@ class TestDrs:
     def test_penalty_sensitivity(self, dense_wide):
         E, _, b = dense_wide
         w0 = random_lift(E.N, seed=1)
-        s1 = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=1.0)
-        s2 = DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=0.5)
+        s1 = initial_state(E, b, "drs", w0, 1.0)
+        s2 = initial_state(E, b, "drs", w0, 0.5)
         for _ in range(5):
             s1 = drs_step(E, b, s1)
             s2 = drs_step(E, b, s2)
@@ -200,12 +200,13 @@ class TestSchedule:
 
     def test_out_of_range_param_rejected(self, dense_small):
         E, _, b = dense_small
-        raar0, admm0 = make_initial_state(E, b, w0=random_lift(E.N, seed=4))
+        w0 = random_lift(E.N, seed=4)
+        raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
         with pytest.raises(ValueError):
             run(E, b, "admm", ParameterSchedule.constant(1.0), admm0, 2)
         with pytest.raises(ValueError):
             run(E, b, "raar", ParameterSchedule.constant(1.2), raar0, 2)
-        drs0 = DrsState(y=raar0.w, z=raar0.w, lam=np.zeros_like(raar0.w), rho=0.25)
+        drs0 = initial_state(E, b, "drs", w0, 0.25)
         with pytest.raises(ValueError):
             run(E, b, "drs", ParameterSchedule(((1, 0.25), (2, 0.0))), drs0, 5)
 
@@ -213,14 +214,14 @@ class TestSchedule:
 class TestRunLoop:
     def test_zero_budget_gives_initial_record(self, dense_small):
         E, _, b = dense_small
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=2))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
         result = run(E, b, "raar", ParameterSchedule.constant(0.9), raar0, 0)
         assert len(result.records) == 1
         assert result.records[0].k == 0
 
     def test_record_stride_and_final(self, dense_small):
         E, _, b = dense_small
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=2))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
         result = run(
             E, b, "raar", ParameterSchedule.constant(0.9), raar0, 25,
             StoppingRule(fixed_budget=True), record_every=10,
@@ -229,7 +230,7 @@ class TestRunLoop:
 
     def test_stopping_on_residual(self, dense_wide):
         E, _, b = dense_wide
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=0))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=0))
         result = run(
             E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
             StoppingRule(residual_tol=1e-10, deriv_tol=0.0),
@@ -239,7 +240,7 @@ class TestRunLoop:
 
     def test_unknown_algo(self, dense_small):
         E, _, b = dense_small
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=2))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
         with pytest.raises(ValueError):
             run(E, b, "nope", ParameterSchedule.constant(0.9), raar0, 1)
 
@@ -250,7 +251,7 @@ class TestFixedPointConditions:
         # penalty-scaled magnitude defect
         E, _, b = dense_wide
         beta = 0.9
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=3))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=3))
         result = run(
             E, b, "raar", ParameterSchedule.constant(beta), raar0, 3000,
             StoppingRule(residual_tol=1e-12, deriv_tol=0.0),
@@ -276,7 +277,7 @@ class TestFejerContraction:
         beta = 0.9
         z_star = E.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
-        raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=0))
+        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=0))
         ws = []
         run(
             E, b, "raar", ParameterSchedule.constant(beta), raar0, 400,
@@ -298,7 +299,7 @@ class TestFejerContraction:
         E0, x0, b = dense_wide
         z_star = E0.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
-        raar0, _ = make_initial_state(E0, b, w0=random_lift(E0.N, seed=0))
+        raar0 = initial_state(E0, b, "raar", random_lift(E0.N, seed=0))
         ws = []
         run(E0, b, "raar", ParameterSchedule.constant(0.9), raar0, 20, StoppingRule(fixed_budget=True),
             on_iterate=lambda k, w: ws.append(w))
@@ -315,7 +316,8 @@ class TestFejerContraction:
 
 def test_run_rejects_mismatched_state(dense_small):
     E, _, b = dense_small
-    raar0, admm0 = make_initial_state(E, b, w0=random_lift(E.N, seed=4))
+    w0 = random_lift(E.N, seed=4)
+    raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
     with pytest.raises(TypeError):
         run(E, b, "admm", ParameterSchedule.constant(0.9), raar0, 2)
     with pytest.raises(TypeError):
@@ -331,7 +333,7 @@ def test_equivalence_on_diffraction_ensemble():
     x0 = random_complex(rng, E.n)
     b = np.abs(E.apply_adjoint(x0))
     w = random_lift(E.N, seed=1)
-    _, state = make_initial_state(E, b, w0=w)
+    state = initial_state(E, b, "admm", w)
     for _ in range(30):
         w = raar_step(E, b, w, 0.8)
         lam_prev = state.lam
@@ -345,7 +347,7 @@ def test_run_with_zero_magnitudes_stays_finite(dense_small):
     E, x0, b = dense_small
     b = b.copy()
     b[[0, 5, 11]] = 0.0
-    raar0, _ = make_initial_state(E, b, w0=random_lift(E.N, seed=2))
+    raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
     result = run(E, b, "raar", ParameterSchedule.constant(0.8), raar0, 50,
                  StoppingRule(fixed_budget=True))
     assert np.all(np.isfinite(result.state.w))
@@ -385,12 +387,7 @@ class CountingEnsemble(MeasurementEnsemble):
 
 
 def _initial_state(algo, E, b, seed, rho=0.25):
-    raar0, admm0 = make_initial_state(E, b, w0=random_lift(E.N, seed=seed))
-    if algo == "raar":
-        return raar0
-    if algo == "admm":
-        return admm0
-    return DrsState(y=raar0.w, z=raar0.w, lam=np.zeros_like(raar0.w), rho=rho)
+    return initial_state(E, b, algo, random_lift(E.N, seed=seed), rho)
 
 
 def _public_steps(algo, E, b, state, param, n):
@@ -568,6 +565,52 @@ def test_nonfinite_initial_state_rejected(dense_small):
             run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 5)
 
 
+def test_initial_state_is_each_forms_start(dense_small):
+    # the starts callers used to build by hand, from one lift
+    E, _, b = dense_small
+    w0 = random_lift(E.N, seed=8)
+    raar0 = initial_state(E, b, "raar", w0)
+    admm0 = initial_state(E, b, "admm", w0)
+    drs0 = initial_state(E, b, "drs", w0, 0.25)
+    assert (type(raar0), type(admm0), type(drs0)) == (RaarState, AdmmState, DrsState)
+    z1 = project_torus(w0, b)
+    expected = [(raar0.w, w0), (admm0.y, z1), (admm0.z, z1), (admm0.lam, w0 - z1),
+                (drs0.y, w0), (drs0.z, w0), (drs0.lam, np.zeros_like(w0))]
+    for got, want in expected:
+        np.testing.assert_array_equal(got, want)
+    assert drs0.rho == 0.25
+
+
+def test_initial_state_rejects_bad_starts(dense_small):
+    E, _, b = dense_small
+    w0 = random_lift(E.N, seed=8)
+    with pytest.raises(InvalidDataError):
+        initial_state(E, b, "admm", w0[:-1])
+    with pytest.raises(ValueError):
+        initial_state(E, b, "drs", w0)  # a splitting start needs its penalty
+    with pytest.raises(ValueError):
+        initial_state(E, b, "nope", w0)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_returns_the_pair_of_its_final_state(dense_wide, algo):
+    from saddle_raar.solvers import _FORMS
+
+    E, _, b = dense_wide
+    init = _initial_state(algo, E, b, seed=2)
+    schedule = ParameterSchedule.constant(_PARAM[algo])
+    results = [
+        run(E, b, algo, schedule, init, 30, StoppingRule(fixed_budget=True)),
+        run(E, b, algo, schedule, init, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0)),
+        run(CountingEnsemble(E, nan_on_apply=5), b, algo, schedule, init, 50, StoppingRule(fixed_budget=True)),
+    ]
+    assert [r.stop_reason for r in results] == ["max_iters", "residual", "nonfinite"]
+    for result in results:
+        z, lam = _FORMS[algo].pair(result.state, b)
+        np.testing.assert_array_equal(result.z, z)
+        np.testing.assert_array_equal(result.lam, lam)
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
 def test_run_records_match_direct_formulas(request, algo, ensemble):
@@ -607,10 +650,8 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     rng = np.random.default_rng(5)
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = random_lift(E.N, seed=0)
-    if algo == "drs":
-        param, init = 0.25, DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=0.25)
-    else:
-        param, init = beta_from_rho(0.25), make_initial_state(E, b, w0=w0)[algo == "admm"]
+    param = 0.25 if algo == "drs" else beta_from_rho(0.25)
+    init = initial_state(E, b, algo, w0, 0.25)
     seen = []
     record = solvers.diagnostics_from_projections
 
@@ -631,12 +672,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     full = run(E, b, algo, ParameterSchedule.constant(param), init, 150, StoppingRule(fixed_budget=True))
     assert full.stop_reason == "max_iters" and full.final_record.k == 150
     z, lam, pz, pl = seen[0]
-    if algo == "raar":
-        final_z = project_torus(full.state.w, b)
-        final_lam = full.state.w - final_z
-    else:
-        final_z, final_lam = full.state.z, full.state.lam
-    np.testing.assert_array_equal(z, final_z)
-    np.testing.assert_array_equal(lam, final_lam)
+    np.testing.assert_array_equal(z, full.z)
+    np.testing.assert_array_equal(lam, full.lam)
     assert np.linalg.norm(pz - E.project_range(z)) <= scale
     assert np.linalg.norm(pl - E.project_range(lam)) <= scale
