@@ -770,6 +770,13 @@ class DiagnosticsRecord:
         )
 
 
+def _residual_parts(z, pz, b_norm: float):
+    """``(z - P z, ||z - P z||, ||z - P z|| / ||b||)``: a record's complement part and residual."""
+    zq = z - pz
+    zq_norm = float(np.linalg.norm(zq))
+    return zq, zq_norm, zq_norm / b_norm
+
+
 def diagnostics_from_projections(
     b,
     b_norm: float,
@@ -792,12 +799,10 @@ def diagnostics_from_projections(
     the derivative norm / objective are the splitting Lagrangian's (the
     ratio uses the corresponding ``1/(1+rho)``).
     """
-    zq = z - pz
+    zq, zq_norm, residual = _residual_parts(z, pz, b_norm)
     lq = lam - pl
-    zq_norm = float(np.linalg.norm(zq))
     lq_norm = float(np.linalg.norm(lq))
     lam_norm = float(np.linalg.norm(lam))
-    residual = zq_norm / b_norm
     pl_norm = float(np.linalg.norm(pl))  # equals ||A lam||
 
     if algo == "drs":

@@ -324,7 +324,8 @@ def _execute_solve(cfg: RunConfig) -> int:
         }
     else:
         w_final = result.state.w if algo == "raar" else result.state.lift
-        z = project_torus(w_final, b)
+        # admm's stored z differs from [lift]_Z at roundoff, so it reads out on the lift
+        z = result.z if algo == "raar" else project_torus(w_final, b)
         x = reconstruct(E, z, w_final - z)
         cert = analysis.certify_fixed_point(E, b, w_final, min(param, 1.0 - 1e-12))
         cert_doc = cert.summary()

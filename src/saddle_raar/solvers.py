@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, diagnostics_from_projections
+from .analysis import DiagnosticsRecord, _residual_parts, diagnostics_from_projections
 from .operators import InvalidDataError, MeasurementEnsemble, project_torus
 
 __all__ = [
@@ -235,8 +235,8 @@ class StoppingRule:
     """Stop on small residual or small dual-gradient norm, unless fixed budget.
 
     The residual test is relative (``||Q z|| / ||b||``); the derivative
-    test is absolute.  ``fixed_budget`` disables both, reproducing
-    fixed-iteration experiment runs.
+    test is absolute and off for ``deriv_tol <= 0``.  ``fixed_budget``
+    disables both, reproducing fixed-iteration experiment runs.
     """
 
     residual_tol: float = 1e-10
@@ -272,6 +272,10 @@ class RunResult:
 
 def _range_parts(p, carry, rho_prev, rho):
     """``(P z, P lambda, next carry)`` of an iterate from ``p`` and ``carry``."""
+    if rho == rho_prev == -1.0:  # raar and admm: the same values without the exact negations and halving
+        pz = (p + carry) * 0.5
+        pl = carry - pz
+        return pz, pl, pl + p
     rho_p = rho * p
     pz = (rho_p - carry) / (rho + rho_prev)
     pl = carry + rho_prev * pz
@@ -355,7 +359,7 @@ def _stop_reason(stop: StoppingRule, rec: DiagnosticsRecord):
         return None
     if rec.residual <= stop.residual_tol:
         return "residual"
-    if rec.deriv_norm <= stop.deriv_tol:
+    if stop.deriv_tol > 0 and rec.deriv_norm <= stop.deriv_tol:
         return "deriv_norm"
     return None
 
@@ -382,16 +386,16 @@ def run(
     the final record of a run that reaches ``max_iters`` (it projects the
     vector the next step would); a stopping rule that fires at iterate
     ``k`` has made step ``k + 1`` for its record and drops that step's
-    iterate.  A step rejects a schedule value outside its range.
-    Diagnostics are recorded at ``k = 0``, every ``record_every`` steps,
-    and at the final step; with a stopping rule they are evaluated every
-    iteration so the rule can fire between records.  A non-finite iterate
-    ends the run with ``stop_reason="nonfinite"``: the state is then the
-    last finite iterate, and the trace ends with its record when the
-    projection made at it is finite.  Whatever ends the run, the result
-    holds the final state and its pair ``(z, lambda)``.  ``on_iterate(k,
-    w)``, when given, is called with the lifted iterate ``w`` at ``k = 0``
-    and after each accepted step, so a caller keeps only what it needs.
+    iterate.  A step rejects a schedule value outside its range.  Records
+    are kept at ``k = 0``, every ``record_every`` steps and at the end;
+    between them a stopping rule tests the residual alone (one norm) and
+    builds a record only when that fires or when ``deriv_tol > 0``.  A
+    non-finite iterate ends the run with ``stop_reason="nonfinite"``: the
+    state is then the last finite iterate, and the trace ends with its
+    record when the projection made at it is finite.  Whatever ends the
+    run, the result holds the final state and its pair ``(z, lambda)``.
+    ``on_iterate(k, w)``, when given, is called with the lifted iterate
+    ``w`` at ``k = 0`` and after each accepted step.
     """
     form = _form(algo)
     if not isinstance(init, form.state):
@@ -430,7 +434,8 @@ def run(
             if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
                 records.append(record(z, lam, pz, pl, param, k, reached))
             break
-        if k % record_every == 0 or not stop.fixed_budget:
+        if k % record_every == 0 or not stop.fixed_budget and (
+                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm)[2] <= stop.residual_tol):
             rec = record(z, lam, pz, pl, param, k, reached)
             reason = _stop_reason(stop, rec)
             if k % record_every == 0 or reason:

@@ -14,12 +14,14 @@ from saddle_raar import (
     raar_step,
     reconstruct,
 )
+from saddle_raar import experiments
 from saddle_raar.experiments import (
     InvalidDataError,
     cdp_case_run,
     cdp_case_suite,
     cdp_instance,
     gaussian_success_sweep,
+    paired_success_cells,
     _run_success_trial,
     _sample_magnitudes,
 )
@@ -119,6 +121,16 @@ class TestSuccessSweep:
             expected = [_run_success_trial(n, c.ratio, c.algo, c.param, idx, trial, seed, max_iters, threshold)
                         for trial in range(trials)]
             assert c.outcomes == expected
+
+    def test_trials_match_runs_that_keep_every_row(self, monkeypatch):
+        # a trial keeps only its first and final rows; its outcome is that of
+        # a run that keeps them all
+        kwargs = dict(n=20, ratio=4.0, beta=0.9, trials=3, seed=1, max_iters=1000)
+        strided = [c.outcomes for c in paired_success_cells(**kwargs).cells]
+        run = experiments.run
+        monkeypatch.setattr(experiments, "run", lambda *args, record_every: run(*args, record_every=1))
+        assert [c.outcomes for c in paired_success_cells(**kwargs).cells] == strided
+        assert any(o.iterations < 1000 for outcomes in strided for o in outcomes)
 
 
 class TestCdpCases:

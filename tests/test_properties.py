@@ -20,6 +20,7 @@ from saddle_raar import (
     project_torus,
     raar_step,
 )
+from saddle_raar.solvers import _range_parts
 from conftest import random_complex
 
 # few, small, reproducible examples: the suite's wall time is a budget
@@ -120,3 +121,19 @@ def test_one_step_of_each_form_is_phase_equivariant(kind, data, seed, theta, bet
     rot = drs_step(E, b, DrsState(y=alpha * y, z=alpha * z, lam=alpha * lam, rho=rho))
     for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
         assert _close(got, alpha * ref, scale * (1.0 + rho))
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, p_exp=st.floats(-12.0, 2.0), carry_exp=st.floats(-12.0, 2.0))
+def test_exact_range_split_is_the_general_formula(seed, p_exp, carry_exp):
+    # at rho = rho_prev = -1 the general split's negations and its division
+    # by -2 are exact, so dropping them must change no bit
+    rng = np.random.default_rng(seed)
+    p = 10.0**p_exp * random_complex(rng, 64)
+    carry = 10.0**carry_exp * random_complex(rng, 64)
+    rho = rho_prev = -1.0
+    rho_p = rho * p
+    pz = (rho_p - carry) / (rho + rho_prev)
+    pl = carry + rho_prev * pz
+    for got, ref in zip(_range_parts(p, carry, rho_prev, rho), (pz, pl, pl - rho_p)):
+        assert np.array_equal(got, ref)

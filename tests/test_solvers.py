@@ -432,7 +432,8 @@ def _direct_record(E, b, z, lam, param, algo):
 @pytest.mark.parametrize(
     "stop, record_every",
     [(StoppingRule(fixed_budget=True), 1), (StoppingRule(fixed_budget=True), 10),
-     (StoppingRule(residual_tol=1e-10, deriv_tol=1e-10), 7)],
+     (StoppingRule(residual_tol=1e-10, deriv_tol=1e-10), 7),
+     (StoppingRule(residual_tol=1e-10, deriv_tol=0.0), 400)],
 )
 def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_every):
     E0, _, b = dense_wide
@@ -448,6 +449,49 @@ def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_e
         # one projection starts the run and one per step; step k + 1 gave the stopping record
         assert result.stop_reason in ("residual", "deriv_norm") and k < 400
         assert (E.applies, E.adjoints) == (k + 2, k + 2)
+
+
+def _bits(result):
+    """Everything of a run but its trace and wall clock, as bytes and reprs."""
+    arrays = [v for v in vars(result.state).values() if isinstance(v, np.ndarray)] + [result.z, result.lam]
+    return result.stop_reason, _row(result.final_record), [a.tobytes() for a in arrays]
+
+
+def _row(rec):
+    return rec.csv_row()[:-1]  # all but wall_ns
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("record_every", [1, 7, 400])
+def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_every):
+    # rows not kept test the rule from the residual alone, yet the run
+    # stops where, and as, a run that keeps every row does
+    import saddle_raar.solvers as solvers
+
+    E, _, b = dense_wide
+    stop = StoppingRule(residual_tol=1e-10, deriv_tol=0.0)
+
+    def go(every):
+        init = _initial_state(algo, E, b, seed=5)
+        return run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 400, stop, record_every=every)
+
+    full = go(1)
+    assert full.stop_reason == "residual" and full.final_record.k % 7 != 0
+    ks = []
+    record = solvers.diagnostics_from_projections
+
+    def counted_record(b, b_norm, z, lam, pz, pl, param, k, *rest):
+        ks.append(k)
+        return record(b, b_norm, z, lam, pz, pl, param, k, *rest)
+
+    monkeypatch.setattr(solvers, "diagnostics_from_projections", counted_record)
+    strided = go(record_every)
+    assert _bits(strided) == _bits(full)
+    kept = [r for r in full.records[:-1] if r.k % record_every == 0] + [full.final_record]
+    assert [_row(r) for r in strided.records] == [_row(r) for r in kept]
+    assert ks == [r.k for r in strided.records]  # a row is built only when it is kept
+    if record_every == 400:
+        assert ks == [0, full.final_record.k]  # the start's row and the stopping row
 
 
 @pytest.mark.parametrize("algo", ALGOS)
