@@ -47,7 +47,7 @@ print(f"\nrelaxed reflections: stopped by {res.stop_reason} at k={res.final_reco
 
 rho = 1.0 / 9.0
 print(f"paired splitting penalty: rho = 1/9 -> beta = {beta_from_rho(rho):.3f}")
-res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), initial_state(E, b, "drs", w0, rho), 6000,
+res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), initial_state(E, b, "drs", w0), 6000,
               StoppingRule(residual_tol=1e-12, deriv_tol=1e-11))
 print(f"splitting: stopped by {res_drs.stop_reason} at k={res_drs.final_record.k}, "
       f"residual {res_drs.final_record.residual:.2e}")

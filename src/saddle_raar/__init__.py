@@ -14,6 +14,7 @@ from .analysis import (
     SpectralGapResult,
     aligned_distance,
     aligned_error,
+    beta_from_rho,
     beta_prime,
     certify_cross_section_minimizer,
     certify_drs_cross_section,
@@ -30,6 +31,7 @@ from .analysis import (
     inequality_ratio,
     objective,
     optimal_dual,
+    rho_from_beta,
     spectral_gap,
 )
 from .experiments import (
@@ -66,12 +68,10 @@ from .solvers import (
     RaarState,
     StoppingRule,
     admm_step,
-    beta_from_rho,
     drs_step,
     initial_state,
     raar_step,
     reconstruct,
-    rho_from_beta,
     run,
 )
 

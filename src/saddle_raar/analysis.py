@@ -35,6 +35,8 @@ from .operators import MeasurementEnsemble, unit_phase, project_torus
 __all__ = [
     "DENSE_CAP",
     "beta_prime",
+    "beta_from_rho",
+    "rho_from_beta",
     "objective",
     "dual_gradient",
     "dual_gradient_norm",
@@ -77,6 +79,20 @@ def beta_prime(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     return beta / (1.0 - beta)
+
+
+def beta_from_rho(rho: float) -> float:
+    """Relaxation parameter paired with a splitting penalty: ``1 / (rho + 1)``."""
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    return 1.0 / (rho + 1.0)
+
+
+def rho_from_beta(beta: float) -> float:
+    """Inverse pairing ``(1 - beta) / beta``; beta = 1 has no finite penalty."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1) for a finite penalty, got {beta}")
+    return (1.0 - beta) / beta
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -337,13 +353,13 @@ def certify_fixed_point(
 
 
 def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``H x`` for the Householder reflector ``H`` with ``H b = -s ||b|| e_0``.
+    """``H x`` for the Householder reflector ``H`` with ``H b = -s ||b|| e_0``; ``x`` a vector or a matrix.
 
     ``s`` is the sign of ``b_0``, so ``v_0 = b_0/||b|| + s`` never cancels.
     """
     v = np.asarray(b, dtype=np.float64) / np.linalg.norm(b)
     v[0] += np.copysign(1.0, v[0])
-    return x - np.outer((2.0 / (v @ v)) * v, v @ x)
+    return x - np.multiply.outer((2.0 / (v @ v)) * v, v @ x)
 
 
 def tangent_basis(b: np.ndarray) -> np.ndarray:
@@ -378,21 +394,18 @@ def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarra
     return np.eye(E.N) - assemble_range_form(E, u)
 
 
-def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float):
+def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
 
-    The excluded direction is pushed up by ``shift`` so plain Lanczos on
-    the projected operator sees only the tangent spectrum.
+    Lanczos runs on ``(H apply_h H)[1:, 1:]``, the operator in the basis
+    :func:`tangent_basis` of the reflector ``H``.
     """
-    bhat = b / np.linalg.norm(b)
-
     def matvec(xi):
-        xi = np.asarray(xi, dtype=np.float64)
-        t = xi - bhat * (bhat @ xi)
-        y = apply_h(t)
-        y = y - bhat * (bhat @ y)
-        return y + shift * (bhat @ xi) * bhat
+        x = np.zeros(b.size)
+        x[1:] = xi
+        return _reflect(apply_h(_reflect(x, b)), b)[1:]
 
+    n_dim = b.size - 1
     op = scipy.sparse.linalg.LinearOperator((n_dim, n_dim), matvec=matvec, dtype=np.float64)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=EIG_TOL, maxiter=5000)
@@ -404,6 +417,34 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, n_dim: int, shift: float
     v = vecs[:, 0]
     resid = float(np.linalg.norm(matvec(v) - lam * v))
     return lam, resid, True
+
+
+def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float):
+    """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
+
+    ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``;
+    ``d``, ``K_perp`` and ``Xi`` live on the support of ``z``.  Returns
+    ``(eigenvalue, residual, converged, method, g2)``.  Up to ``DENSE_CAP``
+    support dimensions one dense subset eigen-solve, and ``g2`` is ``K_perp``
+    restricted to ``Xi``; beyond that Lanczos through the same reflector,
+    and ``g2`` is None.
+    """
+    mag = np.abs(z)
+    s = mag > 0
+    b = mag[s]
+    u = unit_phase(z)
+    if b.size <= DENSE_CAP:
+        g2 = _restrict_to_tangent(assemble_complement_form(E, u)[np.ix_(s, s)], b)
+        h = _restrict_to_tangent(np.diag(-d), b)
+        h += scale * g2
+        return *_min_eigpair(h), "dense", g2
+
+    def apply_h(xi):
+        full = np.zeros(E.N)
+        full[s] = xi
+        return scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * xi
+
+    return *_restricted_min_eig_lanczos(apply_h, b), "lanczos", None
 
 
 @dataclass
@@ -423,13 +464,13 @@ class SaddleCertificate:
     hessian_min_eig: float
     eig_residual: float
     strict: bool
-    beta: float | None
-    beta_ok: bool | None
-    beta_bound_saddle: float | None
-    beta_bound_contraction: float | None
-    beta_bound: float | None
     method: str
     converged: bool
+    beta: float | None = None
+    beta_ok: bool | None = None
+    beta_bound_saddle: float | None = None
+    beta_bound_contraction: float | None = None
+    beta_bound: float | None = None
 
     def summary(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "q"}
@@ -462,7 +503,6 @@ def certify_cross_section_minimizer(
     if not np.any(s):
         raise ValueError("iterate has empty support")
     b = mag[s]
-    u_full = unit_phase(z)
     q_full = criticality_vector(E, z, lam)
     q = q_full[s]
     b2 = b * b
@@ -471,14 +511,11 @@ def certify_cross_section_minimizer(
     rho = float(np.dot(b2, np.imag(q)) / np.sum(b2))
     first_order_defect = float(np.linalg.norm(np.imag(q) - rho))
 
-    req = np.real(q)
-    q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
-    if b.size <= DENSE_CAP:
-        g2 = _restrict_to_tangent(assemble_complement_form(E, u_full)[np.ix_(s, s)], b)
-        min_eig, eig_resid, converged = _min_eigpair(g2 - _restrict_to_tangent(np.diag(req), b))
-        method = "dense"
-
+    min_eig, eig_resid, converged, method, g2 = _tangent_min_eig(E, z, np.real(q), 1.0)
+    beta_saddle = beta_contraction = beta_bound = None
+    if g2 is not None:
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
+        q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
         d0 = _restrict_to_tangent(np.diag(q0), b)
         top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
         try:
@@ -487,21 +524,7 @@ def certify_cross_section_minimizer(
             beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
             beta_bound = min(beta_saddle, beta_contraction)
         except scipy.linalg.LinAlgError:
-            beta_saddle = beta_contraction = beta_bound = None
-    else:
-        def apply_h(xi):
-            full = np.zeros(E.N)
-            full[s] = xi
-            t = u_full * full
-            y = np.real(np.conj(u_full) * E.project_complement(t))
-            return y[s] - req * xi
-
-        shift = 2.0 + float(np.max(np.abs(req)))
-        min_eig, eig_resid, converged = _restricted_min_eig_lanczos(
-            apply_h, b, b.size, shift
-        )
-        method = "lanczos"
-        beta_saddle = beta_contraction = beta_bound = None
+            pass
 
     beta_ok = None
     if beta is not None and beta_bound is not None:
@@ -513,13 +536,13 @@ def certify_cross_section_minimizer(
         hessian_min_eig=min_eig,
         eig_residual=eig_resid,
         strict=bool(converged and min_eig > 0.0),
+        method=method,
+        converged=converged,
         beta=beta,
         beta_ok=beta_ok,
         beta_bound_saddle=beta_saddle,
         beta_bound_contraction=beta_contraction,
         beta_bound=beta_bound,
-        method=method,
-        converged=converged,
     )
 
 
@@ -529,29 +552,15 @@ def certify_drs_cross_section(
     """Analogous restricted curvature check for the splitting competitor.
 
     Certifies ``(rho+1) I - diag(b/|z|) - rho K >= 0`` on the tangent
-    subspace, with ``K = Re(diag(conj(u)) P diag(u))``.
+    subspace, with ``K = Re(diag(conj(u)) P diag(u))``: the tangent
+    curvature ``rho K_perp - diag(b/|z| - 1)``.
     """
     z = np.asarray(z, dtype=np.complex128)
     b = np.asarray(b, dtype=np.float64)
     mag = np.abs(z)
     if np.any(mag <= 0):
         raise ValueError("curvature check needs nonzero iterate magnitudes")
-    u = z / mag
-    if E.N > DENSE_CAP:
-        def apply_h(xi):
-            t = u * xi
-            y = (rho + 1.0) * xi - (b / mag) * xi - rho * np.real(np.conj(u) * E.project_range(t))
-            return y
-
-        shift = rho + 3.0 + float(np.max(b / mag))
-        min_eig, eig_resid, converged = _restricted_min_eig_lanczos(
-            apply_h, mag, E.N, shift
-        )
-        method = "lanczos"
-    else:
-        h = (rho + 1.0) * np.eye(E.N) - np.diag(b / mag) - rho * assemble_range_form(E, u)
-        min_eig, eig_resid, converged = _min_eigpair(_restrict_to_tangent(h, mag))
-        method = "dense"
+    min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, b / mag - 1.0, rho)
     return SaddleCertificate(
         q=np.zeros_like(z),
         rho=rho,
@@ -559,11 +568,6 @@ def certify_drs_cross_section(
         hessian_min_eig=min_eig,
         eig_residual=eig_resid,
         strict=bool(converged and min_eig > 0.0),
-        beta=None,
-        beta_ok=None,
-        beta_bound_saddle=None,
-        beta_bound_contraction=None,
-        beta_bound=None,
         method=method,
         converged=converged,
     )
@@ -807,7 +811,7 @@ def diagnostics_from_projections(
 
     if algo == "drs":
         rho = param
-        beta = 1.0 / (1.0 + rho)
+        beta = beta_from_rho(rho)
         deriv = float(np.hypot(zq_norm, pl_norm / rho))
         obj = 0.5 * float(np.linalg.norm(np.abs(z) - b) ** 2)
         obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)

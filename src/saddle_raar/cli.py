@@ -26,7 +26,6 @@ from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, p
 from .solvers import (
     ParameterSchedule,
     StoppingRule,
-    beta_from_rho,
     drs_fixed_point_residuals,
     initial_state,
     reconstruct,
@@ -292,7 +291,7 @@ def _execute_solve(cfg: RunConfig) -> int:
         w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
     else:
         w0 = random_lift(E.N, int(seeds[2]))
-    init = initial_state(E, b, algo, w0, param)
+    init = initial_state(E, b, algo, w0)
 
     stop = StoppingRule(
         residual_tol=o["residual-tol"],
@@ -314,7 +313,7 @@ def _execute_solve(cfg: RunConfig) -> int:
     if algo == "drs":
         x = reconstruct(E, result.z, result.lam, param)
         w_final = result.z + result.lam / param
-        resids = drs_fixed_point_residuals(E, b, result.state)
+        resids = drs_fixed_point_residuals(E, b, result.state, param)
         cert_doc = {
             "fixed_point_residuals": {
                 "range_dual": resids[0],
@@ -470,7 +469,7 @@ def _execute_certify(cfg: RunConfig) -> int:
         raise UsageError(f"cannot load state file {o['state']}: {exc}") from exc
     E, b, w = doc["ensemble"], doc["b"], doc["w"]
     param = doc["param"]
-    beta = param if doc["algo"] != "drs" else beta_from_rho(param)
+    beta = param if doc["algo"] != "drs" else analysis.beta_from_rho(param)
     beta = min(max(beta, 1e-12), 1.0 - 1e-12)
     cert = analysis.certify_fixed_point(E, b, w, beta, tol=o["tol"])
     summary = cert.summary() | {"hessian_min_eig": None}

@@ -39,7 +39,6 @@ from .solvers import (
     drs_fixed_point_residuals,
     initial_state,
     reconstruct,
-    rho_from_beta,
     run,
 )
 
@@ -246,7 +245,7 @@ def _run_success_trial(
     # stop well below the success threshold so converged iterates sit comfortably
     # inside the fixed-point certificate tolerance; a trial reads only its final record
     stop = StoppingRule(residual_tol=min(1e-8, 0.1 * threshold), deriv_tol=0.0)
-    init = initial_state(E, b, algo, w0, param)
+    init = initial_state(E, b, algo, w0)
     result = run(E, b, algo, ParameterSchedule.constant(param), init, max_iters, stop, record_every=max_iters)
     if algo == "raar":
         x = reconstruct(E, result.z, result.lam)
@@ -254,7 +253,7 @@ def _run_success_trial(
         cert_pass = bool(cert.certified)
     else:
         x = reconstruct(E, result.z, result.lam, param)
-        resids = drs_fixed_point_residuals(E, b, result.state)
+        resids = drs_fixed_point_residuals(E, b, result.state, param)
         cert_pass = bool(max(resids) <= 1e-6 * np.linalg.norm(b))
 
     final_residual = result.final_record.residual
@@ -311,7 +310,7 @@ def paired_success_cells(
     success_threshold: float = 1e-5,
 ) -> SweepResult:
     """The two paired cells (one relaxation value, its penalty partner)."""
-    rho = rho_from_beta(beta)
+    rho = analysis.rho_from_beta(beta)
     return gaussian_success_sweep(
         n=n,
         ratios=(ratio,),

@@ -41,23 +41,7 @@ __all__ = [
     "run",
     "reconstruct",
     "drs_fixed_point_residuals",
-    "beta_from_rho",
-    "rho_from_beta",
 ]
-
-
-def beta_from_rho(rho: float) -> float:
-    """Relaxation parameter paired with a splitting penalty: ``1 / (rho + 1)``."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return 1.0 / (rho + 1.0)
-
-
-def rho_from_beta(beta: float) -> float:
-    """Inverse pairing ``(1 - beta) / beta``; beta = 1 has no finite penalty."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1) for a finite penalty, got {beta}")
-    return (1.0 - beta) / beta
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +84,16 @@ class AdmmState:
 
 @dataclass
 class DrsState:
-    """State of the splitting competitor with penalty ``rho > 0``."""
+    """Triple ``(y, z, lambda)`` of the splitting competitor; its penalty comes with each step."""
 
     y: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    rho: float
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
         self.z = np.asarray(self.z, dtype=np.complex128)
         self.lam = np.asarray(self.lam, dtype=np.complex128)
-        if self.rho is None or self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +132,12 @@ def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float) -> AdmmS
     return AdmmState(y=y, z=z, lam=lam)
 
 
-def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float | None = None) -> DrsState:
+def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float) -> DrsState:
     """One splitting update with penalty ``rho``.
 
     ``y <- P(z + lambda/rho)``; ``z <- ([w]_Z + rho w) / (1 + rho)`` with
     ``w = y - lambda/rho``; ``lambda <- lambda + rho (z - y)``.
     """
-    rho = state.rho if rho is None else rho
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     mu = state.lam / rho
@@ -165,7 +145,7 @@ def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float | None = Non
     w = y - mu
     z = (project_torus(w, b) + rho * w) / (1.0 + rho)
     lam = state.lam + rho * (z - y)
-    return DrsState(y=y, z=z, lam=lam, rho=rho)
+    return DrsState(y=y, z=z, lam=lam)
 
 
 def reconstruct(E: MeasurementEnsemble, z, lam, rho: float = -1.0) -> np.ndarray:
@@ -173,14 +153,12 @@ def reconstruct(E: MeasurementEnsemble, z, lam, rho: float = -1.0) -> np.ndarray
     return E.apply(np.asarray(z) + np.asarray(lam) / rho)
 
 
-def drs_fixed_point_residuals(E: MeasurementEnsemble, b, state: DrsState):
-    """The three splitting fixed-point defects ``(||P mu||, ||Q z||, ||z + rho mu - [z]_Z||)``."""
-    mu = state.lam / state.rho
+def drs_fixed_point_residuals(E: MeasurementEnsemble, b, state: DrsState, rho: float):
+    """The three splitting fixed-point defects ``(||P mu||, ||Q z||, ||z + rho mu - [z]_Z||)``, ``mu = lambda/rho``."""
+    mu = state.lam / rho
     p_mu = float(np.linalg.norm(E.project_range(mu)))
     q_z = float(np.linalg.norm(E.project_complement(state.z)))
-    torus_gap = float(
-        np.linalg.norm(state.z + state.rho * mu - project_torus(state.z, b))
-    )
+    torus_gap = float(np.linalg.norm(state.z + rho * mu - project_torus(state.z, b)))
     return p_mu, q_z, torus_gap
 
 
@@ -291,14 +269,14 @@ def _state_pair(state, b):
     return state.z, state.lam
 
 
-def _admm_start(w0, b, rho):
+def _admm_start(w0, b):
     z, lam = _raar_pair(RaarState(w=w0), b)  # the pair of the raar start
     return AdmmState(y=z, z=z, lam=lam)
 
 
 class _Form(NamedTuple):
     state: type
-    start: Callable  # (w0, b, rho of a drs start) -> the state lifted from w0
+    start: Callable  # (w0, b) -> the state lifted from w0
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the kept iterate
     penalty: Callable  # step parameter -> rho of the step's projection
@@ -309,12 +287,12 @@ class _Form(NamedTuple):
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(RaarState, lambda w0, b, rho: RaarState(w=w0), _raar_pair, attrgetter("w"),
+    "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0), _raar_pair, attrgetter("w"),
                   lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z))),
     "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: admm_step(E, b, state, beta)),
-    "drs": _Form(DrsState, lambda w0, b, rho: DrsState(y=w0, z=w0, lam=np.zeros_like(w0), rho=rho),
+    "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
                  _state_pair, attrgetter("z"), lambda rho: rho,
                  lambda E, b, state, rho, z: drs_step(E, b, state, rho)),
 }
@@ -326,12 +304,11 @@ def _form(algo: str) -> _Form:
     return _FORMS[algo]
 
 
-def initial_state(E: MeasurementEnsemble, b, algo: str, w0, param: float | None = None):
+def initial_state(E: MeasurementEnsemble, b, algo: str, w0):
     """Starting state of ``algo`` lifted from ``w0`` (an object ``x`` gives ``w0 = A* x``).
 
     raar starts at ``w0``; admm at ``z1 = [w0]_Z``, ``lambda1 = w0 - z1``, which
-    retraces the raar sequence from ``w0``; drs at ``y = z = w0``, ``lambda = 0``
-    with penalty ``rho = param``, which raar and admm ignore.
+    retraces the raar sequence from ``w0``; drs at ``y = z = w0``, ``lambda = 0``.
     """
     form = _form(algo)
     w0 = np.asarray(w0, dtype=np.complex128)
@@ -339,7 +316,7 @@ def initial_state(E: MeasurementEnsemble, b, algo: str, w0, param: float | None 
         raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
     if np.linalg.norm(w0) == 0:
         raise InvalidDataError("initial vector must be nonzero")
-    return form.start(w0, np.asarray(b, dtype=np.float64), param)
+    return form.start(w0, np.asarray(b, dtype=np.float64))
 
 
 class _StepView:
@@ -400,6 +377,8 @@ def run(
     form = _form(algo)
     if not isinstance(init, form.state):
         raise TypeError(f"{algo} expects a {form.state.__name__} initial state, got {type(init).__name__}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     b = np.asarray(b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()

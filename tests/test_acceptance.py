@@ -253,10 +253,10 @@ def test_criterion_10_splitting_fixed_point_conditions():
     rng = np.random.default_rng(5)
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = sr.random_lift(E.N, seed=0)
-    state = sr.initial_state(E, b, "drs", w0, 0.25)
+    state = sr.initial_state(E, b, "drs", w0)
     result = run(E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
                  StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
-    resids = drs_fixed_point_residuals(E, b, result.state)
+    resids = drs_fixed_point_residuals(E, b, result.state, 0.25)
     tol = 1e-8 * np.linalg.norm(b)
     ok = all(v <= tol for v in resids)
     _report(

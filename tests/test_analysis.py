@@ -568,17 +568,23 @@ class TestDiagnostics:
 
 class TestMatrixFreePaths:
     def test_lanczos_certificate_matches_dense(self, cdp_8x8, monkeypatch):
-        E, x0, _ = cdp_8x8
+        E, x0, b = cdp_8x8
         z_star = E.apply_adjoint(x0)
-        dense = certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
+        z = project_torus(random_complex(np.random.default_rng(31), E.N), b)
+        cases = [lambda: certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star)),
+                 lambda: certify_cross_section_minimizer(E, z, optimal_dual(E, z, 0.9)),
+                 lambda: certify_drs_cross_section(E, b, z_star, rho=0.25),
+                 lambda: certify_drs_cross_section(E, b, z, rho=0.25)]
+        dense = [case() for case in cases]
         import saddle_raar.analysis as analysis_mod
 
         monkeypatch.setattr(analysis_mod, "DENSE_CAP", 64)
-        free = certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
-        assert free.method == "lanczos"
-        assert free.converged
-        assert free.hessian_min_eig == pytest.approx(dense.hessian_min_eig, abs=1e-6)
-        assert free.beta_bound is None
+        for case, ref in zip(cases, dense):
+            free = case()
+            assert (ref.method, free.method) == ("dense", "lanczos")
+            assert free.converged
+            assert free.hessian_min_eig == pytest.approx(ref.hessian_min_eig, abs=1e-8)
+            assert free.beta_bound is None
 
     def test_iterative_spectral_gap_matches_dense(self, cdp_8x8, monkeypatch):
         E, x0, _ = cdp_8x8

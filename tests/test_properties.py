@@ -117,8 +117,8 @@ def test_one_step_of_each_form_is_phase_equivariant(kind, data, seed, theta, bet
     for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
         assert _close(got, alpha * ref, scale)
 
-    one = drs_step(E, b, DrsState(y=y, z=z, lam=lam, rho=rho))
-    rot = drs_step(E, b, DrsState(y=alpha * y, z=alpha * z, lam=alpha * lam, rho=rho))
+    one = drs_step(E, b, DrsState(y=y, z=z, lam=lam), rho)
+    rot = drs_step(E, b, DrsState(y=alpha * y, z=alpha * z, lam=alpha * lam), rho)
     for got, ref in ((rot.y, one.y), (rot.z, one.z), (rot.lam, one.lam)):
         assert _close(got, alpha * ref, scale * (1.0 + rho))
 

@@ -131,35 +131,36 @@ class TestDrs:
     def test_fixed_at_solution(self, dense_wide):
         E, x0, b = dense_wide
         z_star = E.apply_adjoint(x0)
-        state = initial_state(E, b, "drs", z_star, 0.5)
-        new = drs_step(E, b, state)
+        state = initial_state(E, b, "drs", z_star)
+        new = drs_step(E, b, state, 0.5)
         assert np.linalg.norm(new.z - z_star) <= 1e-12 * np.linalg.norm(z_star)
         assert np.linalg.norm(new.lam) <= 1e-12 * np.linalg.norm(z_star)
 
     def test_converged_fixed_point_conditions(self, dense_wide):
         E, x0, b = dense_wide
         w0 = random_lift(E.N, seed=0)
-        state = initial_state(E, b, "drs", w0, 0.25)
+        state = initial_state(E, b, "drs", w0)
         result = run(
             E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
             StoppingRule(residual_tol=1e-13, deriv_tol=1e-12),
         )
         tol = 1e-8 * np.linalg.norm(b)
-        assert all(v <= tol for v in drs_fixed_point_residuals(E, b, result.state))
+        assert all(v <= tol for v in drs_fixed_point_residuals(E, b, result.state, 0.25))
 
     def test_penalty_sensitivity(self, dense_wide):
         E, _, b = dense_wide
         w0 = random_lift(E.N, seed=1)
-        s1 = initial_state(E, b, "drs", w0, 1.0)
-        s2 = initial_state(E, b, "drs", w0, 0.5)
+        s1 = s2 = initial_state(E, b, "drs", w0)
         for _ in range(5):
-            s1 = drs_step(E, b, s1)
-            s2 = drs_step(E, b, s2)
+            s1 = drs_step(E, b, s1, 1.0)
+            s2 = drs_step(E, b, s2, 0.5)
         assert np.linalg.norm(s1.z - s2.z) > 1e-8 * np.linalg.norm(b)
 
-    def test_rho_validation(self):
+    def test_rho_validation(self, dense_wide):
+        E, _, b = dense_wide
+        state = initial_state(E, b, "drs", random_lift(E.N, seed=1))
         with pytest.raises(ValueError):
-            DrsState(y=np.zeros(2, complex), z=np.zeros(2, complex), lam=np.zeros(2, complex), rho=-1.0)
+            drs_step(E, b, state, -1.0)
 
 
 class TestParameterMaps:
@@ -194,6 +195,12 @@ class TestSchedule:
         assert s.value_at(600) == 0.5
         assert s.value_at(900) == 0.5
 
+    def test_coincident_breakpoints_jump(self):
+        s = ParameterSchedule(((1, 0.9), (5, 0.9), (5, 0.5)))
+        assert s.value_at(5) == 0.9
+        assert s.value_at(6) == 0.5
+        assert s.value_at(100) == 0.5
+
     def test_breakpoint_order(self):
         with pytest.raises(ValueError):
             ParameterSchedule(((10, 0.9), (5, 0.8)))
@@ -206,7 +213,7 @@ class TestSchedule:
             run(E, b, "admm", ParameterSchedule.constant(1.0), admm0, 2)
         with pytest.raises(ValueError):
             run(E, b, "raar", ParameterSchedule.constant(1.2), raar0, 2)
-        drs0 = initial_state(E, b, "drs", w0, 0.25)
+        drs0 = initial_state(E, b, "drs", w0)
         with pytest.raises(ValueError):
             run(E, b, "drs", ParameterSchedule(((1, 0.25), (2, 0.0))), drs0, 5)
 
@@ -386,8 +393,8 @@ class CountingEnsemble(MeasurementEnsemble):
         return self.inner.apply_adjoint(x)
 
 
-def _initial_state(algo, E, b, seed, rho=0.25):
-    return initial_state(E, b, algo, random_lift(E.N, seed=seed), rho)
+def _initial_state(algo, E, b, seed):
+    return initial_state(E, b, algo, random_lift(E.N, seed=seed))
 
 
 def _public_steps(algo, E, b, state, param, n):
@@ -551,7 +558,7 @@ def test_public_steps_cost_one_projection(dense_small):
         elif algo == "admm":
             admm_step(E, b, state, beta=0.9)
         else:
-            drs_step(E, b, state)
+            drs_step(E, b, state, 0.25)
         assert (E.applies, E.adjoints) == (1, 1), algo
 
 
@@ -615,14 +622,13 @@ def test_initial_state_is_each_forms_start(dense_small):
     w0 = random_lift(E.N, seed=8)
     raar0 = initial_state(E, b, "raar", w0)
     admm0 = initial_state(E, b, "admm", w0)
-    drs0 = initial_state(E, b, "drs", w0, 0.25)
+    drs0 = initial_state(E, b, "drs", w0)
     assert (type(raar0), type(admm0), type(drs0)) == (RaarState, AdmmState, DrsState)
     z1 = project_torus(w0, b)
     expected = [(raar0.w, w0), (admm0.y, z1), (admm0.z, z1), (admm0.lam, w0 - z1),
                 (drs0.y, w0), (drs0.z, w0), (drs0.lam, np.zeros_like(w0))]
     for got, want in expected:
         np.testing.assert_array_equal(got, want)
-    assert drs0.rho == 0.25
 
 
 def test_initial_state_rejects_bad_starts(dense_small):
@@ -631,9 +637,17 @@ def test_initial_state_rejects_bad_starts(dense_small):
     with pytest.raises(InvalidDataError):
         initial_state(E, b, "admm", w0[:-1])
     with pytest.raises(ValueError):
-        initial_state(E, b, "drs", w0)  # a splitting start needs its penalty
-    with pytest.raises(ValueError):
         initial_state(E, b, "nope", w0)
+
+
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_run_rejects_a_record_stride_below_one(dense_small, record_every):
+    E0, _, b = dense_small
+    E = CountingEnsemble(E0)
+    init = _initial_state("raar", E0, b, seed=2)
+    with pytest.raises(ValueError):
+        run(E, b, "raar", ParameterSchedule.constant(0.9), init, 5, record_every=record_every)
+    assert (E.applies, E.adjoints) == (0, 0)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -695,7 +709,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = random_lift(E.N, seed=0)
     param = 0.25 if algo == "drs" else beta_from_rho(0.25)
-    init = initial_state(E, b, algo, w0, 0.25)
+    init = initial_state(E, b, algo, w0)
     seen = []
     record = solvers.diagnostics_from_projections
 
