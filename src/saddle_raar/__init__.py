@@ -69,6 +69,7 @@ from .solvers import (
     StoppingRule,
     admm_step,
     drs_step,
+    finish,
     initial_state,
     raar_step,
     reconstruct,

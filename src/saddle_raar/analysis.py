@@ -61,7 +61,6 @@ __all__ = [
     "SpectralGapResult",
     "spectral_gap",
     "fejer_monitor",
-    "margin_positivity_probe",
     "DiagnosticsRecord",
     "diagnostics",
     "diagnostics_from_projections",
@@ -398,7 +397,8 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
 
     Lanczos runs on ``(H apply_h H)[1:, 1:]``, the operator in the basis
-    :func:`tangent_basis` of the reflector ``H``.
+    :func:`tangent_basis` of the reflector ``H``, from a fixed-seed start so
+    that the result depends on the operator alone.
     """
     def matvec(xi):
         x = np.zeros(b.size)
@@ -408,7 +408,8 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     n_dim = b.size - 1
     op = scipy.sparse.linalg.LinearOperator((n_dim, n_dim), matvec=matvec, dtype=np.float64)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=EIG_TOL, maxiter=5000)
+        v0 = np.random.default_rng(0).standard_normal(n_dim)
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=EIG_TOL, maxiter=5000, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
             return float(exc.eigenvalues[0]), float("nan"), False
@@ -702,45 +703,6 @@ def fejer_monitor(E: MeasurementEnsemble, b, iterates, betas, z_star, lam_star) 
         "ratio": np.array(ratios),
         "distance": distances,
     }
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo basin probe
-# ---------------------------------------------------------------------------
-
-
-def margin_positivity_probe(
-    E: MeasurementEnsemble,
-    b,
-    w_star,
-    beta: float,
-    radius: float,
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Fraction of random perturbations with positive contraction margin.
-
-    Perturbs the reference lift by vectors of norm ``radius * ||w*||``,
-    splits each perturbed point into its torus/dual parts, and evaluates
-    the contraction margin against the reference.  The admissible
-    neighborhood size is not constructive, so this empirical probe reports
-    the observed fraction instead of asserting a radius.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    w_star = np.asarray(w_star, dtype=np.complex128)
-    z_star = project_torus(w_star, b)
-    lam_star = w_star - z_star
-    rng = np.random.default_rng(seed)
-    scale = radius * np.linalg.norm(w_star)
-    hits = 0
-    for _ in range(trials):
-        d = rng.standard_normal(E.N) + 1j * rng.standard_normal(E.N)
-        w = w_star + d * (scale / np.linalg.norm(d))
-        z = project_torus(w, b)
-        lam = w - z
-        if contraction_margin(E, z, lam, z_star, lam_star, beta) > 0:
-            hits += 1
-    return hits / trials
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,7 @@ import numpy as np
 from . import analysis, artifacts, experiments
 from .initializers import null_vector, random_lift
 from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
-from .solvers import (
-    ParameterSchedule,
-    StoppingRule,
-    drs_fixed_point_residuals,
-    initial_state,
-    reconstruct,
-    run,
-)
+from .solvers import ParameterSchedule, StoppingRule, finish, initial_state, run
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "execute", "main"]
 
@@ -310,24 +303,7 @@ def _execute_solve(cfg: RunConfig) -> int:
     )
     artifacts.write_trace_csv(os.path.join(out, "trace.csv"), result.records)
 
-    if algo == "drs":
-        x = reconstruct(E, result.z, result.lam, param)
-        w_final = result.z + result.lam / param
-        resids = drs_fixed_point_residuals(E, b, result.state, param)
-        cert_doc = {
-            "fixed_point_residuals": {
-                "range_dual": resids[0],
-                "complement_primal": resids[1],
-                "torus_gap": resids[2],
-            }
-        }
-    else:
-        w_final = result.state.w if algo == "raar" else result.state.lift
-        # admm's stored z differs from [lift]_Z at roundoff, so it reads out on the lift
-        z = result.z if algo == "raar" else project_torus(w_final, b)
-        x = reconstruct(E, z, w_final - z)
-        cert = analysis.certify_fixed_point(E, b, w_final, min(param, 1.0 - 1e-12))
-        cert_doc = cert.summary()
+    done = finish(E, b, algo, result, param)
 
     converged = result.stop_reason in ("residual", "deriv_norm")
     summary = {
@@ -339,23 +315,23 @@ def _execute_solve(cfg: RunConfig) -> int:
         "final_deriv_norm": result.final_record.deriv_norm,
         "final_t_ratio": result.final_record.t_ratio,
         "objective": result.final_record.objective,
-        "aligned_error_vs_source": analysis.aligned_error(x, x0),
+        "aligned_error_vs_source": analysis.aligned_error(done.x, x0),
         "converged": converged,
-        "certificate": cert_doc,
+        "certificate": done.certificate,
     }
     artifacts.write_json(os.path.join(out, "summary.json"), summary)
     artifacts.save_solver_state(
-        os.path.join(out, "state.json"), E, b, w_final, algo, param, result.final_record.k
+        os.path.join(out, "state.json"), E, b, done.lift, algo, param, result.final_record.k
     )
     if o["ensemble"] == "cdp":
         grid = _parse_grid(o["grid"])
         artifacts.write_pgm(
             os.path.join(out, "reconstruction_magnitude.pgm"),
-            artifacts.magnitude_image(x, grid),
+            artifacts.magnitude_image(done.x, grid),
         )
         artifacts.write_pgm(
             os.path.join(out, "reconstruction_aligned_real.pgm"),
-            artifacts.aligned_real_image(x, x0, grid),
+            artifacts.aligned_real_image(done.x, x0, grid),
         )
     if o["strict"] and not converged:
         return 2

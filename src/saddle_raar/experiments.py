@@ -33,14 +33,7 @@ from .operators import (
     build_rpp,
     project_torus,
 )
-from .solvers import (
-    ParameterSchedule,
-    StoppingRule,
-    drs_fixed_point_residuals,
-    initial_state,
-    reconstruct,
-    run,
-)
+from .solvers import ParameterSchedule, StoppingRule, finish, initial_state, reconstruct, run
 
 __all__ = [
     "BETA_GRID",
@@ -247,14 +240,7 @@ def _run_success_trial(
     stop = StoppingRule(residual_tol=min(1e-8, 0.1 * threshold), deriv_tol=0.0)
     init = initial_state(E, b, algo, w0)
     result = run(E, b, algo, ParameterSchedule.constant(param), init, max_iters, stop, record_every=max_iters)
-    if algo == "raar":
-        x = reconstruct(E, result.z, result.lam)
-        cert = analysis.certify_fixed_point(E, b, result.state.w, param, tol=1e-6)
-        cert_pass = bool(cert.certified)
-    else:
-        x = reconstruct(E, result.z, result.lam, param)
-        resids = drs_fixed_point_residuals(E, b, result.state, param)
-        cert_pass = bool(max(resids) <= 1e-6 * np.linalg.norm(b))
+    done = finish(E, b, algo, result, param, tol=1e-6)
 
     final_residual = result.final_record.residual
     return TrialOutcome(
@@ -264,9 +250,9 @@ def _run_success_trial(
         trial=trial,
         success=bool(final_residual <= threshold),
         final_residual=final_residual,
-        aligned_error=analysis.aligned_error(x, x0),
+        aligned_error=analysis.aligned_error(done.x, x0),
         iterations=result.final_record.k,
-        fixed_point_pass=cert_pass,
+        fixed_point_pass=done.fixed_point_pass,
     )
 
 

@@ -12,20 +12,21 @@ Three equivalent views of the same phase-retrieval geometry:
 
 A parameter schedule (piecewise-linear in the iteration index) drives
 continuation runs; ``run`` is the shared loop with trace recording and
-stopping rules.
+stopping rules, and ``finish`` reads a finished run out by its form.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, _residual_parts, diagnostics_from_projections
-from .operators import InvalidDataError, MeasurementEnsemble, project_torus
+from .analysis import DiagnosticsRecord, _residual_parts, certify_fixed_point, diagnostics_from_projections
+from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, project_torus
 
 __all__ = [
     "RaarState",
@@ -34,11 +35,13 @@ __all__ = [
     "ParameterSchedule",
     "StoppingRule",
     "RunResult",
+    "Finish",
     "raar_step",
     "admm_step",
     "drs_step",
     "initial_state",
     "run",
+    "finish",
     "reconstruct",
     "drs_fixed_point_residuals",
 ]
@@ -274,13 +277,26 @@ def _admm_start(w0, b):
     return AdmmState(y=z, z=z, lam=lam)
 
 
+def _reflection_check(E, b, w, beta, tol):
+    # raar's beta = 1 is checked just inside the certificate's open range
+    cert = certify_fixed_point(E, b, w, min(beta, 1.0 - 1e-12), tol)
+    return w, cert.certified, cert.summary()
+
+
+def _splitting_check(E, b, state, rho, tol):
+    resids = drs_fixed_point_residuals(E, b, state, rho)
+    doc = {"fixed_point_residuals": dict(zip(("range_dual", "complement_primal", "torus_gap"), resids))}
+    return state.z + state.lam / rho, bool(max(resids) <= tol * np.linalg.norm(b)), doc
+
+
 class _Form(NamedTuple):
     state: type
     start: Callable  # (w0, b) -> the state lifted from w0
     pair: Callable  # (state, b) -> (z, lambda)
-    lift: Callable  # state -> the kept iterate
+    lift: Callable  # state -> the lifted iterate on_iterate sees
     penalty: Callable  # step parameter -> rho of the step's projection
     advance: Callable  # (E, b, state, step parameter, z of the state's pair) -> next state
+    check: Callable  # (E, b, state, step parameter, tol) -> (lift a state file keeps, pass flag, certificate)
 
 
 # An advance looks its public step up when called, so that a wrapper
@@ -289,12 +305,14 @@ class _Form(NamedTuple):
 _FORMS = {
     "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0), _raar_pair, attrgetter("w"),
                   lambda beta: -1.0,
-                  lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z))),
+                  lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z)),
+                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol)),
     "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
-                  lambda E, b, state, beta, z: admm_step(E, b, state, beta)),
+                  lambda E, b, state, beta, z: admm_step(E, b, state, beta),
+                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol)),
     "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
                  _state_pair, attrgetter("z"), lambda rho: rho,
-                 lambda E, b, state, rho, z: drs_step(E, b, state, rho)),
+                 lambda E, b, state, rho, z: drs_step(E, b, state, rho), _splitting_check),
 }
 
 
@@ -304,19 +322,29 @@ def _form(algo: str) -> _Form:
     return _FORMS[algo]
 
 
+def _checked_magnitudes(E: MeasurementEnsemble, b) -> np.ndarray:
+    """``b`` as float64, not copied, once it is valid magnitude data of length ``E.N``."""
+    b = check_magnitudes(b)
+    if b.size != E.N:
+        raise InvalidDataError(f"magnitudes have length {b.size}, expected {E.N}")
+    return b
+
+
 def initial_state(E: MeasurementEnsemble, b, algo: str, w0):
     """Starting state of ``algo`` lifted from ``w0`` (an object ``x`` gives ``w0 = A* x``).
 
     raar starts at ``w0``; admm at ``z1 = [w0]_Z``, ``lambda1 = w0 - z1``, which
     retraces the raar sequence from ``w0``; drs at ``y = z = w0``, ``lambda = 0``.
+    Malformed ``b`` or ``w0`` raises ``InvalidDataError``.
     """
     form = _form(algo)
+    b = _checked_magnitudes(E, b)
     w0 = np.asarray(w0, dtype=np.complex128)
     if w0.size != E.N:
         raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
     if np.linalg.norm(w0) == 0:
         raise InvalidDataError("initial vector must be nonzero")
-    return form.start(w0, np.asarray(b, dtype=np.float64))
+    return form.start(w0, b)
 
 
 class _StepView:
@@ -372,14 +400,20 @@ def run(
     record when the projection made at it is finite.  Whatever ends the
     run, the result holds the final state and its pair ``(z, lambda)``.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
-    ``w`` at ``k = 0`` and after each accepted step.
+    ``w`` at ``k = 0`` and after each accepted step.  Before any operator
+    call, malformed ``b`` raises ``InvalidDataError``, a non-integer
+    ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget or
+    a stride below 1 ``ValueError``.
     """
     form = _form(algo)
     if not isinstance(init, form.state):
         raise TypeError(f"{algo} expects a {form.state.__name__} initial state, got {type(init).__name__}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    b = np.asarray(b, dtype=np.float64)
+    for name, value, least in (("max_iters", max_iters, 0), ("record_every", record_every, 1)):
+        if not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    b = _checked_magnitudes(E, b)
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
     view = _StepView(E)
@@ -432,3 +466,27 @@ def run(
         records.append(rec)
 
     return RunResult(records=records, state=state, stop_reason=reason, z=z, lam=lam)
+
+
+class Finish(NamedTuple):
+    """A finished run read out by its form."""
+
+    x: np.ndarray  # the object estimate A(z + lambda/rho)
+    lift: np.ndarray  # the lift a state file keeps
+    fixed_point_pass: bool
+    certificate: dict  # the fixed-point check as ``solve`` writes it
+
+
+def finish(E: MeasurementEnsemble, b, algo: str, result: RunResult, param: float, tol: float = 1e-8) -> Finish:
+    """Object estimate, kept lift and fixed-point check of a run of ``algo`` at parameter ``param``.
+
+    ``x = A(z + lambda/rho)`` comes from the run's pair with ``rho`` the
+    form's penalty (-1 for raar and admm).  The kept lift is ``w`` for raar,
+    ``z + lambda`` for admm and ``z + lambda/rho`` for drs.  raar and admm
+    are checked by ``certify_fixed_point`` at ``min(param, 1 - 1e-12)`` and
+    report its summary; drs passes when the largest of its
+    ``drs_fixed_point_residuals`` is at most ``tol * ||b||``.
+    """
+    form = _form(algo)
+    x = reconstruct(E, result.z, result.lam, form.penalty(param))
+    return Finish(x, *form.check(E, b, result.state, param, tol))

@@ -15,6 +15,7 @@ from saddle_raar import (
     build_gaussian_ensemble,
     diagnostics,
     drs_step,
+    finish,
     initial_state,
     project_torus,
     raar_step,
@@ -23,7 +24,13 @@ from saddle_raar import (
     rho_from_beta,
     run,
 )
-from saddle_raar.analysis import aligned_error, contraction_margin, convergence_functional, fejer_monitor
+from saddle_raar.analysis import (
+    aligned_error,
+    certify_fixed_point,
+    contraction_margin,
+    convergence_functional,
+    fejer_monitor,
+)
 from saddle_raar.solvers import drs_fixed_point_residuals
 from conftest import random_complex
 
@@ -648,6 +655,71 @@ def test_run_rejects_a_record_stride_below_one(dense_small, record_every):
     with pytest.raises(ValueError):
         run(E, b, "raar", ParameterSchedule.constant(0.9), init, 5, record_every=record_every)
     assert (E.applies, E.adjoints) == (0, 0)
+
+
+_MALFORMED = {  # name: (magnitudes from valid ones, or None to keep them; max_iters; record_every; error)
+    "negative_b": (lambda b: np.concatenate([-b[:1], b[1:]]), 5, 1, InvalidDataError),
+    "zero_b": (np.zeros_like, 5, 1, InvalidDataError),
+    "short_b": (lambda b: b[:-1], 5, 1, InvalidDataError),
+    "nan_b": (lambda b: np.concatenate([[np.nan], b[1:]]), 5, 1, InvalidDataError),
+    "negative_budget": (None, -1, 1, ValueError),
+    "fractional_budget": (None, 5.0, 1, TypeError),
+    "fractional_stride": (None, 5, 2.5, TypeError),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_is_rejected_before_any_operator_call(dense_small, case):
+    spoil, max_iters, record_every, error = _MALFORMED[case]
+    E0, _, b = dense_small
+    bad = b if spoil is None else spoil(b)
+    for algo in ALGOS:
+        E = CountingEnsemble(E0)
+        with pytest.raises(error):
+            run(E, bad, algo, ParameterSchedule.constant(_PARAM[algo]), _initial_state(algo, E0, b, seed=2),
+                max_iters, record_every=record_every)
+        if spoil is not None:
+            with pytest.raises(error):
+                initial_state(E, bad, algo, random_lift(E.N, seed=2))
+        assert (E.applies, E.adjoints) == (0, 0), algo
+
+
+def _readout_by_hand(E, b, algo, result, param, tol):
+    """``(x, kept lift, pass flag, certificate)`` written out per form, as callers read a run out without ``finish``."""
+    if algo == "drs":
+        x = reconstruct(E, result.z, result.lam, param)
+        w = result.z + result.lam / param
+        resids = drs_fixed_point_residuals(E, b, result.state, param)
+        cert = {"fixed_point_residuals": {"range_dual": resids[0], "complement_primal": resids[1],
+                                          "torus_gap": resids[2]}}
+        return x, w, bool(max(resids) <= tol * np.linalg.norm(b)), cert
+    w = result.state.w if algo == "raar" else result.state.lift
+    z = result.z if algo == "raar" else project_torus(w, b)
+    fixed = certify_fixed_point(E, b, w, min(param, 1.0 - 1e-12), tol)
+    return reconstruct(E, z, w - z), w, fixed.certified, fixed.summary()
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_finish_is_each_forms_readout(dense_wide, algo):
+    E, _, b = dense_wide
+    param = _PARAM[algo]
+    init = _initial_state(algo, E, b, seed=2)
+    schedule = ParameterSchedule.constant(param)
+    stopped = run(E, b, algo, schedule, init, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0))
+    budget = run(E, b, algo, schedule, init, 30, StoppingRule(fixed_budget=True))
+    assert (stopped.stop_reason, budget.stop_reason) == ("residual", "max_iters")
+    # each result passes its check at the looser tol and fails it at the default 1e-8
+    for result, loose in ((stopped, 1e-6), (budget, 1e-2)):
+        for tol, kwargs, passes in ((loose, {"tol": loose}, True), (1e-8, {}, False)):
+            x, w, passed, cert = _readout_by_hand(E, b, algo, result, param, tol)
+            done = finish(E, b, algo, result, param, **kwargs)
+            assert passed is passes and done.fixed_point_pass is passes
+            assert done.certificate == cert
+            np.testing.assert_array_equal(done.lift, w)
+            if algo == "admm" and result is budget:  # by hand admm reads out from [lift]_Z, a roundoff apart
+                assert np.linalg.norm(done.x - x) <= 1e-15 * np.linalg.norm(x)
+            else:
+                np.testing.assert_array_equal(done.x, x)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
