@@ -39,15 +39,16 @@ for k in range(1, 11):
     w_prime = admm.y + lam_prev
     print(f"{k:4d}   {np.linalg.norm(w_prime - w) / np.linalg.norm(w):.3e}")
 
-# Full runs through the shared loop, with the default stopping rule.
+# Full runs through the shared loop, with the default stopping rule; each
+# form starts from the same lift w0.
 w0 = random_lift(E.N, seed=7)
-res = run(E, b, "raar", ParameterSchedule.constant(beta), initial_state(E, b, "raar", w0), 3000)
+res = run(E, b, "raar", ParameterSchedule.constant(beta), w0, 3000)
 print(f"\nrelaxed reflections: stopped by {res.stop_reason} at k={res.final_record.k}, "
       f"residual {res.final_record.residual:.2e}")
 
 rho = 1.0 / 9.0
 print(f"paired splitting penalty: rho = 1/9 -> beta = {beta_from_rho(rho):.3f}")
-res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), initial_state(E, b, "drs", w0), 6000,
+res_drs = run(E, b, "drs", ParameterSchedule.constant(rho), w0, 6000,
               StoppingRule(residual_tol=1e-12, deriv_tol=1e-11))
 print(f"splitting: stopped by {res_drs.stop_reason} at k={res_drs.final_record.k}, "
       f"residual {res_drs.final_record.residual:.2e}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, artifacts, experiments
 from .initializers import null_vector, random_lift
 from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
-from .solvers import ParameterSchedule, StoppingRule, finish, initial_state, run
+from .solvers import ParameterSchedule, StoppingRule, finish, run
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "execute", "main"]
 
@@ -111,7 +111,7 @@ _OPTIONS = {
         ("full-grid", bool, False, "run the full ratio/parameter grid", None),
         ("n", int, 100, "object dimension", _check_positive_int("n")),
         ("ratio", float, 4.0, "measurement ratio N/n (paired mode)", None),
-        ("beta", float, 0.9, "relaxation value (paired mode)", _check_beta),
+        ("beta", float, 0.9, "relaxation value (paired mode)", _check_fraction("beta")),
         ("trials", int, 40, "trials per cell", _check_positive_int("trials")),
         ("max-iters", int, 2000, "iteration budget per trial", _check_positive_int("max-iters")),
         ("success-threshold", float, 1e-5, "relative residual defining success", None),
@@ -284,7 +284,6 @@ def _execute_solve(cfg: RunConfig) -> int:
         w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
     else:
         w0 = random_lift(E.N, int(seeds[2]))
-    init = initial_state(E, b, algo, w0)
 
     stop = StoppingRule(
         residual_tol=o["residual-tol"],
@@ -296,7 +295,7 @@ def _execute_solve(cfg: RunConfig) -> int:
         b,
         algo,
         ParameterSchedule.constant(param),
-        init,
+        w0,
         max_iters=o["max-iters"],
         stop=stop,
         record_every=o["record-every"],

@@ -33,7 +33,7 @@ from .operators import (
     build_rpp,
     project_torus,
 )
-from .solvers import ParameterSchedule, StoppingRule, finish, initial_state, reconstruct, run
+from .solvers import ParameterSchedule, StoppingRule, finish, reconstruct, run
 
 __all__ = [
     "BETA_GRID",
@@ -238,8 +238,7 @@ def _run_success_trial(
     # stop well below the success threshold so converged iterates sit comfortably
     # inside the fixed-point certificate tolerance; a trial reads only its final record
     stop = StoppingRule(residual_tol=min(1e-8, 0.1 * threshold), deriv_tol=0.0)
-    init = initial_state(E, b, algo, w0)
-    result = run(E, b, algo, ParameterSchedule.constant(param), init, max_iters, stop, record_every=max_iters)
+    result = run(E, b, algo, ParameterSchedule.constant(param), w0, max_iters, stop, record_every=max_iters)
     done = finish(E, b, algo, result, param, tol=1e-6)
 
     final_residual = result.final_record.residual
@@ -316,14 +315,15 @@ def paired_success_cells(
 
 @dataclass
 class CdpInstance:
-    """Shared data of one coded-diffraction case: ensemble, object, magnitudes."""
+    """Shared data of one coded-diffraction case: ensemble, object, magnitudes and the paths' start."""
 
     ensemble: MeasurementEnsemble
     phantom: PhantomObject
     b: np.ndarray
     noise: PoissonData | None
     init_seed: int
-    null_init: NullVectorResult | None  # spectral initializer of cases a and c, shared by the paths
+    null_init: NullVectorResult | None  # spectral initializer of cases a and c
+    w0: np.ndarray  # the lift every path starts from
 
 
 def cdp_instance(
@@ -346,9 +346,14 @@ def cdp_instance(
         noise = poisson_data(phantom, E, noise_target, seed=int(seeds[2]))
         b = noise.b
     init_seed = int(seeds[3])
-    nv = null_vector(E, b, weak_fraction=weak_fraction, seed=init_seed) if case in ("a", "c") else None
+    if case in ("a", "c"):
+        nv = null_vector(E, b, weak_fraction=weak_fraction, seed=init_seed)
+        # scale to the data's energy; direction is what matters
+        w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
+    else:
+        nv, w0 = None, random_lift(E.N, init_seed)
     return CdpInstance(
-        ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv
+        ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv, w0=w0
     )
 
 
@@ -388,12 +393,6 @@ def cdp_case_run(
     ``on_iterate`` is passed on to ``run``.
     """
     E, b = instance.ensemble, instance.b
-    if instance.null_init is not None:
-        # scale to the data's energy; direction is what matters
-        w0 = E.apply_adjoint(instance.null_init.x * np.linalg.norm(b))
-    else:
-        w0 = random_lift(E.N, instance.init_seed)
-
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(
         ((1, beta_start), (hold_iters, beta_start), (knee, 0.5), (max(knee, total_iters), 0.5))
@@ -412,7 +411,7 @@ def cdp_case_run(
         b,
         "raar",
         schedule,
-        initial_state(E, b, "raar", w0),
+        instance.w0,
         max_iters=total_iters,
         stop=StoppingRule(fixed_budget=True),
         on_iterate=observe,

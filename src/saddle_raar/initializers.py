@@ -4,7 +4,7 @@ The null-vector method finds the unit object vector whose measurements are
 smallest on the weak index set (the coordinates with the smallest data
 magnitudes), by power iteration on ``x -> x - A(1_I * (A* x))``.  The
 result depends on the data only through the magnitudes.
-``solvers.initial_state`` turns a lift into a form's starting state.
+``solvers.run`` starts a form from a lift (``solvers.initial_state``).
 """
 
 from __future__ import annotations

@@ -250,7 +250,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     kind = "masked-dft"
 
     def __init__(self, grid, masks, padded=None, seed=None, random_mask_count=0):
-        self.grid = (int(grid[0]), int(grid[1]))
+        self.grid = _checked_grid(grid)
         r, c = self.grid
         masks = np.asarray(masks, dtype=np.complex128)
         if masks.ndim == 2:
@@ -330,6 +330,14 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         }
 
 
+def _checked_grid(grid) -> tuple:
+    """``grid`` as ``(rows, cols)`` once both sides are positive."""
+    rows, cols = int(grid[0]), int(grid[1])
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"grid {rows}x{cols} must have positive sides")
+    return rows, cols
+
+
 def build_gaussian_ensemble(n: int, N: int, seed: int) -> GaussianEnsemble:
     """Draw and orthonormalize a dense complex-Gaussian ensemble."""
     return GaussianEnsemble(n, N, seed)
@@ -363,6 +371,7 @@ def build_cdp_ensemble(
     the "one coded and one uncoded pattern" setup when ``n_masks=2``.
     ``oversample`` is the padded grid shape; default ``(2r, 2c)``.
     """
+    grid = _checked_grid(grid)
     random_count = 0
     if masks is None:
         if n_masks < 2:

@@ -199,8 +199,6 @@ class ParameterSchedule:
             return pts[0][1]
         for (k0, v0), (k1, v1) in zip(pts, pts[1:]):
             if k <= k1:
-                if k1 == k0:
-                    return v1
                 frac = (k - k0) / (k1 - k0)
                 return v0 + frac * (v1 - v0)
         return pts[-1][1]
@@ -290,7 +288,6 @@ def _splitting_check(E, b, state, rho, tol):
 
 
 class _Form(NamedTuple):
-    state: type
     start: Callable  # (w0, b) -> the state lifted from w0
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the lifted iterate on_iterate sees
@@ -303,14 +300,14 @@ class _Form(NamedTuple):
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0), _raar_pair, attrgetter("w"),
+    "raar": _Form(lambda w0, b: RaarState(w=w0), _raar_pair, attrgetter("w"),
                   lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z)),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol)),
-    "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
+    "admm": _Form(_admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: admm_step(E, b, state, beta),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol)),
-    "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
+    "drs": _Form(lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
                  _state_pair, attrgetter("z"), lambda rho: rho,
                  lambda E, b, state, rho, z: drs_step(E, b, state, rho), _splitting_check),
 }
@@ -322,26 +319,23 @@ def _form(algo: str) -> _Form:
     return _FORMS[algo]
 
 
-def _checked_magnitudes(E: MeasurementEnsemble, b) -> np.ndarray:
-    """``b`` as float64, not copied, once it is valid magnitude data of length ``E.N``."""
-    b = check_magnitudes(b)
-    if b.size != E.N:
-        raise InvalidDataError(f"magnitudes have length {b.size}, expected {E.N}")
-    return b
-
-
 def initial_state(E: MeasurementEnsemble, b, algo: str, w0):
     """Starting state of ``algo`` lifted from ``w0`` (an object ``x`` gives ``w0 = A* x``).
 
     raar starts at ``w0``; admm at ``z1 = [w0]_Z``, ``lambda1 = w0 - z1``, which
     retraces the raar sequence from ``w0``; drs at ``y = z = w0``, ``lambda = 0``.
-    Malformed ``b`` or ``w0`` raises ``InvalidDataError``.
+    Malformed ``b``, or a ``w0`` of the wrong length, non-finite or zero,
+    raises ``InvalidDataError``.
     """
     form = _form(algo)
-    b = _checked_magnitudes(E, b)
+    b = check_magnitudes(b)
+    if b.size != E.N:
+        raise InvalidDataError(f"magnitudes have length {b.size}, expected {E.N}")
     w0 = np.asarray(w0, dtype=np.complex128)
     if w0.size != E.N:
         raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
+    if not np.isfinite(w0).all():
+        raise InvalidDataError("initial vector must be finite")
     if np.linalg.norm(w0) == 0:
         raise InvalidDataError("initial vector must be nonzero")
     return form.start(w0, b)
@@ -374,16 +368,17 @@ def run(
     b,
     algo: str,
     schedule: ParameterSchedule,
-    init,
+    w0,
     max_iters: int,
     stop: StoppingRule | None = None,
     record_every: int = 1,
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
 ) -> RunResult:
-    """Drive one solver with a parameter schedule and record diagnostics.
+    """Drive one solver from the lift ``w0`` with a parameter schedule and record diagnostics.
 
-    The schedule is evaluated at the 1-based iteration index before each
-    step, and the iterates are those of the public step functions.  A
+    The run starts at ``initial_state(E, b, algo, w0)``.  The schedule is
+    evaluated at the 1-based iteration index before each step, and the
+    iterates are those of the public step functions.  A
     record costs vector norms only: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
@@ -401,27 +396,23 @@ def run(
     run, the result holds the final state and its pair ``(z, lambda)``.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
     ``w`` at ``k = 0`` and after each accepted step.  Before any operator
-    call, malformed ``b`` raises ``InvalidDataError``, a non-integer
+    call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
     ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget or
     a stride below 1 ``ValueError``.
     """
     form = _form(algo)
-    if not isinstance(init, form.state):
-        raise TypeError(f"{algo} expects a {form.state.__name__} initial state, got {type(init).__name__}")
     for name, value, least in (("max_iters", max_iters, 0), ("record_every", record_every, 1)):
         if not isinstance(value, Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    b = _checked_magnitudes(E, b)
+    state = initial_state(E, b, algo, w0)
+    b = np.asarray(b, dtype=np.float64)  # checked by initial_state; not copied
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
     view = _StepView(E)
     t0 = time.perf_counter_ns()
 
-    if not all(np.isfinite(v).all() for v in vars(init).values() if isinstance(v, np.ndarray)):
-        raise ValueError(f"initial {algo} state contains non-finite entries")
-    state = init
     z, lam = form.pair(state, b)
     param = schedule.value_at(1)
     rho = form.penalty(param)

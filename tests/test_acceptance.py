@@ -98,8 +98,7 @@ def test_criterion_03_fixed_point_certificate():
         ok &= cert.beta_max >= 1.0 - 1e-12
     detail.append("noiseless solution certified for all beta with c=b and beta_max=1")
 
-    raar0 = sr.initial_state(E, b, "raar", sr.random_lift(E.N, seed=3))
-    result = run(E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
+    result = run(E, b, "raar", ParameterSchedule.constant(0.9), sr.random_lift(E.N, seed=3), 3000,
                  StoppingRule(residual_tol=1e-12, deriv_tol=0.0))
     cert = sr.certify_fixed_point(E, b, result.state.w, 0.9)
     tol = 1e-8 * np.linalg.norm(b)
@@ -253,8 +252,7 @@ def test_criterion_10_splitting_fixed_point_conditions():
     rng = np.random.default_rng(5)
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = sr.random_lift(E.N, seed=0)
-    state = sr.initial_state(E, b, "drs", w0)
-    result = run(E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
+    result = run(E, b, "drs", ParameterSchedule.constant(0.25), w0, 6000,
                  StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
     resids = drs_fixed_point_residuals(E, b, result.state, 0.25)
     tol = 1e-8 * np.linalg.norm(b)

@@ -22,7 +22,6 @@ from saddle_raar import (
     dual_gradient_norm,
     global_phase,
     inequality_ratio,
-    initial_state,
     objective,
     optimal_dual,
     project_torus,
@@ -148,9 +147,9 @@ class TestCriticalityVector:
         rng = np.random.default_rng(7)
         x0 = random_complex(rng, 16)
         b = np.abs(E.apply_adjoint(x0))
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=1))
+        w0 = random_lift(E.N, seed=1)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(0.5), raar0, 20000,
+            E, b, "raar", ParameterSchedule.constant(0.5), w0, 20000,
             StoppingRule(residual_tol=0.0, deriv_tol=1e-13),
         )
         w = result.state.w
@@ -189,9 +188,9 @@ class TestFixedPointCertificate:
 
     def test_converged_run_certifies(self, dense_wide):
         E, _, b = dense_wide
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=3))
+        w0 = random_lift(E.N, seed=3)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
+            E, b, "raar", ParameterSchedule.constant(0.9), w0, 3000,
             StoppingRule(residual_tol=1e-12, deriv_tol=0.0),
         )
         cert = certify_fixed_point(E, b, result.state.w, 0.9)
@@ -208,9 +207,9 @@ class TestFixedPointCertificate:
         E = build_gaussian_ensemble(16, 32, seed=2)
         rng = np.random.default_rng(9)
         b = np.abs(E.apply_adjoint(random_complex(rng, 16)))
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=5))
+        w0 = random_lift(E.N, seed=5)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(0.55), raar0, 30000,
+            E, b, "raar", ParameterSchedule.constant(0.55), w0, 30000,
             StoppingRule(residual_tol=0.0, deriv_tol=1e-12),
         )
         w = result.state.w
@@ -649,11 +648,11 @@ def test_converged_dual_split_matches_maximizer(dense_wide):
     # analytic maximizer
     E, _, b = dense_wide
     from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
-    from saddle_raar import initial_state, random_lift
+    from saddle_raar import random_lift
 
     beta = 0.9
-    raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=3))
-    result = run(E, b, "raar", ParameterSchedule.constant(beta), raar0, 3000,
+    w0 = random_lift(E.N, seed=3)
+    result = run(E, b, "raar", ParameterSchedule.constant(beta), w0, 3000,
                  StoppingRule(residual_tol=1e-12, deriv_tol=0.0))
     w = result.state.w
     z = project_torus(w, b)

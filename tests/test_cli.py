@@ -62,6 +62,16 @@ class TestParsing:
         assert main(["solve", "--beta", "2.0"]) == 1
         assert "0, 1]" in capsys.readouterr().err
 
+    def test_config_values_are_coerced_and_checked(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"n": "12"}))
+        assert parse_config(["solve", "--config", str(cfg_file)]).options["n"] == 12
+        for doc, message in (({"n": "x"}, "--n expects int, got 'x'"),
+                             ({"algo": "foo"}, "--algo must be one of ('raar', 'admm', 'drs'), got 'foo'")):
+            cfg_file.write_text(json.dumps(doc))
+            assert main(["solve", "--config", str(cfg_file)]) == 1
+            assert message in capsys.readouterr().err
+
     def test_print_effective_config(self, capsys):
         assert main(["solve", "--beta", "0.7", "--print-effective-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -104,6 +114,10 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"]
         assert summary["certificate"]["certified"]
+
+    def test_admm_rejects_unit_beta(self, tmp_path, capsys):
+        assert main(["solve", "--algo", "admm", "--beta", "1", "--out", str(tmp_path / "s")]) == 1
+        assert "--beta must lie in (0, 1) for admm" in capsys.readouterr().err
 
     def test_drs_solve(self, tmp_path):
         out = tmp_path / "drs"
@@ -183,6 +197,25 @@ class TestSweepCommand:
         assert len(lines) == 3
         detail = json.loads((out / "sweep.json").read_text())
         assert {c["algo"] for c in detail["cells"]} == {"raar", "drs"}
+
+    def test_paired_sweep_rejects_unit_beta_before_any_output(self, tmp_path, capsys):
+        # the paired penalty rho = (1 - beta)/beta needs beta < 1
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--beta", "1", "--out", str(out)]) == 1
+        assert "--beta must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_grid_sweep_cells(self, tmp_path):
+        from saddle_raar.experiments import BETA_GRID, RATIO_GRID, RHO_GRID
+
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--full-grid", "--n", "4", "--trials", "1", "--max-iters", "50",
+                     "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 100
+        cells = json.loads((out / "sweep.json").read_text())["cells"]
+        expected = [(algo, ratio, param) for algo, grid in (("drs", RHO_GRID), ("raar", BETA_GRID))
+                    for ratio in sorted(RATIO_GRID) for param in sorted(grid)]
+        assert [(c["algo"], c["ratio"], c["param"]) for c in cells] == expected
 
 
 class TestCdpCommand:

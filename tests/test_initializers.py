@@ -87,10 +87,9 @@ class TestMakeInitialState:
     def test_raw_lift_reproduces_reflection_run(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=21)
-        admm0 = initial_state(E, b, "admm", w0)
         ws = []
         run(
-            E, b, "admm", ParameterSchedule.constant(0.85), admm0, 25,
+            E, b, "admm", ParameterSchedule.constant(0.85), w0, 25,
             StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w),
         )
         w = w0.copy()

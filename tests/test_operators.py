@@ -96,6 +96,14 @@ class TestCodedDiffractionEnsemble:
         w = E.apply_adjoint(x)
         assert np.allclose(np.abs(w), abs(x[0]) / np.sqrt(2.0), atol=1e-12)
 
+    @pytest.mark.parametrize("grid", [(0, 0), (0, 4), (4, 0), (-1, 4)])
+    def test_empty_or_negative_grid_rejected(self, grid):
+        rows, cols = grid
+        with pytest.raises(DimensionError, match=f"grid {rows}x{cols}"):
+            build_cdp_ensemble(grid)
+        with pytest.raises(DimensionError, match=f"grid {rows}x{cols}"):
+            CodedDiffractionEnsemble(grid, np.ones((2, 0, 0)))
+
     def test_isometry_8x8(self):
         E = build_cdp_ensemble((8, 8), seed=1)
         assert E.N == 2 * 16 * 16

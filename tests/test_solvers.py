@@ -123,12 +123,11 @@ class TestAdmmEquivalence:
     def test_run_loop_equivalence_from_raw_lift(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=17)
-        raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
         sched = ParameterSchedule.constant(0.75)
         stop = StoppingRule(fixed_budget=True)
         ws_r, ws_a = [], []
-        run(E, b, "raar", sched, raar0, 40, stop, on_iterate=lambda k, w: ws_r.append(w))
-        run(E, b, "admm", sched, admm0, 40, stop, on_iterate=lambda k, w: ws_a.append(w))
+        run(E, b, "raar", sched, w0, 40, stop, on_iterate=lambda k, w: ws_r.append(w))
+        run(E, b, "admm", sched, w0, 40, stop, on_iterate=lambda k, w: ws_a.append(w))
         assert len(ws_r) == len(ws_a) == 41
         for wr, wa in zip(ws_r, ws_a):
             assert np.linalg.norm(wr - wa) <= 1e-10 * np.linalg.norm(wr)
@@ -146,9 +145,8 @@ class TestDrs:
     def test_converged_fixed_point_conditions(self, dense_wide):
         E, x0, b = dense_wide
         w0 = random_lift(E.N, seed=0)
-        state = initial_state(E, b, "drs", w0)
         result = run(
-            E, b, "drs", ParameterSchedule.constant(0.25), state, 6000,
+            E, b, "drs", ParameterSchedule.constant(0.25), w0, 6000,
             StoppingRule(residual_tol=1e-13, deriv_tol=1e-12),
         )
         tol = 1e-8 * np.linalg.norm(b)
@@ -215,38 +213,36 @@ class TestSchedule:
     def test_out_of_range_param_rejected(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=4)
-        raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
         with pytest.raises(ValueError):
-            run(E, b, "admm", ParameterSchedule.constant(1.0), admm0, 2)
+            run(E, b, "admm", ParameterSchedule.constant(1.0), w0, 2)
         with pytest.raises(ValueError):
-            run(E, b, "raar", ParameterSchedule.constant(1.2), raar0, 2)
-        drs0 = initial_state(E, b, "drs", w0)
+            run(E, b, "raar", ParameterSchedule.constant(1.2), w0, 2)
         with pytest.raises(ValueError):
-            run(E, b, "drs", ParameterSchedule(((1, 0.25), (2, 0.0))), drs0, 5)
+            run(E, b, "drs", ParameterSchedule(((1, 0.25), (2, 0.0))), w0, 5)
 
 
 class TestRunLoop:
     def test_zero_budget_gives_initial_record(self, dense_small):
         E, _, b = dense_small
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
-        result = run(E, b, "raar", ParameterSchedule.constant(0.9), raar0, 0)
+        w0 = random_lift(E.N, seed=2)
+        result = run(E, b, "raar", ParameterSchedule.constant(0.9), w0, 0)
         assert len(result.records) == 1
         assert result.records[0].k == 0
 
     def test_record_stride_and_final(self, dense_small):
         E, _, b = dense_small
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
+        w0 = random_lift(E.N, seed=2)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(0.9), raar0, 25,
+            E, b, "raar", ParameterSchedule.constant(0.9), w0, 25,
             StoppingRule(fixed_budget=True), record_every=10,
         )
         assert [r.k for r in result.records] == [0, 10, 20, 25]
 
     def test_stopping_on_residual(self, dense_wide):
         E, _, b = dense_wide
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=0))
+        w0 = random_lift(E.N, seed=0)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(0.9), raar0, 3000,
+            E, b, "raar", ParameterSchedule.constant(0.9), w0, 3000,
             StoppingRule(residual_tol=1e-10, deriv_tol=0.0),
         )
         assert result.stop_reason == "residual"
@@ -254,9 +250,9 @@ class TestRunLoop:
 
     def test_unknown_algo(self, dense_small):
         E, _, b = dense_small
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
+        w0 = random_lift(E.N, seed=2)
         with pytest.raises(ValueError):
-            run(E, b, "nope", ParameterSchedule.constant(0.9), raar0, 1)
+            run(E, b, "nope", ParameterSchedule.constant(0.9), w0, 1)
 
 
 class TestFixedPointConditions:
@@ -265,9 +261,9 @@ class TestFixedPointConditions:
         # penalty-scaled magnitude defect
         E, _, b = dense_wide
         beta = 0.9
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=3))
+        w0 = random_lift(E.N, seed=3)
         result = run(
-            E, b, "raar", ParameterSchedule.constant(beta), raar0, 3000,
+            E, b, "raar", ParameterSchedule.constant(beta), w0, 3000,
             StoppingRule(residual_tol=1e-12, deriv_tol=0.0),
         )
         w = result.state.w
@@ -291,10 +287,10 @@ class TestFejerContraction:
         beta = 0.9
         z_star = E.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
-        raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=0))
+        w0 = random_lift(E.N, seed=0)
         ws = []
         run(
-            E, b, "raar", ParameterSchedule.constant(beta), raar0, 400,
+            E, b, "raar", ParameterSchedule.constant(beta), w0, 400,
             StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w),
         )
         mon = fejer_monitor(E, b, ws, [beta] * len(ws), z_star, lam_star)
@@ -313,9 +309,9 @@ class TestFejerContraction:
         E0, x0, b = dense_wide
         z_star = E0.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
-        raar0 = initial_state(E0, b, "raar", random_lift(E0.N, seed=0))
+        w0 = random_lift(E0.N, seed=0)
         ws = []
-        run(E0, b, "raar", ParameterSchedule.constant(0.9), raar0, 20, StoppingRule(fixed_budget=True),
+        run(E0, b, "raar", ParameterSchedule.constant(0.9), w0, 20, StoppingRule(fixed_budget=True),
             on_iterate=lambda k, w: ws.append(w))
         betas = [0.9 - 0.01 * k for k in range(len(ws))]
         E = CountingEnsemble(E0)
@@ -326,16 +322,6 @@ class TestFejerContraction:
             lam = ws[k - 1] - z
             assert mon["T"][k - 1] == convergence_functional(E, z, lam, z_star, lam_star, betas[k])
             assert mon["margin"][k - 1] == contraction_margin(E, z, lam, z_star, lam_star, betas[k])
-
-
-def test_run_rejects_mismatched_state(dense_small):
-    E, _, b = dense_small
-    w0 = random_lift(E.N, seed=4)
-    raar0, admm0 = initial_state(E, b, "raar", w0), initial_state(E, b, "admm", w0)
-    with pytest.raises(TypeError):
-        run(E, b, "admm", ParameterSchedule.constant(0.9), raar0, 2)
-    with pytest.raises(TypeError):
-        run(E, b, "drs", ParameterSchedule.constant(0.5), admm0, 2)
 
 
 def test_equivalence_on_diffraction_ensemble():
@@ -361,8 +347,8 @@ def test_run_with_zero_magnitudes_stays_finite(dense_small):
     E, x0, b = dense_small
     b = b.copy()
     b[[0, 5, 11]] = 0.0
-    raar0 = initial_state(E, b, "raar", random_lift(E.N, seed=2))
-    result = run(E, b, "raar", ParameterSchedule.constant(0.8), raar0, 50,
+    w0 = random_lift(E.N, seed=2)
+    result = run(E, b, "raar", ParameterSchedule.constant(0.8), w0, 50,
                  StoppingRule(fixed_budget=True))
     assert np.all(np.isfinite(result.state.w))
     assert np.isfinite(result.final_record.objective)
@@ -398,10 +384,6 @@ class CountingEnsemble(MeasurementEnsemble):
     def apply_adjoint(self, x):
         self.adjoints += 1
         return self.inner.apply_adjoint(x)
-
-
-def _initial_state(algo, E, b, seed):
-    return initial_state(E, b, algo, random_lift(E.N, seed=seed))
 
 
 def _public_steps(algo, E, b, state, param, n):
@@ -452,8 +434,7 @@ def _direct_record(E, b, z, lam, param, algo):
 def test_run_costs_one_projection_per_iteration(dense_wide, algo, stop, record_every):
     E0, _, b = dense_wide
     E = CountingEnsemble(E0)
-    init = _initial_state(algo, E0, b, seed=5)
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 400, stop,
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=5), 400, stop,
                  record_every=record_every)
     k = result.final_record.k
     if stop.fixed_budget:
@@ -486,8 +467,8 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
     stop = StoppingRule(residual_tol=1e-10, deriv_tol=0.0)
 
     def go(every):
-        init = _initial_state(algo, E, b, seed=5)
-        return run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 400, stop, record_every=every)
+        w0 = random_lift(E.N, seed=5)
+        return run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 400, stop, record_every=every)
 
     full = go(1)
     assert full.stop_reason == "residual" and full.final_record.k % 7 != 0
@@ -511,11 +492,11 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
 @pytest.mark.parametrize("algo", ALGOS)
 def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
     E, _, b = cdp_8x8
-    init = _initial_state(algo, E, b, seed=4)
+    w0 = random_lift(E.N, seed=4)
     seen = []
-    run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 60,
+    run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 60,
         StoppingRule(fixed_budget=True), on_iterate=lambda k, w: seen.append((k, w)))
-    expected = _public_steps(algo, E, b, init, _PARAM[algo], 60)
+    expected = _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 60)
     assert [k for k, _w in seen] == list(range(61))
     for (_k, w), (lift, _z, _lam) in zip(seen, expected):
         np.testing.assert_array_equal(w, lift)
@@ -542,8 +523,7 @@ def test_raar_run_projects_onto_the_torus_once_per_iteration(monkeypatch, dense_
 
     monkeypatch.setattr(solvers, "project_torus", counted_torus)
     monkeypatch.setattr(solvers, "raar_step", counted_step)
-    result = run(E, b, "raar", ParameterSchedule.constant(0.9), _initial_state("raar", E, b, seed=5),
-                 400, stop)
+    result = run(E, b, "raar", ParameterSchedule.constant(0.9), random_lift(E.N, seed=5), 400, stop)
     # one for the start and one per step, also for the step a stopping rule drops
     assert counts["steps"] == result.final_record.k + (0 if stop.fixed_budget else 1)
     assert counts["torus"] == counts["steps"] + 1
@@ -559,7 +539,7 @@ def test_public_steps_cost_one_projection(dense_small):
     E0, _, b = dense_small
     for algo in ALGOS:
         E = CountingEnsemble(E0)
-        state = _initial_state(algo, E0, b, seed=3)
+        state = initial_state(E0, b, algo, random_lift(E0.N, seed=3))
         if algo == "raar":
             raar_step(E, b, state.w, 0.9)
         elif algo == "admm":
@@ -576,9 +556,9 @@ def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every
     # step 4 goes non-finite; iterate 3's record would need that projection
     E0, _, b = dense_small
     E = CountingEnsemble(E0, nan_on_apply=5)
-    init = _initial_state(algo, E0, b, seed=2)
+    w0 = random_lift(E.N, seed=2)
     ws = []
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50,
                  StoppingRule(fixed_budget=True), record_every=record_every,
                  on_iterate=lambda k, w: ws.append(w))
     assert result.stop_reason == "nonfinite"
@@ -586,7 +566,8 @@ def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every
     assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
     assert len(ws) == 4
     assert all(np.isfinite(w).all() for w in ws)
-    np.testing.assert_array_equal(ws[-1], _public_steps(algo, E0, b, init, _PARAM[algo], 3)[-1][0])
+    expected = _public_steps(algo, E0, b, initial_state(E0, b, algo, w0), _PARAM[algo], 3)[-1][0]
+    np.testing.assert_array_equal(ws[-1], expected)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -601,26 +582,15 @@ def test_nonfinite_magnitudes_stop_after_the_last_finite_record(dense_small, alg
                 b[0] = np.nan
             return super().apply(w)
 
-    init = _initial_state(algo, E0, b0, seed=2)
+    w0 = random_lift(E0.N, seed=2)
     with np.errstate(invalid="ignore"):
-        result = run(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 50,
+        result = run(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50,
                      StoppingRule(residual_tol=0.0, deriv_tol=0.0))
     assert result.stop_reason == "nonfinite"
     assert [r.k for r in result.records] == [0, 1, 2, 3]
     assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio]).all() for r in result.records)
-    expected = _public_steps(algo, E0, b0, init, _PARAM[algo], 3)[-1][0]
+    expected = _public_steps(algo, E0, b0, initial_state(E0, b0, algo, w0), _PARAM[algo], 3)[-1][0]
     np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected)
-
-
-def test_nonfinite_initial_state_rejected(dense_small):
-    E, _, b = dense_small
-    for algo in ALGOS:
-        init = _initial_state(algo, E, b, seed=2)
-        vec = "w" if algo == "raar" else "lam"
-        setattr(init, vec, getattr(init, vec).copy())
-        getattr(init, vec)[0] = np.inf
-        with pytest.raises(ValueError):
-            run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), init, 5)
 
 
 def test_initial_state_is_each_forms_start(dense_small):
@@ -651,36 +621,46 @@ def test_initial_state_rejects_bad_starts(dense_small):
 def test_run_rejects_a_record_stride_below_one(dense_small, record_every):
     E0, _, b = dense_small
     E = CountingEnsemble(E0)
-    init = _initial_state("raar", E0, b, seed=2)
     with pytest.raises(ValueError):
-        run(E, b, "raar", ParameterSchedule.constant(0.9), init, 5, record_every=record_every)
+        run(E, b, "raar", ParameterSchedule.constant(0.9), random_lift(E.N, seed=2), 5,
+            record_every=record_every)
     assert (E.applies, E.adjoints) == (0, 0)
 
 
-_MALFORMED = {  # name: (magnitudes from valid ones, or None to keep them; max_iters; record_every; error)
-    "negative_b": (lambda b: np.concatenate([-b[:1], b[1:]]), 5, 1, InvalidDataError),
-    "zero_b": (np.zeros_like, 5, 1, InvalidDataError),
-    "short_b": (lambda b: b[:-1], 5, 1, InvalidDataError),
-    "nan_b": (lambda b: np.concatenate([[np.nan], b[1:]]), 5, 1, InvalidDataError),
-    "negative_budget": (None, -1, 1, ValueError),
-    "fractional_budget": (None, 5.0, 1, TypeError),
-    "fractional_stride": (None, 5, 2.5, TypeError),
+def _first_entry(value):
+    return lambda v: np.concatenate([[value], v[1:]])
+
+
+_MALFORMED = {  # name: (magnitudes, lift from valid ones, or None to keep them; max_iters; record_every; error)
+    "negative_b": (lambda b: np.concatenate([-b[:1], b[1:]]), None, 5, 1, InvalidDataError),
+    "zero_b": (np.zeros_like, None, 5, 1, InvalidDataError),
+    "short_b": (lambda b: b[:-1], None, 5, 1, InvalidDataError),
+    "nan_b": (_first_entry(np.nan), None, 5, 1, InvalidDataError),
+    "short_w0": (None, lambda w: w[:-1], 5, 1, InvalidDataError),
+    "zero_w0": (None, np.zeros_like, 5, 1, InvalidDataError),
+    "nan_w0": (None, _first_entry(np.nan), 5, 1, InvalidDataError),
+    "inf_w0": (None, _first_entry(np.inf), 5, 1, InvalidDataError),
+    "negative_budget": (None, None, -1, 1, ValueError),
+    "fractional_budget": (None, None, 5.0, 1, TypeError),
+    "fractional_stride": (None, None, 5, 2.5, TypeError),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_malformed_input_is_rejected_before_any_operator_call(dense_small, case):
-    spoil, max_iters, record_every, error = _MALFORMED[case]
+    spoil_b, spoil_w0, max_iters, record_every, error = _MALFORMED[case]
     E0, _, b = dense_small
-    bad = b if spoil is None else spoil(b)
+    w0 = random_lift(E0.N, seed=2)
+    bad_b = b if spoil_b is None else spoil_b(b)
+    bad_w0 = w0 if spoil_w0 is None else spoil_w0(w0)
     for algo in ALGOS:
         E = CountingEnsemble(E0)
         with pytest.raises(error):
-            run(E, bad, algo, ParameterSchedule.constant(_PARAM[algo]), _initial_state(algo, E0, b, seed=2),
-                max_iters, record_every=record_every)
-        if spoil is not None:
+            run(E, bad_b, algo, ParameterSchedule.constant(_PARAM[algo]), bad_w0, max_iters,
+                record_every=record_every)
+        if error is InvalidDataError:  # a start's inputs: initial_state makes the same check
             with pytest.raises(error):
-                initial_state(E, bad, algo, random_lift(E.N, seed=2))
+                initial_state(E, bad_b, algo, bad_w0)
         assert (E.applies, E.adjoints) == (0, 0), algo
 
 
@@ -703,10 +683,10 @@ def _readout_by_hand(E, b, algo, result, param, tol):
 def test_finish_is_each_forms_readout(dense_wide, algo):
     E, _, b = dense_wide
     param = _PARAM[algo]
-    init = _initial_state(algo, E, b, seed=2)
+    w0 = random_lift(E.N, seed=2)
     schedule = ParameterSchedule.constant(param)
-    stopped = run(E, b, algo, schedule, init, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0))
-    budget = run(E, b, algo, schedule, init, 30, StoppingRule(fixed_budget=True))
+    stopped = run(E, b, algo, schedule, w0, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0))
+    budget = run(E, b, algo, schedule, w0, 30, StoppingRule(fixed_budget=True))
     assert (stopped.stop_reason, budget.stop_reason) == ("residual", "max_iters")
     # each result passes its check at the looser tol and fails it at the default 1e-8
     for result, loose in ((stopped, 1e-6), (budget, 1e-2)):
@@ -727,12 +707,12 @@ def test_run_returns_the_pair_of_its_final_state(dense_wide, algo):
     from saddle_raar.solvers import _FORMS
 
     E, _, b = dense_wide
-    init = _initial_state(algo, E, b, seed=2)
+    w0 = random_lift(E.N, seed=2)
     schedule = ParameterSchedule.constant(_PARAM[algo])
     results = [
-        run(E, b, algo, schedule, init, 30, StoppingRule(fixed_budget=True)),
-        run(E, b, algo, schedule, init, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0)),
-        run(CountingEnsemble(E, nan_on_apply=5), b, algo, schedule, init, 50, StoppingRule(fixed_budget=True)),
+        run(E, b, algo, schedule, w0, 30, StoppingRule(fixed_budget=True)),
+        run(E, b, algo, schedule, w0, 3000, StoppingRule(residual_tol=1e-8, deriv_tol=0.0)),
+        run(CountingEnsemble(E, nan_on_apply=5), b, algo, schedule, w0, 50, StoppingRule(fixed_budget=True)),
     ]
     assert [r.stop_reason for r in results] == ["max_iters", "residual", "nonfinite"]
     for result in results:
@@ -746,11 +726,12 @@ def test_run_returns_the_pair_of_its_final_state(dense_wide, algo):
 def test_run_records_match_direct_formulas(request, algo, ensemble):
     E, _, b = request.getfixturevalue(ensemble)
     param = _PARAM[algo]
-    init = _initial_state(algo, E, b, seed=11)
+    w0 = random_lift(E.N, seed=11)
     steps = 150
-    result = run(E, b, algo, ParameterSchedule.constant(param), init, steps,
+    result = run(E, b, algo, ParameterSchedule.constant(param), w0, steps,
                  StoppingRule(fixed_budget=True))
-    pairs = [(z, lam) for _lift, z, lam in _public_steps(algo, E, b, init, param, steps)]
+    start = initial_state(E, b, algo, w0)
+    pairs = [(z, lam) for _lift, z, lam in _public_steps(algo, E, b, start, param, steps)]
     assert len(result.records) == len(pairs) == steps + 1
 
     def close(a, ref, rel):
@@ -781,7 +762,6 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     b = np.abs(E.apply_adjoint(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
     w0 = random_lift(E.N, seed=0)
     param = 0.25 if algo == "drs" else beta_from_rho(0.25)
-    init = initial_state(E, b, algo, w0)
     seen = []
     record = solvers.diagnostics_from_projections
 
@@ -791,7 +771,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
 
     monkeypatch.setattr(solvers, "diagnostics_from_projections", keep_last)
     scale = 1e-12 * np.linalg.norm(b)
-    stopped = run(E, b, algo, ParameterSchedule.constant(param), init, 6000,
+    stopped = run(E, b, algo, ParameterSchedule.constant(param), w0, 6000,
                   StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
     assert stopped.stop_reason in ("residual", "deriv_norm") and stopped.final_record.k >= 100
     z, lam, pz, pl = seen[0]
@@ -799,7 +779,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     assert np.linalg.norm(pl - E.project_range(lam)) <= scale
 
     # a full budget records its final iterate from the carry as well
-    full = run(E, b, algo, ParameterSchedule.constant(param), init, 150, StoppingRule(fixed_budget=True))
+    full = run(E, b, algo, ParameterSchedule.constant(param), w0, 150, StoppingRule(fixed_budget=True))
     assert full.stop_reason == "max_iters" and full.final_record.k == 150
     z, lam, pz, pl = seen[0]
     np.testing.assert_array_equal(z, full.z)
