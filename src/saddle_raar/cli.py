@@ -4,7 +4,7 @@ Subcommands: ``solve`` (single run), ``sweep`` (Gaussian success rates),
 ``cdp`` (coded-diffraction case suites), ``certify`` (fixed-point and
 cross-section certificates on a saved state), ``gap`` (spectral gaps over
 mask seeds).  Options come from flags, optionally seeded by a JSON config
-file (flags override the file; unknown file keys are rejected).
+file parsed as flags (flags override the file; unknown keys are rejected).
 
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence in strict
 mode.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -45,98 +46,83 @@ class RunConfig:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _check_beta(v):
-    if not 0.0 < v <= 1.0:
-        raise UsageError(f"--beta must lie in (0, 1], got {v}")
+def _checked(typ, contract, ok):
+    """An argparse type: convert with ``typ``, then reject values outside ``contract``."""
+
+    def convert(text):
+        value = typ(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {contract}, got {value}")
+        return value
+
+    convert.__name__ = typ.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
-def _check_rho(v):
-    if v <= 0.0:
-        raise UsageError(f"--rho must lie in (0, inf), got {v}")
+_BETA = _checked(float, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_FRACTION = _checked(float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+_POSITIVE = _checked(float, "lie in (0, inf)", lambda v: 0.0 < v < math.inf)
+_RATIO = _checked(float, "lie in [1, inf)", lambda v: 1.0 <= v < math.inf)
+_COUNT = _checked(int, "be a positive integer", lambda v: v >= 1)
+_NONNEG = _checked(int, "be nonnegative", lambda v: v >= 0)
 
-
-def _check_positive_int(flag):
-    def check(v):
-        if v < 1:
-            raise UsageError(f"--{flag} must be a positive integer, got {v}")
-
-    return check
-
-
-def _check_fraction(flag):
-    def check(v):
-        if not 0.0 < v < 1.0:
-            raise UsageError(f"--{flag} must lie in (0, 1), got {v}")
-
-    return check
-
-
-def _check_nonneg(flag):
-    def check(v):
-        if v < 0:
-            raise UsageError(f"--{flag} must be nonnegative, got {v}")
-
-    return check
-
-
-# (name, type, default, help, validator-or-None); booleans are flags with
-# None default so file/flag precedence can be resolved.
+# (name, type, default, help); a bool option is a bare flag that defaults to False.
 _COMMON = [
-    ("out", str, "out", "output directory", None),
-    ("seed", int, 0, "base random seed", None),
+    ("out", str, "out", "output directory"),
+    ("seed", int, 0, "base random seed"),
 ]
 
 _OPTIONS = {
     "solve": _COMMON
     + [
-        ("algo", str, "raar", "solver: raar | admm | drs", None),
-        ("beta", float, 0.9, "relaxation parameter in (0, 1]", _check_beta),
-        ("rho", float, 0.25, "splitting penalty in (0, inf)", _check_rho),
-        ("ensemble", str, "gaussian", "measurement kind: gaussian | cdp", None),
-        ("n", int, 16, "object dimension (gaussian)", _check_positive_int("n")),
-        ("N", int, 64, "measurement dimension (gaussian)", _check_positive_int("N")),
-        ("grid", str, "16x16", "object grid rows x cols (cdp)", None),
-        ("masks", int, 2, "number of diffraction masks (cdp)", _check_positive_int("masks")),
-        ("init", str, "random", "initializer: random | null", None),
-        ("weak-fraction", float, 0.5, "weak-set fraction of the spectral initializer", _check_fraction("weak-fraction")),
-        ("max-iters", int, 2000, "iteration budget", _check_nonneg("max-iters")),
-        ("residual-tol", float, 1e-10, "relative residual stopping tolerance", None),
-        ("deriv-tol", float, 1e-10, "dual-gradient stopping tolerance", None),
-        ("fixed-budget", bool, False, "disable stopping rules", None),
-        ("record-every", int, 1, "trace recording stride", _check_positive_int("record-every")),
-        ("strict", bool, False, "exit 2 if the run does not converge", None),
+        ("algo", str, "raar", "solver: raar | admm | drs"),
+        ("beta", _BETA, 0.9, "relaxation parameter in (0, 1]"),
+        ("rho", _POSITIVE, 0.25, "splitting penalty in (0, inf)"),
+        ("ensemble", str, "gaussian", "measurement kind: gaussian | cdp"),
+        ("n", _COUNT, 16, "object dimension (gaussian)"),
+        ("N", _COUNT, 64, "measurement dimension (gaussian)"),
+        ("grid", str, "16x16", "object grid rows x cols (cdp)"),
+        ("masks", _COUNT, 2, "number of diffraction masks (cdp)"),
+        ("init", str, "random", "initializer: random | null"),
+        ("weak-fraction", _FRACTION, 0.5, "weak-set fraction of the spectral initializer"),
+        ("max-iters", _NONNEG, 2000, "iteration budget"),
+        ("residual-tol", float, 1e-10, "relative residual stopping tolerance"),
+        ("deriv-tol", float, 1e-10, "dual-gradient stopping tolerance"),
+        ("fixed-budget", bool, False, "disable stopping rules"),
+        ("record-every", _COUNT, 1, "trace recording stride"),
+        ("strict", bool, False, "exit 2 if the run does not converge"),
     ],
     "sweep": _COMMON
     + [
-        ("full-grid", bool, False, "run the full ratio/parameter grid", None),
-        ("n", int, 100, "object dimension", _check_positive_int("n")),
-        ("ratio", float, 4.0, "measurement ratio N/n (paired mode)", None),
-        ("beta", float, 0.9, "relaxation value (paired mode)", _check_fraction("beta")),
-        ("trials", int, 40, "trials per cell", _check_positive_int("trials")),
-        ("max-iters", int, 2000, "iteration budget per trial", _check_positive_int("max-iters")),
-        ("success-threshold", float, 1e-5, "relative residual defining success", None),
+        ("full-grid", bool, False, "run the full ratio/parameter grid"),
+        ("n", _COUNT, 100, "object dimension"),
+        ("ratio", _RATIO, 4.0, "measurement ratio N/n (paired mode)"),
+        ("beta", _FRACTION, 0.9, "relaxation value (paired mode)"),
+        ("trials", _COUNT, 40, "trials per cell"),
+        ("max-iters", _COUNT, 2000, "iteration budget per trial"),
+        ("success-threshold", _POSITIVE, 1e-5, "relative residual defining success"),
     ],
     "cdp": _COMMON
     + [
-        ("case", str, "a", "experiment case: a | b | c | d", None),
-        ("grid", str, "32x32", "phantom grid rows x cols", None),
-        ("noise-level", float, 0.18, "target relative noise level (cases c, d)", _check_fraction("noise-level")),
-        ("total-iters", int, 600, "iterations per path", _check_positive_int("total-iters")),
-        ("hold-iters", int, 300, "constant-parameter prefix length", _check_positive_int("hold-iters")),
-        ("settle-iters", int, experiments.TERMINAL_SETTLE_ITERS, "terminal hold at the final value", _check_nonneg("settle-iters")),
-        ("weak-fraction", float, 0.5, "weak-set fraction of the spectral initializer", _check_fraction("weak-fraction")),
+        ("case", str, "a", "experiment case: a | b | c | d"),
+        ("grid", str, "32x32", "phantom grid rows x cols"),
+        ("noise-level", _FRACTION, 0.18, "target relative noise level (cases c, d)"),
+        ("total-iters", _COUNT, 600, "iterations per path"),
+        ("hold-iters", _COUNT, 300, "constant-parameter prefix length"),
+        ("settle-iters", _NONNEG, experiments.TERMINAL_SETTLE_ITERS, "terminal hold at the final value"),
+        ("weak-fraction", _FRACTION, 0.5, "weak-set fraction of the spectral initializer"),
     ],
     "certify": [
-        ("out", str, "out", "output directory", None),
-        ("state", str, None, "state JSON produced by solve", None),
-        ("tol", float, 1e-8, "certificate tolerance (relative)", None),
-        ("cross-section", bool, False, "also compute the tangent Hessian certificate", None),
+        ("out", str, "out", "output directory"),
+        ("state", str, None, "state JSON produced by solve"),
+        ("tol", _POSITIVE, 1e-8, "certificate tolerance (relative)"),
+        ("cross-section", bool, False, "also compute the tangent Hessian certificate"),
     ],
     "gap": _COMMON
     + [
-        ("grid", str, "8x8", "object grid rows x cols", None),
-        ("masks", int, 2, "number of diffraction masks", _check_positive_int("masks")),
-        ("seeds", int, 20, "number of mask seeds to test", _check_positive_int("seeds")),
+        ("grid", str, "8x8", "object grid rows x cols"),
+        ("masks", _COUNT, 2, "number of diffraction masks"),
+        ("seeds", _COUNT, 20, "number of mask seeds to test"),
     ],
 }
 
@@ -166,75 +152,65 @@ def _build_parser() -> _Parser:
             default=False,
             help="print the resolved configuration as JSON and exit",
         )
-        for flag, typ, _default, help_text, _check in opts:
-            kwargs = {"help": help_text, "default": None}
+        for flag, typ, default, help_text in opts:
             if typ is bool:
-                kwargs["action"] = "store_true"
+                p.add_argument(f"--{flag}", action="store_true", help=help_text)
             else:
-                kwargs["type"] = typ
-                if flag in _CHOICES:
-                    kwargs["choices"] = _CHOICES[flag]
-            p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), **kwargs)
+                p.add_argument(f"--{flag}", type=typ, default=default, choices=_CHOICES.get(flag), help=help_text)
     return parser
+
+
+def _config_flags(path, sub) -> list:
+    """The flags a JSON config file stands for: ``"k": v`` is ``--k=v``, ``true`` a bare ``--k``.
+
+    ``false`` and ``null`` stand for no flag, so the option keeps its default.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_values, dict):
+        raise UsageError("config file must hold a JSON object")
+    is_bool = {name: typ is bool for name, typ, _d, _h in _OPTIONS[sub]}
+    flags = []
+    for key, value in file_values.items():
+        if key == "subcommand":
+            if value != sub:
+                raise UsageError(f"config file is for subcommand {value!r}, not {sub!r}")
+            continue
+        if key not in is_bool:
+            raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
+        if value is None or (value is False and is_bool[key]):
+            continue
+        if isinstance(value, bool) != is_bool[key] or isinstance(value, (list, dict)):
+            kind = "true or false" if is_bool[key] else "a number or a string"
+            raise UsageError(f"config file {path}: key {key!r} takes {kind}, got {json.dumps(value)}")
+        flags.append(f"--{key}" if value is True else f"--{key}={value}")
+    return flags
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve flags and optional config file into a RunConfig.
 
-    Precedence: command-line flags over config-file values over defaults.
+    The file's values are turned into flags and parsed ahead of the command
+    line's, so flags override the file and the file gets the flags' checks.
     Unknown config-file keys are rejected.
     """
+    argv = list(argv)
     parser = _build_parser()
     ns = parser.parse_args(argv)
     sub = ns.subcommand
-    opts = _OPTIONS[sub]
-    resolved = {flag: default for flag, _t, default, _h, _c in opts}
-
     if ns.config is not None:
+        flags = _config_flags(ns.config, sub)
         try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {ns.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-        known = {flag for flag, *_ in opts}
-        for key, value in file_values.items():
-            if key == "subcommand":
-                if value != sub:
-                    raise UsageError(f"config file is for subcommand {value!r}, not {sub!r}")
-                continue
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
-            resolved[key] = value
-
-    for flag, typ, _default, _help, _check in opts:
-        flag_value = getattr(ns, flag.replace("-", "_"))
-        if typ is bool:
-            if flag_value:
-                resolved[flag] = True
-            resolved[flag] = bool(resolved[flag])
-        elif flag_value is not None:
-            resolved[flag] = flag_value
-
-    for flag, typ, _default, _help, check in opts:
-        value = resolved[flag]
-        if value is None:
-            continue
-        if typ is not bool and not isinstance(value, typ):
-            try:
-                resolved[flag] = typ(value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"--{flag} expects {typ.__name__}, got {value!r}") from exc
-        if flag in _CHOICES and resolved[flag] not in _CHOICES[flag]:
-            raise UsageError(f"--{flag} must be one of {_CHOICES[flag]}, got {resolved[flag]!r}")
-        if check is not None:
-            check(resolved[flag])
-
+            ns = parser.parse_args([sub, *flags, *argv[argv.index(sub) + 1 :]])
+        except UsageError as exc:
+            raise UsageError(f"config file {ns.config}: {exc}") from exc
     return RunConfig(
         subcommand=sub,
-        options=resolved,
-        print_effective_config=bool(ns.print_effective_config),
+        options={flag: getattr(ns, flag.replace("-", "_")) for flag, *_ in _OPTIONS[sub]},
+        print_effective_config=ns.print_effective_config,
     )
 
 
@@ -246,12 +222,6 @@ def _parse_grid(text: str):
         raise UsageError(f"grid must look like 32x32, got {text!r}") from exc
 
 
-def _outdir(cfg) -> str:
-    path = cfg.options["out"]
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Subcommand runners
 # ---------------------------------------------------------------------------
@@ -259,7 +229,7 @@ def _outdir(cfg) -> str:
 
 def _execute_solve(cfg: RunConfig) -> int:
     o = cfg.options
-    out = _outdir(cfg)
+    out = o["out"]
     seed = o["seed"]
     seeds = np.random.SeedSequence(seed).generate_state(4)
     if o["ensemble"] == "gaussian":
@@ -339,7 +309,7 @@ def _execute_solve(cfg: RunConfig) -> int:
 
 def _execute_sweep(cfg: RunConfig) -> int:
     o = cfg.options
-    out = _outdir(cfg)
+    out = o["out"]
     if o["full-grid"]:
         sweep = experiments.gaussian_success_sweep(
             n=o["n"],
@@ -369,7 +339,7 @@ def _execute_sweep(cfg: RunConfig) -> int:
 
 def _execute_cdp(cfg: RunConfig) -> int:
     o = cfg.options
-    out = _outdir(cfg)
+    out = o["out"]
     grid = _parse_grid(o["grid"])
     suite = experiments.cdp_case_suite(
         o["case"],
@@ -435,7 +405,7 @@ def _execute_cdp(cfg: RunConfig) -> int:
 
 def _execute_certify(cfg: RunConfig) -> int:
     o = cfg.options
-    out = _outdir(cfg)
+    out = o["out"]
     if not o["state"]:
         raise UsageError("certify requires --state pointing to a solve state file")
     try:
@@ -458,7 +428,7 @@ def _execute_certify(cfg: RunConfig) -> int:
 
 def _execute_gap(cfg: RunConfig) -> int:
     o = cfg.options
-    out = _outdir(cfg)
+    out = o["out"]
     grid = _parse_grid(o["grid"])
     rng = np.random.default_rng(o["seed"])
     x0 = np.exp(2j * np.pi * rng.random(grid)).reshape(-1)

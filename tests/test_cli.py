@@ -1,9 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddle_raar.artifacts import load_solver_state
-from saddle_raar.cli import RunConfig, UsageError, execute, main, parse_config
+from saddle_raar.cli import _CHOICES, _OPTIONS, RunConfig, UsageError, execute, main, parse_config
 
 
 class TestParsing:
@@ -66,17 +70,117 @@ class TestParsing:
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"n": "12"}))
         assert parse_config(["solve", "--config", str(cfg_file)]).options["n"] == 12
-        for doc, message in (({"n": "x"}, "--n expects int, got 'x'"),
-                             ({"algo": "foo"}, "--algo must be one of ('raar', 'admm', 'drs'), got 'foo'")):
+        for doc, message in (({"n": "x"}, "argument --n: invalid int value: 'x'"),
+                             ({"algo": "foo"}, "argument --algo: invalid choice: 'foo' (choose from 'raar', 'admm', 'drs')")):
             cfg_file.write_text(json.dumps(doc))
             assert main(["solve", "--config", str(cfg_file)]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"strict": "false"}, {"fixed-budget": "no"}, {"n": True}, {"n": False},
+                                     {"grid": [16, 16]}])
+    def test_config_values_must_suit_their_option_kind(self, tmp_path, capsys, doc):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"key {next(iter(doc))!r} takes" in err and str(cfg_file) in err
+
+    def test_config_numbers_are_parsed_as_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"n": 12.7}))
+        assert main(["solve", "--config", str(cfg_file)]) == 1
+        assert "argument --n: invalid int value: '12.7'" in capsys.readouterr().err
+        cfg_file.write_text(json.dumps({"strict": True, "fixed-budget": False, "rho": -2}))
+        assert main(["solve", "--config", str(cfg_file)]) == 1
+        assert "argument --rho: must lie in (0, inf), got -2.0" in capsys.readouterr().err
+
+    def test_config_null_keeps_the_default(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"seed": None, "out": None, "strict": True}))
+        cfg = parse_config(["solve", "--config", str(cfg_file)])
+        assert cfg.options["seed"] == 0 and cfg.options["out"] == "out" and cfg.options["strict"]
+
+    def test_config_with_null_seed_and_out_runs_reproducibly(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        states = []
+        for run in ("a", "b"):
+            cfg_file = tmp_path / f"{run}.json"
+            cfg_file.write_text(json.dumps({"seed": None, "n": 8, "N": 32, "out": run}))
+            assert main(["solve", "--config", str(cfg_file)]) == 0
+            states.append((tmp_path / run / "state.json").read_bytes())
+        assert states[0] == states[1]
+        (tmp_path / "c.json").write_text(json.dumps({"out": None, "n": 8, "N": 32}))
+        assert main(["solve", "--config", str(tmp_path / "c.json")]) == 0
+        assert (tmp_path / "out" / "state.json").read_bytes() == states[0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--ratio", "-1"], "--ratio"),
+        (["sweep", "--ratio", "0.5", "--n", "4"], "--ratio"),
+        (["sweep", "--ratio", "inf"], "--ratio"),
+        (["solve", "--rho", "inf"], "--rho"),
+        (["sweep", "--success-threshold", "0"], "--success-threshold"),
+        (["certify", "--tol", "-1"], "--tol"),
+    ])
+    def test_numeric_ranges_are_checked_before_any_output(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"argument {flag}: must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_print_effective_config(self, capsys):
         assert main(["solve", "--beta", "0.7", "--print-effective-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["subcommand"] == "solve"
         assert doc["beta"] == 0.7
+
+
+# One valid value of each option, by name; sweep's beta range (0, 1) also suits solve's (0, 1].
+_WORD = st.text("abcxyz0189._", min_size=1, max_size=6)
+_FRACTION = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+_COUNT = st.integers(1, 10**6)
+_VALID = {
+    "out": _WORD, "grid": _WORD, "state": _WORD, "seed": st.integers(0, 2**64),
+    "beta": _FRACTION, "weak-fraction": _FRACTION, "noise-level": _FRACTION,
+    "rho": _POSITIVE, "residual-tol": _POSITIVE, "deriv-tol": _POSITIVE,
+    "success-threshold": _POSITIVE, "tol": _POSITIVE, "ratio": st.floats(1.0, 1e6),
+    "n": _COUNT, "N": _COUNT, "masks": _COUNT, "record-every": _COUNT, "trials": _COUNT,
+    "total-iters": _COUNT, "hold-iters": _COUNT, "seeds": _COUNT,
+    "max-iters": st.integers(1, 10**6), "settle-iters": st.integers(0, 10**6),
+} | {name: st.sampled_from(values) for name, values in _CHOICES.items()}
+
+
+def _drawn_options(sub):
+    return st.fixed_dictionaries({}, optional={
+        name: st.booleans() if typ is bool else _VALID[name] for name, typ, _d, _h in _OPTIONS[sub]
+    })
+
+
+def _as_flags(options):
+    flags = []
+    for name, value in options.items():
+        if value is True:
+            flags.append(f"--{name}")
+        elif value is not False:
+            flags += [f"--{name}", str(value)]
+    return flags
+
+
+@pytest.mark.parametrize("sub", list(_OPTIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_config_file_resolves_like_the_flags(sub, data):
+    options = data.draw(_drawn_options(sub))
+    from_flags = parse_config([sub, *_as_flags(options)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(options, fh)
+        assert parse_config([sub, "--config", path]) == from_flags
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(from_flags.to_json())
+        again = parse_config([sub, "--config", path])
+    assert again == from_flags and again.to_json() == from_flags.to_json()
 
 
 class TestSolveCommand:
@@ -202,7 +306,7 @@ class TestSweepCommand:
         # the paired penalty rho = (1 - beta)/beta needs beta < 1
         out = tmp_path / "sweep"
         assert main(["sweep", "--beta", "1", "--out", str(out)]) == 1
-        assert "--beta must lie in (0, 1)" in capsys.readouterr().err
+        assert "argument --beta: must lie in (0, 1), got 1.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_full_grid_sweep_cells(self, tmp_path):
@@ -240,6 +344,15 @@ class TestCdpCommand:
             assert (out / f"final_beta{start}.pgm").exists()
             assert (out / f"final_beta{start}_magnitude.pgm").exists()
 
+    def test_noisy_case_reports_its_noise(self, tmp_path):
+        out = tmp_path / "cdp"
+        assert main(["cdp", "--case", "c", "--grid", "16x16", "--total-iters", "20", "--hold-iters", "10",
+                     "--settle-iters", "5", "--out", str(out)]) == 0
+        noise = json.loads((out / "summary.json").read_text())["noise"]
+        assert set(noise) == {"kappa", "realized_level", "target_level"}
+        assert noise["target_level"] == 0.18
+        assert noise["realized_level"] == pytest.approx(0.18, rel=0.05)
+
     def test_grid_parse_error(self):
         assert main(["cdp", "--grid", "banana"]) == 1
 
@@ -248,6 +361,17 @@ def test_execute_rejects_bad_dims():
     cfg = parse_config(["solve", "--n", "16", "--N", "8"])
     with pytest.raises(UsageError):
         execute(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--algo", "admm", "--beta", "1"],
+    ["solve", "--n", "16", "--N", "8"],
+    ["cdp", "--grid", "0x0"],
+])
+def test_rejected_run_creates_nothing(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_runconfig_json_shape():
