@@ -53,7 +53,6 @@ __all__ = [
     "certify_fixed_point",
     "beta_max_from_threshold",
     "tangent_basis",
-    "assemble_range_form",
     "assemble_complement_form",
     "SaddleCertificate",
     "certify_cross_section_minimizer",
@@ -135,18 +134,15 @@ def optimal_dual(E: MeasurementEnsemble, z, beta: float) -> np.ndarray:
     return -bp * E.project_complement(z)
 
 
-def criticality_vector(E: MeasurementEnsemble, z, lam, b=None) -> np.ndarray:
+def criticality_vector(E: MeasurementEnsemble, z, lam) -> np.ndarray:
     """Entrywise quotient ``z^{-1} * Q(z - lam)``.
 
     Realness of the result is the first-order condition for ``z`` to
     minimize the objective on the torus.  Coordinates where ``z`` vanishes
-    are excluded (reported as zero); passing the magnitude data ``b`` makes
-    a vanishing ``z`` entry on the support of ``b`` an error instead.
+    are excluded (reported as zero).
     """
     z = np.asarray(z, dtype=np.complex128)
     support = np.abs(z) > 0
-    if b is not None and np.any(~support & (np.asarray(b) > 0)):
-        raise ZeroDivisionError("iterate vanishes on the support of the magnitude data")
     resid = E.project_complement(z - np.asarray(lam))
     out = np.zeros_like(z)
     out[support] = resid[support] / z[support]
@@ -378,19 +374,15 @@ def _min_eigpair(hr: np.ndarray):
     return float(vals[0]), float(resid), True
 
 
-def assemble_range_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
-    """Dense real symmetric form ``Re(diag(conj(u)) P diag(u))``."""
-    bstar = np.conj(u)[:, None] * E.materialize_adjoint()
-    k = bstar.real @ bstar.real.T + bstar.imag @ bstar.imag.T
-    return 0.5 * (k + k.T)
-
-
 def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
     """Dense real symmetric form ``Re(diag(conj(u)) Q diag(u))``.
 
-    Equals ``I -`` the range form because ``|u| = 1`` entrywise.
+    Equals ``I`` minus the range form ``Re(diag(conj(u)) P diag(u))``
+    because ``|u| = 1`` entrywise.
     """
-    return np.eye(E.N) - assemble_range_form(E, u)
+    bstar = np.conj(u)[:, None] * E.materialize_adjoint()
+    k = bstar.real @ bstar.real.T + bstar.imag @ bstar.imag.T
+    return np.eye(E.N) - 0.5 * (k + k.T)
 
 
 def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
@@ -725,15 +717,8 @@ class DiagnosticsRecord:
     csv_header = ("k", "beta_or_rho", "residual", "deriv_norm", "t_ratio", "objective_F", "wall_ns")
 
     def csv_row(self):
-        return (
-            self.k,
-            repr(self.param),
-            repr(self.residual),
-            repr(self.deriv_norm),
-            repr(self.t_ratio),
-            repr(self.objective),
-            self.wall_ns,
-        )
+        """The fields in ``csv_header`` order; ``str`` of each float is its ``repr``."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _residual_parts(z, pz, b_norm: float):
@@ -811,7 +796,6 @@ def diagnostics(
     lam,
     param: float,
     k: int,
-    wall_ns: int = 0,
     algo: str = "raar",
 ) -> DiagnosticsRecord:
     """Evaluate the trace metrics at a primal/dual pair by direct projection.
@@ -826,4 +810,4 @@ def diagnostics(
     lam = np.asarray(lam, dtype=np.complex128)
     pz = E.project_range(z)
     pl = E.project_range(lam)
-    return diagnostics_from_projections(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, wall_ns, algo)
+    return diagnostics_from_projections(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, algo=algo)

@@ -25,8 +25,6 @@ __all__ = [
     "write_pgm",
     "magnitude_image",
     "aligned_real_image",
-    "complex_to_interleaved",
-    "interleaved_to_complex",
     "save_solver_state",
     "load_solver_state",
 ]

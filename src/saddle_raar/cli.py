@@ -66,24 +66,25 @@ _RATIO = _checked(float, "lie in [1, inf)", lambda v: 1.0 <= v < math.inf)
 _COUNT = _checked(int, "be a positive integer", lambda v: v >= 1)
 _NONNEG = _checked(int, "be nonnegative", lambda v: v >= 0)
 
-# (name, type, default, help); a bool option is a bare flag that defaults to False.
+# (name, type, default, help); a bool option is a bare flag that defaults to False,
+# and a tuple type lists a string option's choices.
 _COMMON = [
     ("out", str, "out", "output directory"),
-    ("seed", int, 0, "base random seed"),
+    ("seed", _NONNEG, 0, "base random seed"),
 ]
 
 _OPTIONS = {
     "solve": _COMMON
     + [
-        ("algo", str, "raar", "solver: raar | admm | drs"),
+        ("algo", ("raar", "admm", "drs"), "raar", "solver: raar | admm | drs"),
         ("beta", _BETA, 0.9, "relaxation parameter in (0, 1]"),
         ("rho", _POSITIVE, 0.25, "splitting penalty in (0, inf)"),
-        ("ensemble", str, "gaussian", "measurement kind: gaussian | cdp"),
+        ("ensemble", ("gaussian", "cdp"), "gaussian", "measurement kind: gaussian | cdp"),
         ("n", _COUNT, 16, "object dimension (gaussian)"),
         ("N", _COUNT, 64, "measurement dimension (gaussian)"),
         ("grid", str, "16x16", "object grid rows x cols (cdp)"),
         ("masks", _COUNT, 2, "number of diffraction masks (cdp)"),
-        ("init", str, "random", "initializer: random | null"),
+        ("init", ("random", "null"), "random", "initializer: random | null"),
         ("weak-fraction", _FRACTION, 0.5, "weak-set fraction of the spectral initializer"),
         ("max-iters", _NONNEG, 2000, "iteration budget"),
         ("residual-tol", float, 1e-10, "relative residual stopping tolerance"),
@@ -104,7 +105,7 @@ _OPTIONS = {
     ],
     "cdp": _COMMON
     + [
-        ("case", str, "a", "experiment case: a | b | c | d"),
+        ("case", ("a", "b", "c", "d"), "a", "experiment case: a | b | c | d"),
         ("grid", str, "32x32", "phantom grid rows x cols"),
         ("noise-level", _FRACTION, 0.18, "target relative noise level (cases c, d)"),
         ("total-iters", _COUNT, 600, "iterations per path"),
@@ -125,14 +126,6 @@ _OPTIONS = {
         ("seeds", _COUNT, 20, "number of mask seeds to test"),
     ],
 }
-
-_CHOICES = {
-    "algo": ("raar", "admm", "drs"),
-    "ensemble": ("gaussian", "cdp"),
-    "init": ("random", "null"),
-    "case": ("a", "b", "c", "d"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -155,8 +148,10 @@ def _build_parser() -> _Parser:
         for flag, typ, default, help_text in opts:
             if typ is bool:
                 p.add_argument(f"--{flag}", action="store_true", help=help_text)
+            elif isinstance(typ, tuple):
+                p.add_argument(f"--{flag}", type=str, default=default, choices=typ, help=help_text)
             else:
-                p.add_argument(f"--{flag}", type=typ, default=default, choices=_CHOICES.get(flag), help=help_text)
+                p.add_argument(f"--{flag}", type=typ, default=default, help=help_text)
     return parser
 
 
@@ -172,13 +167,12 @@ def _config_flags(path, sub) -> list:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise UsageError("config file must hold a JSON object")
+    stated = file_values.pop("subcommand", sub)
+    if stated != sub:
+        raise UsageError(f"config file is for subcommand {stated!r}, not {sub!r}")
     is_bool = {name: typ is bool for name, typ, _d, _h in _OPTIONS[sub]}
     flags = []
     for key, value in file_values.items():
-        if key == "subcommand":
-            if value != sub:
-                raise UsageError(f"config file is for subcommand {value!r}, not {sub!r}")
-            continue
         if key not in is_bool:
             raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
         if value is None or (value is False and is_bool[key]):

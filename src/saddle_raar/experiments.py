@@ -452,14 +452,13 @@ def cdp_case_suite(
     case: str,
     grid=(32, 32),
     seed: int = 0,
-    beta_starts=BETA_PATH_STARTS,
     total_iters: int = 600,
     hold_iters: int = 300,
     settle_iters: int = TERMINAL_SETTLE_ITERS,
     noise_target: float = 0.18,
     weak_fraction: float = 0.5,
 ) -> CdpCaseResult:
-    """Run all relaxation paths of one case on a shared instance."""
+    """Run the paths from each of ``BETA_PATH_STARTS`` on one shared instance of a case."""
     inst = cdp_instance(case, grid, seed, noise_target, weak_fraction)
     paths = [
         cdp_case_run(
@@ -469,7 +468,7 @@ def cdp_case_suite(
             hold_iters=hold_iters,
             settle_iters=settle_iters,
         )
-        for start in beta_starts
+        for start in BETA_PATH_STARTS
     ]
 
     k = len(paths)

@@ -23,8 +23,10 @@ __all__ = [
 ]
 
 
-# Power-iteration residual at which the null vector counts as converged.
+# Power-iteration residual at which the null vector counts as converged,
+# and the iteration budget.
 POWER_TOL = 1e-8
+POWER_ITERS = 200
 
 
 @dataclass
@@ -38,22 +40,18 @@ class NullVectorResult:
     iterations: int
 
 
-def null_vector(
-    E: MeasurementEnsemble, b, weak_fraction: float = 0.5, seed: int = 0, power_iters: int = 200
-) -> NullVectorResult:
+def null_vector(E: MeasurementEnsemble, b, weak_fraction: float = 0.5, seed: int = 0) -> NullVectorResult:
     """Spectral initializer minimizing the measurement energy on the weak set.
 
     With ``I`` the indices of the ``floor(weak_fraction * N)`` smallest
     entries of ``b``, returns the unit ``x`` minimizing ``||1_I * (A* x)||``,
     computed as the dominant eigenvector of ``I - A diag(1_I) A*`` by at
-    most ``power_iters`` power iterations (eigenvalues lie in [0, 1]) from
+    most ``POWER_ITERS`` power iterations (eigenvalues lie in [0, 1]) from
     a random start drawn from ``seed``.  Non-convergence within that budget
     is flagged.
     """
     if not 0.0 < weak_fraction < 1.0:
         raise ValueError(f"weak_fraction must lie in (0, 1), got {weak_fraction}")
-    if power_iters < 1:
-        raise ValueError("power_iters must be at least 1")
     b = check_magnitudes(b)
     if b.size != E.N:
         raise InvalidDataError(f"magnitude data has length {b.size}, expected {E.N}")
@@ -72,7 +70,7 @@ def null_vector(
     mu = 0.0
     resid = np.inf
     iters = 0
-    for iters in range(1, power_iters + 1):
+    for iters in range(1, POWER_ITERS + 1):
         y = apply_op(x)
         mu = float(np.real(np.vdot(x, y)))
         resid = float(np.linalg.norm(y - mu * x))

@@ -87,14 +87,14 @@ def project_torus(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * unit_phase(w)
 
 
-def on_torus(z: np.ndarray, b: np.ndarray, rtol: float = 1e-12) -> bool:
-    """Whether ``|z| = b`` entrywise to relative tolerance ``rtol``."""
+def on_torus(z: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``|z| = b`` entrywise to relative tolerance 1e-12."""
     z = np.asarray(z)
     b = np.asarray(b, dtype=np.float64)
     scale = float(np.max(b)) if b.size else 0.0
     if scale == 0.0:
         return bool(np.all(z == 0))
-    return bool(np.all(np.abs(np.abs(z) - b) <= rtol * scale))
+    return bool(np.all(np.abs(np.abs(z) - b) <= 1e-12 * scale))
 
 
 def check_magnitudes(b: np.ndarray) -> np.ndarray:
@@ -253,8 +253,6 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         self.grid = _checked_grid(grid)
         r, c = self.grid
         masks = np.asarray(masks, dtype=np.complex128)
-        if masks.ndim == 2:
-            masks = masks[None, :, :]
         if masks.ndim != 3 or masks.shape[1:] != self.grid:
             raise DimensionError(f"masks must have shape (l, {r}, {c})")
         if masks.shape[0] < 2:
@@ -357,30 +355,19 @@ def random_unit_masks(grid, l: int, seed: int) -> np.ndarray:
     return masks
 
 
-def build_cdp_ensemble(
-    grid,
-    masks: np.ndarray | None = None,
-    oversample=None,
-    seed: int = 0,
-    n_masks: int = 2,
-) -> CodedDiffractionEnsemble:
-    """Build a coded-diffraction ensemble on ``grid``.
+def build_cdp_ensemble(grid, seed: int = 0, n_masks: int = 2) -> CodedDiffractionEnsemble:
+    """Build a coded-diffraction ensemble on ``grid`` with padded grid ``(2r, 2c)``.
 
-    Without explicit ``masks``, uses ``n_masks`` masks with the first
-    uncoded (all ones) and the rest i.i.d. uniform on the unit circle,
-    the "one coded and one uncoded pattern" setup when ``n_masks=2``.
-    ``oversample`` is the padded grid shape; default ``(2r, 2c)``.
+    Uses ``n_masks`` masks with the first uncoded (all ones) and the rest
+    i.i.d. uniform on the unit circle, the "one coded and one uncoded
+    pattern" setup when ``n_masks=2``.  Explicit masks or another padding
+    go to :class:`CodedDiffractionEnsemble` directly.
     """
     grid = _checked_grid(grid)
-    random_count = 0
-    if masks is None:
-        if n_masks < 2:
-            raise InvalidMaskError("need at least 2 masks")
-        masks = random_unit_masks(grid, n_masks, seed)
-        random_count = n_masks - 1
-    return CodedDiffractionEnsemble(
-        grid, masks, padded=oversample, seed=seed, random_mask_count=random_count
-    )
+    if n_masks < 2:
+        raise InvalidMaskError("need at least 2 masks")
+    masks = random_unit_masks(grid, n_masks, seed)
+    return CodedDiffractionEnsemble(grid, masks, seed=seed, random_mask_count=n_masks - 1)
 
 
 def complex_to_interleaved(vec: np.ndarray) -> list:

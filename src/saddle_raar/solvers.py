@@ -63,12 +63,8 @@ class RaarState:
 
 
 @dataclass
-class AdmmState:
-    """Triple ``(y, z, lambda)`` of the multiplier form; dual step fixed at 1.
-
-    ``z`` lives on the magnitude torus; ``z + lambda`` is the lifted
-    iterate of the equivalent relaxed-reflection recursion.
-    """
+class _Triple:
+    """Primal/dual triple ``(y, z, lambda)``."""
 
     y: np.ndarray
     z: np.ndarray
@@ -78,6 +74,15 @@ class AdmmState:
         self.y = np.asarray(self.y, dtype=np.complex128)
         self.z = np.asarray(self.z, dtype=np.complex128)
         self.lam = np.asarray(self.lam, dtype=np.complex128)
+
+
+@dataclass
+class AdmmState(_Triple):
+    """Triple ``(y, z, lambda)`` of the multiplier form; dual step fixed at 1.
+
+    ``z`` lives on the magnitude torus; ``z + lambda`` is the lifted
+    iterate of the equivalent relaxed-reflection recursion.
+    """
 
     @property
     def lift(self) -> np.ndarray:
@@ -86,17 +91,8 @@ class AdmmState:
 
 
 @dataclass
-class DrsState:
+class DrsState(_Triple):
     """Triple ``(y, z, lambda)`` of the splitting competitor; its penalty comes with each step."""
-
-    y: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.complex128)
-        self.z = np.asarray(self.z, dtype=np.complex128)
-        self.lam = np.asarray(self.lam, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

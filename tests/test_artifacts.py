@@ -4,8 +4,6 @@ import pytest
 from saddle_raar import build_gaussian_ensemble, diagnostics, project_torus
 from saddle_raar.artifacts import (
     aligned_real_image,
-    complex_to_interleaved,
-    interleaved_to_complex,
     load_solver_state,
     magnitude_image,
     save_solver_state,
@@ -14,6 +12,7 @@ from saddle_raar.artifacts import (
     write_pgm,
     write_trace_csv,
 )
+from saddle_raar.operators import complex_to_interleaved, interleaved_to_complex
 from conftest import random_complex
 
 

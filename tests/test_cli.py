@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddle_raar.artifacts import load_solver_state
-from saddle_raar.cli import _CHOICES, _OPTIONS, RunConfig, UsageError, execute, main, parse_config
+from saddle_raar.cli import _OPTIONS, RunConfig, UsageError, execute, main, parse_config
 
 
 class TestParsing:
@@ -59,7 +59,7 @@ class TestParsing:
         cfg = parse_config(["sweep"])
         dump = tmp_path / "eff.json"
         dump.write_text(cfg.to_json())
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="for subcommand 'sweep', not 'solve'"):
             parse_config(["solve", "--config", str(dump)])
 
     def test_main_exit_codes_for_usage(self, capsys):
@@ -127,6 +127,17 @@ class TestParsing:
         assert f"argument {flag}: must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["solve", "sweep", "cdp", "gap"])
+    def test_negative_seed_is_rejected_before_any_output(self, tmp_path, capsys, sub):
+        out = tmp_path / "out"
+        assert main([sub, "--seed", "-1", "--out", str(out)]) == 1
+        assert "argument --seed: must be nonnegative, got -1" in capsys.readouterr().err
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"seed": -1, "out": str(out)}))
+        assert main([sub, "--config", str(cfg_file)]) == 1
+        assert "argument --seed: must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_print_effective_config(self, capsys):
         assert main(["solve", "--beta", "0.7", "--print-effective-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -147,12 +158,13 @@ _VALID = {
     "n": _COUNT, "N": _COUNT, "masks": _COUNT, "record-every": _COUNT, "trials": _COUNT,
     "total-iters": _COUNT, "hold-iters": _COUNT, "seeds": _COUNT,
     "max-iters": st.integers(1, 10**6), "settle-iters": st.integers(0, 10**6),
-} | {name: st.sampled_from(values) for name, values in _CHOICES.items()}
+}
 
 
 def _drawn_options(sub):
     return st.fixed_dictionaries({}, optional={
-        name: st.booleans() if typ is bool else _VALID[name] for name, typ, _d, _h in _OPTIONS[sub]
+        name: st.booleans() if typ is bool else st.sampled_from(typ) if isinstance(typ, tuple) else _VALID[name]
+        for name, typ, _d, _h in _OPTIONS[sub]
     })
 
 

@@ -193,10 +193,9 @@ class TestCdpCases:
 
         seen = []
         monkeypatch.setattr(experiments, "null_vector", lambda *a, **kw: seen.append(1) or null_vector(*a, **kw))
-        suite = cdp_case_suite(case, (16, 16), 1, beta_starts=(0.9, 0.8, 0.7), total_iters=6,
-                               hold_iters=3, settle_iters=1)
+        suite = cdp_case_suite(case, (16, 16), 1, total_iters=6, hold_iters=3, settle_iters=1)
         assert len(seen) == calls
-        assert len(suite.paths) == 3
+        assert len(suite.paths) == 5
         assert (suite.instance.null_init is None) == (calls == 0)
 
     def test_cdp_command_computes_the_null_vector_once(self, monkeypatch, tmp_path):

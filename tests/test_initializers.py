@@ -38,12 +38,16 @@ class TestNullVector:
         col = a[3].conj()
         assert abs(np.vdot(col / np.linalg.norm(col), result.x)) >= 1.0 - 1e-8
 
-    def test_convergence_flag_honest(self, dense_small):
+    def test_convergence_flag_honest(self, monkeypatch, dense_small):
+        import saddle_raar.initializers as initializers
+
         E, _, b = dense_small
-        result = null_vector(E, b, seed=1, power_iters=500)
+        monkeypatch.setattr(initializers, "POWER_ITERS", 500)
+        result = null_vector(E, b, seed=1)
         if result.converged:
             assert result.residual <= 1e-8
-        starved = null_vector(E, b, seed=1, power_iters=1)
+        monkeypatch.setattr(initializers, "POWER_ITERS", 1)
+        starved = null_vector(E, b, seed=1)
         assert starved.iterations == 1
 
     def test_beats_random_on_cdp_phantom(self):
@@ -72,8 +76,6 @@ class TestNullVector:
         E, _, b = dense_small
         with pytest.raises(ValueError):
             null_vector(E, b, weak_fraction=0.0)
-        with pytest.raises(ValueError):
-            null_vector(E, b, power_iters=0)
 
 
 class TestMakeInitialState:

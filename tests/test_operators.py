@@ -15,6 +15,7 @@ from saddle_raar import (
     shepp_logan,
     unit_phase,
 )
+from saddle_raar.operators import random_unit_masks
 from conftest import random_complex
 
 
@@ -90,7 +91,7 @@ class TestGaussianEnsemble:
 class TestCodedDiffractionEnsemble:
     def test_single_pixel(self):
         # 1x1 object, two masks, minimal padding: N=2, both magnitudes |x|/sqrt(2)
-        E = build_cdp_ensemble((1, 1), oversample=(1, 1), seed=0)
+        E = CodedDiffractionEnsemble((1, 1), random_unit_masks((1, 1), 2, 0), padded=(1, 1))
         assert E.N == 2
         x = np.array([3.0 - 4.0j])
         w = E.apply_adjoint(x)
@@ -113,7 +114,7 @@ class TestCodedDiffractionEnsemble:
     def test_matches_dense_dft_matrix(self):
         # independent oracle: explicitly built padded-DFT matrix per mask
         grid, padded = (4, 3), (8, 6)
-        E = build_cdp_ensemble(grid, oversample=padded, seed=9)
+        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, 2, 9), padded=padded)
         r, c = grid
         pr, pc = padded
         rows = []
@@ -137,15 +138,19 @@ class TestCodedDiffractionEnsemble:
         bad = np.ones((2, 4, 4), dtype=complex)
         bad[1, 0, 0] = 2.0
         with pytest.raises(InvalidMaskError):
-            build_cdp_ensemble((4, 4), masks=bad)
+            CodedDiffractionEnsemble((4, 4), bad)
         with pytest.raises(InvalidMaskError):
             build_cdp_ensemble((4, 4), n_masks=1, seed=0)
+        # a single 2-D mask is not a stack of masks
+        with pytest.raises(DimensionError, match=r"masks must have shape \(l, 4, 4\)"):
+            CodedDiffractionEnsemble((4, 4), np.ones((4, 4)))
 
     def test_aliasing_guard(self):
+        masks = random_unit_masks((4, 4), 2, 0)
         with pytest.raises(AliasingError):
-            build_cdp_ensemble((4, 4), oversample=(6, 6), seed=0)
+            CodedDiffractionEnsemble((4, 4), masks, padded=(6, 6))
         # minimal oversampling (2r-1, 2c-1) is allowed
-        E = build_cdp_ensemble((4, 4), oversample=(7, 7), seed=0)
+        E = CodedDiffractionEnsemble((4, 4), masks, padded=(7, 7))
         assert E.isometry_defect(probes=10, seed=0) <= 1e-10
 
     def test_descriptor_roundtrip(self):
@@ -209,7 +214,7 @@ class TestBatchedCdpOperator:
          ((6, 4), 3, (11, 7)), ((16, 16), 2, (31, 31))],
     )
     def test_matches_per_mask_loop_bitwise(self, grid, n_masks, padded):
-        E = build_cdp_ensemble(grid, oversample=padded, seed=4, n_masks=n_masks)
+        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, n_masks, 4), padded=padded)
         rng = np.random.default_rng(30)
         for _ in range(3):
             x = random_complex(rng, E.n)
