@@ -56,7 +56,6 @@ from .operators import (
     build_gaussian_ensemble,
     build_rpp,
     ensemble_from_descriptor,
-    on_torus,
     project_torus,
     shepp_logan,
     unit_phase,

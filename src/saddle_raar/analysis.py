@@ -19,7 +19,8 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient
 dimensions compute only the extreme eigenvalues they need; beyond that,
-matrix-free Lanczos with a convergence flag.
+matrix-free Lanczos with a convergence flag.  scipy is imported by those
+eigen-solves alone, when they run; everything else needs numpy only.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .operators import MeasurementEnsemble, unit_phase, project_torus
+from .operators import MeasurementEnsemble, check_magnitudes, check_vector, project_torus, unit_phase
 
 __all__ = [
     "DENSE_CAP",
@@ -298,10 +297,10 @@ def certify_fixed_point(
     nonnegativity of the implied magnitude, ``c >= (1 - (1-beta)/beta) b``.
     Also reports the measured ``c`` (from ``u`` alone) and the admissible
     relaxation interval at this phase vector.  Failures are reported in the
-    certificate, never raised.
+    certificate, never raised; malformed ``b`` or ``w`` raises ``InvalidDataError``.
     """
-    b = np.asarray(b, dtype=np.float64)
-    w = np.asarray(w, dtype=np.complex128)
+    b = check_magnitudes(b, E.N)
+    w = check_vector(w, E.N, "lift")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     u = unit_phase(w)
@@ -369,6 +368,7 @@ def _restrict_to_tangent(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _min_eigpair(hr: np.ndarray):
     """Smallest eigenvalue of a dense symmetric form, with its residual norm."""
+    import scipy.linalg
     vals, vecs = scipy.linalg.eigh(hr, subset_by_index=[0, 0])
     resid = np.linalg.norm(hr @ vecs[:, 0] - vals[0] * vecs[:, 0])
     return float(vals[0]), float(resid), True
@@ -392,6 +392,8 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     :func:`tangent_basis` of the reflector ``H``, from a fixed-seed start so
     that the result depends on the operator alone.
     """
+    import scipy.sparse.linalg
+
     def matvec(xi):
         x = np.zeros(b.size)
         x[1:] = xi
@@ -487,10 +489,10 @@ def certify_cross_section_minimizer(
     quantities restrict to the support.  Up to ``DENSE_CAP`` support
     dimensions one subset eigen-solve and one generalized one on ``Xi``;
     beyond that a matrix-free Lanczos path computes the restricted
-    eigenvalue (beta bounds then unavailable).
+    eigenvalue (beta bounds then unavailable).  Malformed ``z`` or ``lam`` raises ``InvalidDataError``.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
+    z = check_vector(z, E.N, "iterate")
+    lam = check_vector(lam, E.N, "dual")
     mag = np.abs(z)
     s = mag > 0
     if not np.any(s):
@@ -507,6 +509,7 @@ def certify_cross_section_minimizer(
     min_eig, eig_resid, converged, method, g2 = _tangent_min_eig(E, z, np.real(q), 1.0)
     beta_saddle = beta_contraction = beta_bound = None
     if g2 is not None:
+        import scipy.linalg
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
         q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
         d0 = _restrict_to_tangent(np.diag(q0), b)
@@ -546,10 +549,13 @@ def certify_drs_cross_section(
 
     Certifies ``(rho+1) I - diag(b/|z|) - rho K >= 0`` on the tangent
     subspace, with ``K = Re(diag(conj(u)) P diag(u))``: the tangent
-    curvature ``rho K_perp - diag(b/|z| - 1)``.
+    curvature ``rho K_perp - diag(b/|z| - 1)``.  ``rho <= 0`` raises
+    ``ValueError``, malformed ``b`` or ``z`` ``InvalidDataError``.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.float64)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    b = check_magnitudes(b, E.N)
+    z = check_vector(z, E.N, "iterate")
     mag = np.abs(z)
     if np.any(mag <= 0):
         raise ValueError("curvature check needs nonzero iterate magnitudes")
@@ -626,6 +632,7 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
         sigma_top, lam2 = float(svals[0]), float(svals[1])
         method, converged = "dense", True
     else:
+        import scipy.sparse.linalg
         n = E.n
 
         def matvec(t):
@@ -721,24 +728,19 @@ class DiagnosticsRecord:
         return tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _residual_parts(z, pz, b_norm: float):
-    """``(z - P z, ||z - P z||, ||z - P z|| / ||b||)``: a record's complement part and residual."""
-    zq = z - pz
-    zq_norm = float(np.linalg.norm(zq))
-    return zq, zq_norm, zq_norm / b_norm
+def _residual_parts(z, pz, b_norm: float, zq):
+    """``(||z - P z||, ||z - P z|| / ||b||)``, a record's residual, with ``z - P z`` written into ``zq``."""
+    zq_norm = float(np.linalg.norm(np.subtract(z, pz, out=zq)))
+    return zq_norm, zq_norm / b_norm
+
+
+def _trace_row_work(n: int):
+    """Work vectors of :func:`_trace_row` for ``n`` coordinates: four complex, one real."""
+    return (*(np.empty(n, dtype=np.complex128) for _ in range(4)), np.empty(n))
 
 
 def diagnostics_from_projections(
-    b,
-    b_norm: float,
-    z,
-    lam,
-    pz,
-    pl,
-    param: float,
-    k: int,
-    wall_ns: int = 0,
-    algo: str = "raar",
+    b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int = 0, algo: str = "raar"
 ) -> DiagnosticsRecord:
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
 
@@ -750,9 +752,19 @@ def diagnostics_from_projections(
     the derivative norm / objective are the splitting Lagrangian's (the
     ratio uses the corresponding ``1/(1+rho)``).
     """
-    zq, zq_norm, residual = _residual_parts(z, pz, b_norm)
-    lq = lam - pl
-    lq_norm = float(np.linalg.norm(lq))
+    return _trace_row(b, b_norm, z, lam, pz, pl, param, k, wall_ns, algo, _trace_row_work(np.size(z)))
+
+
+def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work):
+    """:func:`diagnostics_from_projections` with its vector temporaries written into ``work``.
+
+    ``work`` comes from :func:`_trace_row_work`; what it held is never read.
+    Each ufunc keeps the operand order of the plain expression beside it, so
+    the row is the same to the bit.
+    """
+    zq, lq, t, u, r = work
+    zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
+    lq_norm = float(np.linalg.norm(np.subtract(lam, pl, out=lq)))  # lq = lam - pl
     lam_norm = float(np.linalg.norm(lam))
     pl_norm = float(np.linalg.norm(pl))  # equals ||A lam||
 
@@ -760,12 +772,14 @@ def diagnostics_from_projections(
         rho = param
         beta = beta_from_rho(rho)
         deriv = float(np.hypot(zq_norm, pl_norm / rho))
-        obj = 0.5 * float(np.linalg.norm(np.abs(z) - b) ** 2)
-        obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)
+        obj = 0.5 * float(np.linalg.norm(np.subtract(np.abs(z, out=r), b, out=r)) ** 2)  # |z| - b
+        np.add(zq, np.divide(lq, rho, out=t), out=t)  # zq + lq / rho
+        obj += 0.5 * rho * float(np.linalg.norm(t) ** 2 - np.linalg.norm(np.divide(lam, rho, out=u)) ** 2)
     else:
         beta = param
-        deriv = float(np.hypot(np.linalg.norm((1.0 - beta) * lq + beta * zq), pl_norm))
-        obj = 0.5 * beta * float(np.linalg.norm(zq - lq) ** 2) - 0.5 * lam_norm**2
+        np.add(np.multiply(1.0 - beta, lq, out=t), np.multiply(beta, zq, out=u), out=t)  # (1 - beta) lq + beta zq
+        deriv = float(np.hypot(np.linalg.norm(t), pl_norm))
+        obj = 0.5 * beta * float(np.linalg.norm(np.subtract(zq, lq, out=t)) ** 2) - 0.5 * lam_norm**2
 
     denom = beta * zq_norm**2
     denom += (1.0 - beta) * lq_norm**2
@@ -802,8 +816,8 @@ def diagnostics(
 
     The reference form of a trace row, which tests compare ``run``
     against: projects ``z`` and ``lam`` once each and evaluates
-    :func:`diagnostics_from_projections`, which ``run`` feeds with the
-    projections its steps make instead.
+    :func:`diagnostics_from_projections`, whose row ``run`` builds from
+    the projections its steps make instead.
     """
     b = np.asarray(b, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)

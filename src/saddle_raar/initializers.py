@@ -52,9 +52,7 @@ def null_vector(E: MeasurementEnsemble, b, weak_fraction: float = 0.5, seed: int
     """
     if not 0.0 < weak_fraction < 1.0:
         raise ValueError(f"weak_fraction must lie in (0, 1), got {weak_fraction}")
-    b = check_magnitudes(b)
-    if b.size != E.N:
-        raise InvalidDataError(f"magnitude data has length {b.size}, expected {E.N}")
+    b = check_magnitudes(b, E.N)
     weak_count = math.floor(weak_fraction * E.N)
     if weak_count < 1:
         raise InvalidDataError("weak fraction selects no coordinates")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "random_unit_masks",
     "unit_phase",
     "project_torus",
-    "on_torus",
     "shepp_logan",
     "build_rpp",
     "ensemble_from_descriptor",
@@ -87,19 +87,11 @@ def project_torus(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * unit_phase(w)
 
 
-def on_torus(z: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``|z| = b`` entrywise to relative tolerance 1e-12."""
-    z = np.asarray(z)
+def check_magnitudes(b: np.ndarray, N: int) -> np.ndarray:
+    """Validate magnitude data: length ``N``, finite, nonnegative, not all zero."""
     b = np.asarray(b, dtype=np.float64)
-    scale = float(np.max(b)) if b.size else 0.0
-    if scale == 0.0:
-        return bool(np.all(z == 0))
-    return bool(np.all(np.abs(np.abs(z) - b) <= 1e-12 * scale))
-
-
-def check_magnitudes(b: np.ndarray) -> np.ndarray:
-    """Validate magnitude data: finite, nonnegative, not all zero."""
-    b = np.asarray(b, dtype=np.float64)
+    if b.size != N:
+        raise InvalidDataError(f"magnitude data has length {b.size}, expected {N}")
     if not np.all(np.isfinite(b)):
         raise InvalidDataError("magnitude data must be finite")
     if np.any(b < 0):
@@ -107,6 +99,16 @@ def check_magnitudes(b: np.ndarray) -> np.ndarray:
     if not np.any(b > 0):
         raise InvalidDataError("magnitude data must have a positive entry")
     return b
+
+
+def check_vector(v: np.ndarray, N: int, what: str) -> np.ndarray:
+    """``v`` as a complex vector, checked to have length ``N`` and finite entries."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.size != N:
+        raise InvalidDataError(f"{what} has length {v.size}, expected {N}")
+    if not np.isfinite(v).all():
+        raise InvalidDataError(f"{what} must be finite")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,9 @@ class GaussianEnsemble(MeasurementEnsemble):
     kind = "dense-gaussian"
 
     def __init__(self, n: int, N: int, seed: int):
+        for name, value in (("n", n), ("N", N)):
+            if not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if n < 1 or N < 1:
             raise DimensionError("dimensions must be positive")
         if N < n:

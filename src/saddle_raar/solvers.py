@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, _residual_parts, certify_fixed_point, diagnostics_from_projections
-from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, project_torus
+from .analysis import DiagnosticsRecord, _residual_parts, _trace_row, _trace_row_work, certify_fixed_point
+from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus
 
 __all__ = [
     "RaarState",
@@ -324,14 +324,8 @@ def initial_state(E: MeasurementEnsemble, b, algo: str, w0):
     raises ``InvalidDataError``.
     """
     form = _form(algo)
-    b = check_magnitudes(b)
-    if b.size != E.N:
-        raise InvalidDataError(f"magnitudes have length {b.size}, expected {E.N}")
-    w0 = np.asarray(w0, dtype=np.complex128)
-    if w0.size != E.N:
-        raise InvalidDataError(f"lift has length {w0.size}, expected {E.N}")
-    if not np.isfinite(w0).all():
-        raise InvalidDataError("initial vector must be finite")
+    b = check_magnitudes(b, E.N)
+    w0 = check_vector(w0, E.N, "lift")
     if np.linalg.norm(w0) == 0:
         raise InvalidDataError("initial vector must be nonzero")
     return form.start(w0, b)
@@ -375,7 +369,8 @@ def run(
     The run starts at ``initial_state(E, b, algo, w0)``.  The schedule is
     evaluated at the 1-based iteration index before each step, and the
     iterates are those of the public step functions.  A
-    record costs vector norms only: its ``P z`` and ``P lambda`` come from
+    record costs vector norms only, with its temporaries in work vectors
+    allocated once per run: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
     stopping rule is set.  The start costs one more of each, and so does
@@ -414,11 +409,12 @@ def run(
     rho = form.penalty(param)
     carry = E.project_range(lam - rho * z)
     records = []
+    work = _trace_row_work(E.N)  # every row's vector temporaries, reused
     if on_iterate is not None:
         on_iterate(0, form.lift(state))
 
     def record(z, lam, pz, pl, param, k, reached):
-        return diagnostics_from_projections(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo)
+        return _trace_row(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo, work)
 
     reason = None
     k, reached = 0, t0
@@ -435,7 +431,7 @@ def run(
                 records.append(record(z, lam, pz, pl, param, k, reached))
             break
         if k % record_every == 0 or not stop.fixed_budget and (
-                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm)[2] <= stop.residual_tol):
+                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, work[0])[1] <= stop.residual_tol):
             rec = record(z, lam, pz, pl, param, k, reached)
             reason = _stop_reason(stop, rec)
             if k % record_every == 0 or reason:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saddle_raar import build_cdp_ensemble, build_gaussian_ensemble
+from saddle_raar import MeasurementEnsemble, build_cdp_ensemble, build_gaussian_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,24 @@ def cdp_8x8():
 
 def random_complex(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class CountingEnsemble(MeasurementEnsemble):
+    """Delegates to an ensemble and counts ``apply``/``apply_adjoint`` calls.
+
+    With ``nan_on_apply = j`` the j-th ``apply`` call returns NaNs.
+    """
+
+    def __init__(self, inner, nan_on_apply=None):
+        self.inner, self.n, self.N = inner, inner.n, inner.N
+        self.applies = self.adjoints = 0
+        self.nan_on_apply = nan_on_apply
+
+    def apply(self, w):
+        self.applies += 1
+        out = self.inner.apply(w)
+        return out * np.nan if self.applies == self.nan_on_apply else out
+
+    def apply_adjoint(self, x):
+        self.adjoints += 1
+        return self.inner.apply_adjoint(x)

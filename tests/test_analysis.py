@@ -6,6 +6,7 @@ import scipy.linalg
 
 from saddle_raar import (
     CodedDiffractionEnsemble,
+    InvalidDataError,
     MeasurementEnsemble,
     aligned_error,
     beta_prime,
@@ -36,7 +37,7 @@ from saddle_raar.analysis import (
     tangent_basis,
 )
 from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
-from conftest import random_complex
+from conftest import CountingEnsemble, random_complex
 
 
 def _random_torus_pair(E, rng, b=None):
@@ -662,3 +663,38 @@ def test_converged_dual_split_matches_maximizer(dense_wide):
     lam = w - z
     lam_star = optimal_dual(E, z, beta)
     assert np.linalg.norm(lam - lam_star) <= 1e-9 * np.linalg.norm(b)
+
+
+def _negative_first(v):
+    v = v.copy()
+    v[0] = -v[0]
+    return v
+
+
+def _nan_first(v):
+    v = v.astype(complex)
+    v[0] = np.nan
+    return v
+
+
+_MALFORMED_CERTIFICATE = {
+    "drs_zero_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, 0.0), ValueError),
+    "drs_negative_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, -1.0), ValueError),
+    "drs_negative_b": (lambda E, b, z: certify_drs_cross_section(E, _negative_first(b), z, 0.25), InvalidDataError),
+    "drs_short_b": (lambda E, b, z: certify_drs_cross_section(E, b[:-1], z, 0.25), InvalidDataError),
+    "fixed_point_negative_b": (lambda E, b, z: certify_fixed_point(E, _negative_first(b), z, 0.9), InvalidDataError),
+    "fixed_point_short_w": (lambda E, b, z: certify_fixed_point(E, b, z[:-1], 0.9), InvalidDataError),
+    "cross_section_nan_z": (lambda E, b, z: certify_cross_section_minimizer(E, _nan_first(z), np.zeros_like(z)),
+                            InvalidDataError),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CERTIFICATE))
+def test_malformed_certificate_input_is_rejected_before_any_operator_call(dense_small, case):
+    certify, error = _MALFORMED_CERTIFICATE[case]
+    E0, x0, b = dense_small
+    z = E0.apply_adjoint(x0)
+    E = CountingEnsemble(E0)
+    with pytest.raises(error):
+        certify(E, b, z)
+    assert (E.applies, E.adjoints) == (0, 0)

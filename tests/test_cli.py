@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saddle_raar
 from saddle_raar.artifacts import load_solver_state
 from saddle_raar.cli import _OPTIONS, RunConfig, UsageError, execute, main, parse_config
 
@@ -398,3 +401,34 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert main(["solve", "--ensemble", "cdp", "--grid", "16x16", "--masks", "1",
                  "--out", str(tmp_path)]) == 1
     assert "mask" in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import sys
+from saddle_raar import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+for name, argv in [
+    ("raar", ["solve", "--algo", "raar", "--n", "16", "--N", "64"]),
+    ("drs", ["solve", "--algo", "drs", "--n", "16", "--N", "64"]),
+    ("cdp", ["cdp", "--case", "a", "--grid", "16x16", "--total-iters", "20", "--hold-iters", "10",
+             "--settle-iters", "5"]),
+    ("gap", ["gap", "--grid", "8x8", "--seeds", "2"]),
+]:
+    assert cli.main(argv + ["--out", f"{out}/{name}"]) == 0, name
+    assert scipy_modules() == [], (name, scipy_modules())
+assert cli.main(["certify", "--state", f"{out}/raar/state.json", "--cross-section", "--out", f"{out}/cert"]) == 0
+assert "scipy.linalg" in scipy_modules()
+"""
+
+
+def test_only_the_eigen_solves_load_scipy(tmp_path):
+    # a fresh interpreter, so that no other test has loaded scipy yet
+    src = os.path.dirname(os.path.dirname(os.path.abspath(saddle_raar.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,6 @@ from saddle_raar import (
     AdmmState,
     DrsState,
     InvalidDataError,
-    MeasurementEnsemble,
     ParameterSchedule,
     RaarState,
     StoppingRule,
@@ -25,14 +24,17 @@ from saddle_raar import (
     run,
 )
 from saddle_raar.analysis import (
+    _trace_row,
+    _trace_row_work,
     aligned_error,
     certify_fixed_point,
     contraction_margin,
     convergence_functional,
+    diagnostics_from_projections,
     fejer_monitor,
 )
 from saddle_raar.solvers import drs_fixed_point_residuals
-from conftest import random_complex
+from conftest import CountingEnsemble, random_complex
 
 
 class TestRaarStep:
@@ -365,27 +367,6 @@ _PARAM = {"raar": 0.9, "admm": 0.9, "drs": 0.25}
 _LIFT = {"raar": "w", "admm": "lift", "drs": "z"}  # the vector run keeps per iterate
 
 
-class CountingEnsemble(MeasurementEnsemble):
-    """Delegates to an ensemble and counts ``apply``/``apply_adjoint`` calls.
-
-    With ``nan_on_apply = j`` the j-th ``apply`` call returns NaNs.
-    """
-
-    def __init__(self, inner, nan_on_apply=None):
-        self.inner, self.n, self.N = inner, inner.n, inner.N
-        self.applies = self.adjoints = 0
-        self.nan_on_apply = nan_on_apply
-
-    def apply(self, w):
-        self.applies += 1
-        out = self.inner.apply(w)
-        return out * np.nan if self.applies == self.nan_on_apply else out
-
-    def apply_adjoint(self, x):
-        self.adjoints += 1
-        return self.inner.apply_adjoint(x)
-
-
 def _public_steps(algo, E, b, state, param, n):
     """``(lift, z, lambda)`` of ``state`` and of ``n`` public steps from it."""
     out = []
@@ -473,13 +454,13 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
     full = go(1)
     assert full.stop_reason == "residual" and full.final_record.k % 7 != 0
     ks = []
-    record = solvers.diagnostics_from_projections
+    record = solvers._trace_row
 
     def counted_record(b, b_norm, z, lam, pz, pl, param, k, *rest):
         ks.append(k)
         return record(b, b_norm, z, lam, pz, pl, param, k, *rest)
 
-    monkeypatch.setattr(solvers, "diagnostics_from_projections", counted_record)
+    monkeypatch.setattr(solvers, "_trace_row", counted_record)
     strided = go(record_every)
     assert _bits(strided) == _bits(full)
     kept = [r for r in full.records[:-1] if r.k % record_every == 0] + [full.final_record]
@@ -752,6 +733,43 @@ def test_run_records_match_direct_formulas(request, algo, ensemble):
     assert checked >= 20
 
 
+def _plain_row(b, b_norm, z, lam, pz, pl, param, algo):
+    """Residual, derivative norm and objective of a row in out-of-place expressions, one temporary each."""
+    zq, lq = z - pz, lam - pl
+    zq_norm = float(np.linalg.norm(zq))
+    if algo == "drs":
+        rho = param
+        deriv = float(np.hypot(zq_norm, float(np.linalg.norm(pl)) / rho))
+        obj = 0.5 * float(np.linalg.norm(np.abs(z) - b) ** 2)
+        obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)
+    else:
+        beta = param
+        deriv = float(np.hypot(np.linalg.norm((1.0 - beta) * lq + beta * zq), float(np.linalg.norm(pl))))
+        obj = 0.5 * beta * float(np.linalg.norm(zq - lq) ** 2) - 0.5 * float(np.linalg.norm(lam)) ** 2
+    return zq_norm / b_norm, deriv, obj
+
+
+@pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_row_in_reused_work_vectors_is_bitwise_fresh(request, algo, ensemble):
+    E, _, b = request.getfixturevalue(ensemble)
+    param = _PARAM[algo]
+    b_norm = float(np.linalg.norm(b))
+    steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
+    work = _trace_row_work(E.N)
+    for v in work:
+        v[:] = np.nan  # dirty: a row must not read what its work vectors held
+    for k in (4, 9):  # two different rows back to back into the same vectors
+        _lift, z, lam = steps[k]
+        pz, pl = E.project_range(z), E.project_range(lam)
+        reused = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, work)
+        fresh = diagnostics_from_projections(b, b_norm, z, lam, pz, pl, param, k, 17, algo)
+        for name in ("k", "param", "residual", "deriv_norm", "t_ratio", "objective", "wall_ns"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), (k, name)
+        plain = _plain_row(b, b_norm, z, lam, pz, pl, param, algo)
+        assert np.array_equal((reused.residual, reused.deriv_norm, reused.objective), plain), k
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     # criterion 10's instance and stopping rule; raar/admm at the paired beta
@@ -763,13 +781,13 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     w0 = random_lift(E.N, seed=0)
     param = 0.25 if algo == "drs" else beta_from_rho(0.25)
     seen = []
-    record = solvers.diagnostics_from_projections
+    record = solvers._trace_row
 
     def keep_last(b, b_norm, z, lam, pz, pl, *rest):
         seen[:] = [(z, lam, pz, pl)]
         return record(b, b_norm, z, lam, pz, pl, *rest)
 
-    monkeypatch.setattr(solvers, "diagnostics_from_projections", keep_last)
+    monkeypatch.setattr(solvers, "_trace_row", keep_last)
     scale = 1e-12 * np.linalg.norm(b)
     stopped = run(E, b, algo, ParameterSchedule.constant(param), w0, 6000,
                   StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))
