@@ -17,10 +17,10 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 * the convergence functional ``T`` and its self-referenced inequality
   ratio used as a basin-of-attraction indicator.
 
-All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient
-dimensions compute only the extreme eigenvalues they need; beyond that,
-matrix-free Lanczos with a convergence flag.  scipy is imported by those
-eigen-solves alone, when they run; everything else needs numpy only.
+All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
+from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
+extreme eigenvalues they need; beyond that, matrix-free Lanczos with a convergence flag.  scipy is
+imported by those eigen-solves alone, when they run; everything else needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import MeasurementEnsemble, check_magnitudes, check_vector, project_torus, unit_phase
+from .operators import DimensionError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus, unit_phase
 
 __all__ = [
     "DENSE_CAP",
@@ -346,14 +346,17 @@ def certify_fixed_point(
 # ---------------------------------------------------------------------------
 
 
-def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``H x`` for the Householder reflector ``H`` with ``H b = -s ||b|| e_0``; ``x`` a vector or a matrix.
-
-    ``s`` is the sign of ``b_0``, so ``v_0 = b_0/||b|| + s`` never cancels.
-    """
+def _householder(b: np.ndarray):
+    """``(v, c)`` of ``H = I - c v v^T``, ``H b = -s ||b|| e_0``; ``s = sign(b_0)``, so ``v_0`` never cancels."""
     v = np.asarray(b, dtype=np.float64) / np.linalg.norm(b)
     v[0] += np.copysign(1.0, v[0])
-    return x - np.multiply.outer((2.0 / (v @ v)) * v, v @ x)
+    return v, 2.0 / (v @ v)
+
+
+def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``H x`` for the reflector of :func:`_householder`; ``x`` a vector or a matrix."""
+    v, c = _householder(b)
+    return x - np.multiply.outer(c * v, v @ x)
 
 
 def tangent_basis(b: np.ndarray) -> np.ndarray:
@@ -361,9 +364,14 @@ def tangent_basis(b: np.ndarray) -> np.ndarray:
     return _reflect(np.eye(len(b)), b)[:, 1:]
 
 
-def _restrict_to_tangent(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tangent_basis(b).T @ m @ tangent_basis(b)`` for symmetric ``m``, in O(N^2) work."""
-    return _reflect(_reflect(m, b).T, b)[1:, 1:]
+def _restricted_diag(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tangent_basis(b).T @ diag(d) @ tangent_basis(b)``: rows and columns 1: of the closed form
+    ``H diag(d) H = diag(d) - v p^T - p v^T``, ``p = c d v - (c^2/2) <v, d v> v``, in O(N^2)."""
+    v, c = _householder(b)
+    p = (c * d * v - (0.5 * c * c * (v @ (d * v))) * v)[1:]
+    out = np.stack([-v[1:], -p], axis=1) @ np.stack([p, v[1:]])
+    out.flat[:: b.size] += d[1:]
+    return out
 
 
 def _min_eigpair(hr: np.ndarray):
@@ -374,15 +382,17 @@ def _min_eigpair(hr: np.ndarray):
     return float(vals[0]), float(resid), True
 
 
-def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
-    """Dense real symmetric form ``Re(diag(conj(u)) Q diag(u))``.
+def _phase_factor(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
+    """Rows ``u != 0`` of ``F = [Re B*, Im B*]``, ``B* = diag(conj(u)) A*``: ``F F^T = Re(diag(conj(u)) P diag(u))``."""
+    s = u != 0
+    bstar = np.conj(u[s])[:, None] * E.materialize_adjoint()[s]
+    return np.concatenate([bstar.real, bstar.imag], axis=1)
 
-    Equals ``I`` minus the range form ``Re(diag(conj(u)) P diag(u))``
-    because ``|u| = 1`` entrywise.
-    """
-    bstar = np.conj(u)[:, None] * E.materialize_adjoint()
-    k = bstar.real @ bstar.real.T + bstar.imag @ bstar.imag.T
-    return np.eye(E.N) - 0.5 * (k + k.T)
+
+def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
+    """Dense form ``Re(diag(conj(u)) Q diag(u)) = I - F F^T`` for unit ``u``, ``F`` the :func:`_phase_factor`."""
+    f = _phase_factor(E, u)
+    return np.eye(E.N) - f @ f.T
 
 
 def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
@@ -417,20 +427,21 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
 def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float):
     """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
 
-    ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``;
-    ``d``, ``K_perp`` and ``Xi`` live on the support of ``z``.  Returns
-    ``(eigenvalue, residual, converged, method, g2)``.  Up to ``DENSE_CAP``
-    support dimensions one dense subset eigen-solve, and ``g2`` is ``K_perp``
-    restricted to ``Xi``; beyond that Lanczos through the same reflector,
-    and ``g2`` is None.
+    ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and
+    ``Xi`` live on the support of ``z``.  Returns ``(eigenvalue, residual, converged, method, g2)``.
+    Up to ``DENSE_CAP`` support dimensions one dense subset eigen-solve, and ``g2`` is ``K_perp``
+    on ``Xi``, ``I - (H F)(H F)^T`` less row and column 0: the ``N x 2n`` phase factor reflected
+    once (O(N n)), one ``(N-1) x 2n`` product (O(N^2 n)) and ``diag(d)`` in closed form (O(N^2)).
+    Beyond that Lanczos through the same reflector, and ``g2`` is None.
     """
     mag = np.abs(z)
     s = mag > 0
     b = mag[s]
     u = unit_phase(z)
     if b.size <= DENSE_CAP:
-        g2 = _restrict_to_tangent(assemble_complement_form(E, u)[np.ix_(s, s)], b)
-        h = _restrict_to_tangent(np.diag(-d), b)
+        f = _reflect(_phase_factor(E, u * s), b)[1:]
+        g2 = np.eye(b.size - 1) - f @ f.T
+        h = _restricted_diag(-d, b)
         h += scale * g2
         return *_min_eigpair(h), "dense", g2
 
@@ -485,18 +496,18 @@ def certify_cross_section_minimizer(
     magnitudes, together with the first-order defect
     ``||Im q - rho * 1||`` at the fitted multiplier ``rho``.
 
-    Coordinates where ``z`` vanishes carry no phase freedom; all
-    quantities restrict to the support.  Up to ``DENSE_CAP`` support
-    dimensions one subset eigen-solve and one generalized one on ``Xi``;
-    beyond that a matrix-free Lanczos path computes the restricted
-    eigenvalue (beta bounds then unavailable).  Malformed ``z`` or ``lam`` raises ``InvalidDataError``.
+    Coordinates where ``z`` vanishes carry no phase freedom; all quantities restrict to the
+    support, which needs two entries or more (``ValueError``).  Up to ``DENSE_CAP`` support
+    dimensions one subset eigen-solve and one generalized one on ``Xi``; beyond that a
+    matrix-free Lanczos path computes the restricted eigenvalue (beta bounds then
+    unavailable).  Malformed ``z`` or ``lam`` raises ``InvalidDataError``.
     """
     z = check_vector(z, E.N, "iterate")
     lam = check_vector(lam, E.N, "dual")
     mag = np.abs(z)
     s = mag > 0
-    if not np.any(s):
-        raise ValueError("iterate has empty support")
+    if np.count_nonzero(s) < 2:
+        raise ValueError(f"iterate support has {np.count_nonzero(s)} entries: its cross section is empty")
     b = mag[s]
     q_full = criticality_vector(E, z, lam)
     q = q_full[s]
@@ -512,10 +523,12 @@ def certify_cross_section_minimizer(
         import scipy.linalg
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
         q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
-        d0 = _restrict_to_tangent(np.diag(q0), b)
+        d0 = _restricted_diag(q0, b)
         top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
         try:
-            nu_max = float(scipy.linalg.eigh(d0, g2, subset_by_index=top, eigvals_only=True)[0])
+            # symmetric scratch forms: their transposes are Fortran-ordered views LAPACK overwrites, no copy
+            nu_max = float(scipy.linalg.eigh(d0.T, g2.T, subset_by_index=top, eigvals_only=True,
+                                             overwrite_a=True, overwrite_b=True)[0])
             beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
             beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
             beta_bound = min(beta_saddle, beta_contraction)
@@ -549,16 +562,16 @@ def certify_drs_cross_section(
 
     Certifies ``(rho+1) I - diag(b/|z|) - rho K >= 0`` on the tangent
     subspace, with ``K = Re(diag(conj(u)) P diag(u))``: the tangent
-    curvature ``rho K_perp - diag(b/|z| - 1)``.  ``rho <= 0`` raises
-    ``ValueError``, malformed ``b`` or ``z`` ``InvalidDataError``.
+    curvature ``rho K_perp - diag(b/|z| - 1)``.  ``rho <= 0``, a zero in ``z`` or
+    ``N = 1`` raises ``ValueError``, malformed ``b`` or ``z`` ``InvalidDataError``.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     b = check_magnitudes(b, E.N)
     z = check_vector(z, E.N, "iterate")
     mag = np.abs(z)
-    if np.any(mag <= 0):
-        raise ValueError("curvature check needs nonzero iterate magnitudes")
+    if np.any(mag <= 0) or E.N < 2:
+        raise ValueError("curvature check needs N >= 2 and nonzero iterate magnitudes")
     min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, b / mag - 1.0, rho)
     return SaddleCertificate(
         q=np.zeros_like(z),
@@ -603,9 +616,12 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
     and returns the second-largest singular value of the real stack
     ``[Re(B*), Im(B*)]``.  Dense SVD for ambient dimensions up to
     ``DENSE_CAP``; matrix-free two-vector SVD beyond, with convergence flag.
-    ``grid`` is the object's shape, for the rank of the matricized object.
+    ``grid`` is the object's shape, for the rank of the matricized object;
+    an ``x0`` or ``grid`` whose size is not ``E.n`` raises ``DimensionError``.
     """
-    vec = np.asarray(x0, dtype=np.complex128).ravel()
+    vec = E._check_object(x0)
+    if int(np.prod(grid)) != E.n:
+        raise DimensionError(f"grid {tuple(grid)} has {int(np.prod(grid))} entries, the object {E.n}")
     rank = int(np.linalg.matrix_rank(vec.reshape(grid)))
     w0 = E.apply_adjoint(vec)
     b = np.abs(w0)
@@ -625,10 +641,7 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
         notes.append("masks deterministic or too few patterns")
 
     if E.N <= DENSE_CAP:
-        ad = E.materialize_adjoint()
-        bstar = np.conj(u0)[:, None] * ad
-        stack = np.concatenate([bstar.real, bstar.imag], axis=1)
-        svals = np.linalg.svd(stack, compute_uv=False)
+        svals = np.linalg.svd(_phase_factor(E, u0), compute_uv=False)
         sigma_top, lam2 = float(svals[0]), float(svals[1])
         method, converged = "dense", True
     else:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from saddle_raar import (
     CodedDiffractionEnsemble,
+    DimensionError,
     InvalidDataError,
     MeasurementEnsemble,
     aligned_error,
@@ -31,7 +33,8 @@ from saddle_raar import (
     spectral_gap,
 )
 from saddle_raar.analysis import (
-    _restrict_to_tangent,
+    _reflect,
+    _restricted_diag,
     assemble_complement_form,
     beta_max_from_threshold,
     tangent_basis,
@@ -303,11 +306,12 @@ class TestCrossSectionCertificate:
 
 
 def _dense_oracle_forms(E, z):
-    """Range projector and phase-conjugated complement form, from ``A*``."""
+    """Range projector, and the phase-conjugated complement form on the support of ``z``, from ``A*``."""
     a = E.materialize_adjoint()
     p = a @ a.conj().T
-    u = z / np.abs(z)
-    k = np.real(np.conj(u)[:, None] * (np.eye(E.N) - p) * u[None, :])
+    s = np.abs(z) > 0
+    u = z[s] / np.abs(z[s])
+    k = np.real(np.conj(u)[:, None] * (np.eye(E.N) - p)[np.ix_(s, s)] * u[None, :])
     return p, 0.5 * (k + k.T)
 
 
@@ -318,12 +322,14 @@ def _on_null_space(m, b):
 
 
 def _cross_section_oracle(E, z, lam):
-    """Certificate values written out from the definitions: explicit
-    null-space basis, full eigen-solve, both generalized solves."""
+    """Certificate values written out from the definitions on the support
+    of ``z``: explicit null-space basis, full eigen-solve, both
+    generalized solves."""
     p, kperp = _dense_oracle_forms(E, z)
-    b = np.abs(z)
-    q = np.real((z - lam - p @ (z - lam)) / z)
-    q0 = np.real((z - p @ z) / z)
+    s = np.abs(z) > 0
+    b = np.abs(z[s])
+    q = np.real((z - lam - p @ (z - lam))[s] / z[s])
+    q0 = np.real((z - p @ z)[s] / z[s])
     min_eig = scipy.linalg.eigh(_on_null_space(kperp - np.diag(q), b), eigvals_only=True)[0]
     g2 = _on_null_space(kperp, b)
     saddle = scipy.linalg.eigh(_on_null_space(kperp - np.diag(q0), b), g2, eigvals_only=True)[0]
@@ -333,17 +339,23 @@ def _cross_section_oracle(E, z, lam):
 
 class TestDenseCertificateOracle:
     def test_implicit_restriction_matches_basis_products(self):
+        # the dense branch restricts K_perp = I - F F^T through the reflected
+        # factor, and diag(d) in closed form
         rng = np.random.default_rng(4)
         for n, sign, tail in ((7, 1.0, 1.0), (30, -1.0, 1.0), (64, 1.0, 1.0), (9, 1.0, 1e-9)):
             b = tail * (rng.random(n) + 0.1)
             b[0] = sign  # both reflector signs; b nearly on e_0 would cancel with the wrong one
-            m = rng.standard_normal((n, n))
-            m = m + m.T
+            f = rng.standard_normal((n, 6)) / np.sqrt(n)
+            d = rng.standard_normal(n)
             basis = tangent_basis(b)
             assert np.linalg.norm(basis.T @ basis - np.eye(n - 1)) <= 1e-13
             assert np.linalg.norm(basis.T @ b) <= 1e-13 * np.linalg.norm(b)
-            ref = basis.T @ m @ basis
-            assert np.linalg.norm(_restrict_to_tangent(m, b) - ref) <= 1e-12 * np.linalg.norm(m)
+            hf = _reflect(f, b)[1:]
+            assert np.linalg.norm(hf - basis.T @ f) <= 1e-12 * np.linalg.norm(f)
+            ref = basis.T @ (np.eye(n) - f @ f.T) @ basis
+            assert np.linalg.norm(np.eye(n - 1) - hf @ hf.T - ref) <= 1e-12 * np.linalg.norm(ref)
+            ref = basis.T @ np.diag(d) @ basis
+            assert np.linalg.norm(_restricted_diag(d, b) - ref) <= 1e-12 * np.linalg.norm(d)
 
     def _check(self, E, z, lam):
         min_eig, saddle, contraction = _cross_section_oracle(E, z, lam)
@@ -370,6 +382,17 @@ class TestDenseCertificateOracle:
         saddle, contraction = self._check(E, z, optimal_dual(E, z, 0.8))
         assert 0.05 < contraction < saddle < 0.95
 
+    def test_cross_section_on_a_partial_support(self, cdp_8x8):
+        # coordinates where z vanishes carry no phase: every form restricts
+        # to the support, where the oracle's quotients are defined
+        E, x0, b = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        noise = random_complex(np.random.default_rng(8), E.N)
+        z = project_torus(z_star + 0.02 * np.mean(b) * noise, b)
+        z[[0, 5, 64]] = 0.0
+        saddle, _ = self._check(E, z, optimal_dual(E, z, 0.8))
+        assert 0.1 < saddle < 0.9  # nu_max, which both bounds read, is not clamped
+
     def test_one_subset_solve_per_pencil(self, cdp_8x8, dense_wide, monkeypatch):
         calls = []
         eigh = scipy.linalg.eigh
@@ -379,14 +402,51 @@ class TestDenseCertificateOracle:
             return eigh(a, b, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        materialized = []
+        for E, _, _ in (cdp_8x8, dense_wide):
+            inner = type(E).materialize_adjoint
+            monkeypatch.setattr(type(E), "materialize_adjoint", lambda self, f=inner: materialized.append(1) or f(self))
         E, x0, _ = cdp_8x8
         z_star = E.apply_adjoint(x0)
         certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
         assert calls == [(False, [0, 0]), (True, [E.N - 2, E.N - 2])]
+        assert len(materialized) == 1
         calls.clear()
         E, x0, b = dense_wide
         certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25)
         assert calls == [(False, [0, 0])]
+        assert len(materialized) == 2
+
+    def test_dense_certificate_memory_is_a_few_forms(self, cdp_8x8):
+        # the forms are built from the N x 2n phase factor: one certificate
+        # holds a few (N-1)^2 forms at once, not the N x N products of each
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))  # scipy loaded before tracing
+        tracemalloc.start()
+        try:
+            certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * E.N**2 * 8
+
+    def test_repeated_dense_certificates_are_bitwise_equal(self, cdp_8x8, dense_wide):
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        noise = random_complex(np.random.default_rng(8), E.N)
+        z = project_torus(z_star + 0.02 * np.mean(np.abs(z_star)) * noise, np.abs(z_star))
+        lam = optimal_dual(E, z, 0.8)
+        first, second = (certify_cross_section_minimizer(E, z, lam, beta=0.5) for _ in range(2))
+        assert repr(first.summary()) == repr(second.summary())
+        assert np.array_equal(first.q, second.q)
+        E, x0, b = dense_wide
+        first, second = (certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25) for _ in range(2))
+        assert repr(first.summary()) == repr(second.summary())
+        E, x0, _ = cdp_8x8
+        first, second = (spectral_gap(E, x0, grid=(8, 8)) for _ in range(2))
+        assert first.method == "dense"
+        assert repr(first) == repr(second)
 
     def test_eig_residual_sees_a_perturbed_eigenvector(self, cdp_8x8, dense_wide, monkeypatch):
         # a residual forced to 0, or taken from a vector other than the one
@@ -697,4 +757,27 @@ def test_malformed_certificate_input_is_rejected_before_any_operator_call(dense_
     E = CountingEnsemble(E0)
     with pytest.raises(error):
         certify(E, b, z)
+    assert (E.applies, E.adjoints) == (0, 0)
+
+
+def test_empty_cross_section_is_rejected_before_any_operator_call():
+    # a one-entry support, or N = 1, leaves a tangent subspace of dimension 0
+    E = CountingEnsemble(build_gaussian_ensemble(4, 12, seed=1))
+    z = np.zeros(E.N, dtype=complex)
+    z[:1] = 1 + 1j
+    with pytest.raises(ValueError, match="cross section is empty"):
+        certify_cross_section_minimizer(E, z, np.zeros_like(z))
+    E1 = CountingEnsemble(build_gaussian_ensemble(1, 1, seed=1))
+    with pytest.raises(ValueError, match="N >= 2"):
+        certify_drs_cross_section(E1, np.ones(1), np.ones(1, dtype=complex), 0.25)
+    assert (E.applies, E.adjoints, E1.applies, E1.adjoints) == (0, 0, 0, 0)
+
+
+def test_spectral_gap_rejects_a_grid_of_the_wrong_size(cdp_8x8):
+    E0, x0, _ = cdp_8x8
+    E = CountingEnsemble(E0)
+    with pytest.raises(DimensionError, match="has 16 entries, the object 64"):
+        spectral_gap(E, x0, grid=(4, 4))
+    with pytest.raises(DimensionError, match="length 16, expected 64"):
+        spectral_gap(E, x0[:16], grid=(4, 4))
     assert (E.applies, E.adjoints) == (0, 0)
