@@ -11,8 +11,6 @@ Writes the phantom, the mid-run snapshot, and the final reconstruction
 as PGM images under demo_out/.
 """
 
-import numpy as np
-
 from saddle_raar import aligned_error
 from saddle_raar.artifacts import aligned_real_image, magnitude_image, write_pgm
 from saddle_raar.experiments import cdp_case_suite
@@ -23,7 +21,7 @@ x0 = suite.instance.phantom.values
 print("start  final residual  aligned error  basin indicator > 0 (last 100)")
 for p in suite.paths:
     print(f"{p.beta_start:5.2f}  {p.final_residual:14.2e}  {p.aligned_error:13.2e}  "
-          f"{bool(np.all(p.tail_t_ratios > 0))}")
+          f"{p.tail_t_ratio_positive}")
 
 print(f"\nall pairwise reconstruction correlations >= "
       f"{suite.pairwise_min_correlation():.6f}")

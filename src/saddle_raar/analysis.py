@@ -61,7 +61,6 @@ __all__ = [
     "fejer_monitor",
     "DiagnosticsRecord",
     "diagnostics",
-    "diagnostics_from_projections",
 ]
 
 # Above this ambient dimension, eigen/SVD work switches to matrix-free
@@ -187,6 +186,11 @@ def correlation(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _functional(beta: float, zq_norm, lq_norm, al_norm):
+    """``T = beta ||Q(z - z*)||^2 + (1-beta) ||Q(lam - lam*)||^2 + ||A lam||^2`` from those three norms."""
+    return beta * zq_norm**2 + (1.0 - beta) * lq_norm**2 + al_norm**2
+
+
 def _functional_and_margin(E: MeasurementEnsemble, z, lam, z_star, lam_star, beta: float):
     """``(T, margin)`` of a pair against a reference, with ``T`` evaluated once."""
     z = np.asarray(z, dtype=np.complex128)
@@ -196,10 +200,8 @@ def _functional_and_margin(E: MeasurementEnsemble, z, lam, z_star, lam_star, bet
     alpha = global_phase(z + lam, z_star + lam_star)
     z_star = alpha * z_star
     lam_star = alpha * lam_star
-    t = beta * np.linalg.norm(E.project_complement(z - z_star)) ** 2
-    t += (1.0 - beta) * np.linalg.norm(E.project_complement(lam - lam_star)) ** 2
-    t += np.linalg.norm(E.apply(lam)) ** 2
-    t = float(t)
+    t = float(_functional(beta, np.linalg.norm(E.project_complement(z - z_star)),
+                          np.linalg.norm(E.project_complement(lam - lam_star)), np.linalg.norm(E.apply(lam))))
     return t, float(t - 2.0 * _real_inner(z_star - z, lam - lam_star))
 
 
@@ -752,9 +754,7 @@ def _trace_row_work(n: int):
     return (*(np.empty(n, dtype=np.complex128) for _ in range(4)), np.empty(n))
 
 
-def diagnostics_from_projections(
-    b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int = 0, algo: str = "raar"
-) -> DiagnosticsRecord:
+def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work):
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
 
     ``pz = P z`` and ``pl = P lam``; no operator is applied, and every
@@ -763,17 +763,9 @@ def diagnostics_from_projections(
     relaxed-reflection and multiplier forms ``param`` is the relaxation
     parameter; for the splitting competitor it is the penalty ``rho`` and
     the derivative norm / objective are the splitting Lagrangian's (the
-    ratio uses the corresponding ``1/(1+rho)``).
-    """
-    return _trace_row(b, b_norm, z, lam, pz, pl, param, k, wall_ns, algo, _trace_row_work(np.size(z)))
-
-
-def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work):
-    """:func:`diagnostics_from_projections` with its vector temporaries written into ``work``.
-
-    ``work`` comes from :func:`_trace_row_work`; what it held is never read.
-    Each ufunc keeps the operand order of the plain expression beside it, so
-    the row is the same to the bit.
+    ratio uses the corresponding ``1/(1+rho)``).  The ratio's denominator is
+    ``T`` at the zero reference.  The vector temporaries are written into
+    ``work``, from :func:`_trace_row_work`, whose contents are never read.
     """
     zq, lq, t, u, r = work
     zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
@@ -794,9 +786,7 @@ def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: 
         deriv = float(np.hypot(np.linalg.norm(t), pl_norm))
         obj = 0.5 * beta * float(np.linalg.norm(np.subtract(zq, lq, out=t)) ** 2) - 0.5 * lam_norm**2
 
-    denom = beta * zq_norm**2
-    denom += (1.0 - beta) * lq_norm**2
-    denom += pl_norm**2
+    denom = _functional(beta, zq_norm, lq_norm, pl_norm)
     # at machine-precision convergence the quotient is 0/0 and only the
     # marker is meaningful (see inequality_ratio)
     t_scale = max(float(np.linalg.norm(z)), lam_norm)
@@ -829,12 +819,12 @@ def diagnostics(
 
     The reference form of a trace row, which tests compare ``run``
     against: projects ``z`` and ``lam`` once each and evaluates
-    :func:`diagnostics_from_projections`, whose row ``run`` builds from
-    the projections its steps make instead.
+    :func:`_trace_row` with fresh work vectors, where ``run`` builds the
+    row from the projections its steps make instead.
     """
     b = np.asarray(b, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.complex128)
     pz = E.project_range(z)
     pl = E.project_range(lam)
-    return diagnostics_from_projections(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, algo=algo)
+    return _trace_row(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, 0, algo, _trace_row_work(z.size))

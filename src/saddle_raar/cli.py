@@ -63,6 +63,7 @@ _BETA = _checked(float, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
 _FRACTION = _checked(float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 _POSITIVE = _checked(float, "lie in (0, inf)", lambda v: 0.0 < v < math.inf)
 _RATIO = _checked(float, "lie in [1, inf)", lambda v: 1.0 <= v < math.inf)
+_FINITE = _checked(float, "lie in (-inf, inf)", math.isfinite)
 _COUNT = _checked(int, "be a positive integer", lambda v: v >= 1)
 _NONNEG = _checked(int, "be nonnegative", lambda v: v >= 0)
 
@@ -87,8 +88,8 @@ _OPTIONS = {
         ("init", ("random", "null"), "random", "initializer: random | null"),
         ("weak-fraction", _FRACTION, 0.5, "weak-set fraction of the spectral initializer"),
         ("max-iters", _NONNEG, 2000, "iteration budget"),
-        ("residual-tol", float, 1e-10, "relative residual stopping tolerance"),
-        ("deriv-tol", float, 1e-10, "dual-gradient stopping tolerance"),
+        ("residual-tol", _FINITE, 1e-10, "relative residual stopping tolerance"),
+        ("deriv-tol", _FINITE, 1e-10, "dual-gradient stopping tolerance (off if <= 0)"),
         ("fixed-budget", bool, False, "disable stopping rules"),
         ("record-every", _COUNT, 1, "trace recording stride"),
         ("strict", bool, False, "exit 2 if the run does not converge"),
@@ -361,35 +362,19 @@ def _execute_cdp(cfg: RunConfig) -> int:
             os.path.join(out, "init_aligned_real.pgm"),
             artifacts.aligned_real_image(nv.x, x0, grid),
         )
-    path_docs = []
     for p in suite.paths:
         tag = f"{p.beta_start:.2f}".replace(".", "p")
         artifacts.write_trace_csv(os.path.join(out, f"trace_beta{tag}.csv"), p.records)
         for stem, x in ((f"snapshot_beta{tag}", p.x_snapshot), (f"final_beta{tag}", p.x_final)):
             artifacts.write_pgm(os.path.join(out, f"{stem}.pgm"), artifacts.aligned_real_image(x, x0, grid))
             artifacts.write_pgm(os.path.join(out, f"{stem}_magnitude.pgm"), artifacts.magnitude_image(x, grid))
-        path_docs.append(
-            {
-                "beta_start": p.beta_start,
-                "final_residual": p.final_residual,
-                "final_deriv_norm": p.final_deriv_norm,
-                "aligned_error": p.aligned_error,
-                "tail_t_ratio_positive": bool(np.all(p.tail_t_ratios > 0)),
-            }
-        )
     noise = suite.instance.noise
     summary = {
         "case": o["case"],
         "grid": list(grid),
         "seed": o["seed"],
-        "noise": None
-        if noise is None
-        else {
-            "kappa": noise.kappa,
-            "realized_level": noise.realized_level,
-            "target_level": noise.target_level,
-        },
-        "paths": path_docs,
+        "noise": None if noise is None else noise.summary(),
+        "paths": [p.summary() for p in suite.paths],
         "pairwise_correlations": suite.correlations.tolist(),
         "min_pairwise_correlation": suite.pairwise_min_correlation(),
     }

@@ -18,7 +18,7 @@ by counter-based keys, so results are reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,6 +91,10 @@ class PoissonData:
     kappa: float
     realized_level: float
     target_level: float
+
+    def summary(self) -> dict:
+        """Every field but the array ``b``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "b"}
 
 
 def _sample_magnitudes(clean: np.ndarray, kappa: float, seed_key) -> np.ndarray:
@@ -203,24 +207,11 @@ class SweepResult:
         return [(c.ratio, repr(c.param), c.algo, repr(c.success_rate)) for c in self.cells]
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "success_threshold": self.success_threshold,
-            "cells": [
-                {
-                    "algo": c.algo,
-                    "ratio": c.ratio,
-                    "param": c.param,
-                    "successes": c.successes,
-                    "trials": c.trials,
-                    "success_rate": c.success_rate,
-                    "outcomes": [asdict(o) for o in c.outcomes],
-                }
-                for c in self.cells
-            ],
-        }
+        """Every field, and each cell's ``successes``, ``trials`` and ``success_rate``."""
+        doc = asdict(self)
+        for cell, c in zip(doc["cells"], self.cells):
+            cell |= {"successes": c.successes, "trials": c.trials, "success_rate": c.success_rate}
+        return doc
 
 
 def _run_success_trial(
@@ -368,7 +359,12 @@ class CdpPathResult:
     final_residual: float
     final_deriv_norm: float
     aligned_error: float
-    tail_t_ratios: np.ndarray
+    tail_t_ratio_positive: bool  # the basin indicator is positive on the last 100 rows
+
+    def summary(self) -> dict:
+        """Every field but the trace and the two reconstructions."""
+        arrays = ("records", "x_final", "x_snapshot")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in arrays}
 
 
 def cdp_case_run(
@@ -389,14 +385,16 @@ def cdp_case_run(
     parameter step's worth of target motion rather than convergence
     quality.  Returns the mid-run snapshot reconstruction (at iterate
     ``hold_iters``, or the last one if the run is shorter), the final
-    reconstruction ``A(z - lambda)``, and the tail of the basin indicator.
-    ``on_iterate`` is passed on to ``run``.
+    reconstruction ``A(z - lambda)``, and whether the basin indicator is
+    positive on the last 100 rows.  ``on_iterate`` is passed on to ``run``.
+    A negative ``hold_iters`` or ``settle_iters`` raises ``ValueError``.
     """
+    for name, value in (("hold_iters", hold_iters), ("settle_iters", settle_iters)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     E, b = instance.ensemble, instance.b
     knee = max(hold_iters + 1, total_iters - settle_iters)
-    schedule = ParameterSchedule(
-        ((1, beta_start), (hold_iters, beta_start), (knee, 0.5), (max(knee, total_iters), 0.5))
-    )
+    schedule = ParameterSchedule(((hold_iters, beta_start), (knee, 0.5)))
     w_snap = None
 
     def observe(k, w):
@@ -420,8 +418,6 @@ def cdp_case_run(
     x_snap = reconstruct(E, z_snap, w_snap - z_snap)
 
     x_fin = reconstruct(E, result.z, result.lam)
-
-    tail = np.array([r.t_ratio for r in result.records[-100:]])
     return CdpPathResult(
         beta_start=beta_start,
         records=result.records,
@@ -430,7 +426,7 @@ def cdp_case_run(
         final_residual=result.final_record.residual,
         final_deriv_norm=result.final_record.deriv_norm,
         aligned_error=analysis.aligned_error(x_fin, instance.phantom.values),
-        tail_t_ratios=tail,
+        tail_t_ratio_positive=all(r.t_ratio > 0 for r in result.records[-100:]),
     )
 
 

@@ -185,7 +185,7 @@ def test_criterion_07_cdp_noiseless_all_paths_recover():
     for p in suite.paths:
         ok &= p.final_residual <= 1e-6
         ok &= sr.aligned_error(p.x_final, x0) <= 1e-6
-        ok &= bool(np.all(p.tail_t_ratios > 0))
+        ok &= p.tail_t_ratio_positive
         worst_res = max(worst_res, p.final_residual)
         worst_err = max(worst_err, p.aligned_error)
     _report(

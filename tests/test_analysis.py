@@ -673,6 +673,31 @@ class TestMatrixFreePaths:
         assert free.lambda2 == pytest.approx(dense.lambda2, abs=1e-8)
         assert free.sigma_top == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("partial", [[], [0.5]])
+    def test_unconverged_solves_are_reported_not_raised(self, cdp_8x8, monkeypatch, partial):
+        import scipy.sparse.linalg
+
+        import saddle_raar.analysis as analysis_mod
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array(partial),
+                                                          np.zeros((0, len(partial))))
+
+        E, x0, b = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        monkeypatch.setattr(analysis_mod, "DENSE_CAP", 64)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        for cert in (certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star)),
+                     certify_drs_cross_section(E, b, z_star, rho=0.25)):
+            assert (cert.method, cert.converged, cert.strict) == ("lanczos", False, False)
+            # a partial eigenvalue is kept, even a positive one, but certifies nothing
+            np.testing.assert_array_equal(cert.hessian_min_eig, partial[0] if partial else np.nan)
+            assert np.isnan(cert.eig_residual)
+        gap = spectral_gap(E, x0, grid=(8, 8))
+        assert (gap.method, gap.converged) == ("lanczos", False)
+        assert np.isnan(gap.lambda2) and np.isnan(gap.sigma_top)
+
 
 def test_certificate_summaries_hold_every_scalar_field(dense_wide):
     # a summary is its dataclass's fields minus the arrays, each value as stored
@@ -771,6 +796,23 @@ def test_empty_cross_section_is_rejected_before_any_operator_call():
     with pytest.raises(ValueError, match="N >= 2"):
         certify_drs_cross_section(E1, np.ones(1), np.ones(1, dtype=complex), 0.25)
     assert (E.applies, E.adjoints, E1.applies, E1.adjoints) == (0, 0, 0, 0)
+
+
+def test_singular_pencil_leaves_the_beta_bounds_unset():
+    # at N = n the range is everything, so K_perp = 0 and the pencil's second form is singular
+    E = build_gaussian_ensemble(4, 4, seed=1)
+    rng = np.random.default_rng(0)
+    z = E.apply_adjoint(random_complex(rng, 4))
+    cert = certify_cross_section_minimizer(E, z, np.zeros_like(z), beta=0.5)
+    assert cert.method == "dense" and cert.converged
+    assert abs(cert.hessian_min_eig) <= 1e-12
+    assert (cert.beta_bound_saddle, cert.beta_bound_contraction, cert.beta_bound, cert.beta_ok) == (None,) * 4
+
+
+def test_spectral_gap_rejects_a_zero_object():
+    E = build_cdp_ensemble((2, 2), seed=0)
+    with pytest.raises(ValueError, match="zero measurement magnitudes"):
+        spectral_gap(E, np.zeros(4, dtype=complex), grid=(2, 2))
 
 
 def test_spectral_gap_rejects_a_grid_of_the_wrong_size(cdp_8x8):

@@ -123,12 +123,34 @@ class TestParsing:
         (["solve", "--rho", "inf"], "--rho"),
         (["sweep", "--success-threshold", "0"], "--success-threshold"),
         (["certify", "--tol", "-1"], "--tol"),
+        (["solve", "--residual-tol", "inf"], "--residual-tol"),
+        (["solve", "--deriv-tol", "nan"], "--deriv-tol"),
     ])
     def test_numeric_ranges_are_checked_before_any_output(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         assert f"argument {flag}: must lie in" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("residual-tol", float("inf")), ("deriv-tol", float("nan")),
+                                            ("residual-tol", "-inf")])
+    def test_nonfinite_stopping_tolerance_in_a_config_file_is_rejected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: value, "out": str(out)}))  # inf and nan as JSON's Infinity, NaN
+        assert main(["solve", "--config", str(cfg_file)]) == 1
+        assert f"argument --{key}: must lie in (-inf, inf), got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_stopping_tolerances_keep_their_meaning(self, tmp_path):
+        # a nonpositive deriv-tol switches that test off, and a zero residual-tol never fires
+        cfg = parse_config(["solve", "--residual-tol", "0", "--deriv-tol", "-1"])
+        assert (cfg.options["residual-tol"], cfg.options["deriv-tol"]) == (0.0, -1.0)
+        out = tmp_path / "out"
+        assert main(["solve", "--n", "4", "--N", "16", "--max-iters", "50", "--residual-tol", "0",
+                     "--deriv-tol", "-1", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["stop_reason"], summary["iterations"], summary["converged"]) == ("max_iters", 50, False)
 
     @pytest.mark.parametrize("sub", ["solve", "sweep", "cdp", "gap"])
     def test_negative_seed_is_rejected_before_any_output(self, tmp_path, capsys, sub):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -75,6 +76,13 @@ class TestSuccessSweep:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+        # the document is every field, with each cell's three tallies added
+        doc = a.to_json_dict()
+        assert set(doc) == {f.name for f in dataclasses.fields(a)}
+        for cell, c in zip(doc["cells"], a.cells, strict=True):
+            assert set(cell) == {"algo", "ratio", "param", "outcomes", "successes", "trials", "success_rate"}
+            assert (cell["successes"], cell["trials"], cell["success_rate"]) == (c.successes, c.trials, c.success_rate)
+            assert cell["outcomes"] == [dataclasses.asdict(o) for o in c.outcomes]
 
     def test_monotone_trend_smoke(self):
         # hardest cell (low ratio, half relaxation) vs easiest cell
@@ -146,7 +154,7 @@ class TestCdpCases:
             p = cdp_case_run(inst, start)
             assert p.final_residual <= 1e-5
             assert p.final_deriv_norm <= 1e-8
-            assert np.all(p.tail_t_ratios > 0)
+            assert p.tail_t_ratio_positive
 
     def test_noisy_random_init_small_start_stagnates(self):
         inst = cdp_instance("d", (32, 32), 0)
@@ -186,6 +194,30 @@ class TestCdpCases:
             np.testing.assert_array_equal(p.x_snapshot, p.x_final)
             expected = self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 40)
             np.testing.assert_array_equal(p.x_snapshot, expected)
+
+    def test_path_and_noise_summaries_hold_every_scalar_field(self):
+        inst = cdp_instance("c", (16, 16), 1)
+        p = cdp_case_run(inst, 0.9, total_iters=6, hold_iters=3, settle_iters=1)
+        for result, arrays in ((p, {"records", "x_final", "x_snapshot"}), (inst.noise, {"b"})):
+            summary = result.summary()
+            names = {f.name for f in dataclasses.fields(result)}
+            assert set(summary) == names - arrays
+            for name in names - arrays:
+                assert summary[name] is getattr(result, name), name
+
+    def test_a_path_without_a_hold_declines_from_the_start(self):
+        inst = cdp_instance("a", (16, 16), 1)
+        p = cdp_case_run(inst, 0.9, total_iters=20, hold_iters=0, settle_iters=5)
+        assert len(p.records) == 21
+        assert p.records[0].param < 0.9  # the first step's value
+        assert p.records[-1].param == 0.5
+        np.testing.assert_array_equal(p.x_snapshot, self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 0))
+
+    @pytest.mark.parametrize("name", ["hold_iters", "settle_iters"])
+    def test_negative_path_lengths_are_rejected_before_the_run(self, monkeypatch, name):
+        monkeypatch.setattr(experiments, "run", lambda *a, **kw: pytest.fail("run started"))
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -1"):
+            cdp_case_run(cdp_instance("b", (16, 16), 1), 0.9, total_iters=20, **{name: -1})
 
     @pytest.mark.parametrize("case, calls", [("a", 1), ("b", 0)])
     def test_suite_computes_the_null_vector_once(self, monkeypatch, case, calls):

@@ -30,7 +30,6 @@ from saddle_raar.analysis import (
     certify_fixed_point,
     contraction_margin,
     convergence_functional,
-    diagnostics_from_projections,
     fejer_monitor,
 )
 from saddle_raar.solvers import drs_fixed_point_residuals
@@ -763,7 +762,7 @@ def test_row_in_reused_work_vectors_is_bitwise_fresh(request, algo, ensemble):
         _lift, z, lam = steps[k]
         pz, pl = E.project_range(z), E.project_range(lam)
         reused = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, work)
-        fresh = diagnostics_from_projections(b, b_norm, z, lam, pz, pl, param, k, 17, algo)
+        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, _trace_row_work(E.N))
         for name in ("k", "param", "residual", "deriv_norm", "t_ratio", "objective", "wall_ns"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), (k, name)
         plain = _plain_row(b, b_norm, z, lam, pz, pl, param, algo)
