@@ -25,6 +25,7 @@ imported by those eigen-solves alone, when they run; everything else needs numpy
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -749,6 +750,11 @@ def _residual_parts(z, pz, b_norm: float, zq):
     return zq_norm, zq_norm / b_norm
 
 
+def _norm(v) -> float:
+    """``||v||`` as one unit-stride dot, where ``np.linalg.norm`` makes two stride-2 ones on a complex ``v``."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _trace_row_work(n: int):
     """Work vectors of :func:`_trace_row` for ``n`` coordinates: four complex, one real."""
     return (*(np.empty(n, dtype=np.complex128) for _ in range(4)), np.empty(n))
@@ -757,39 +763,37 @@ def _trace_row_work(n: int):
 def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work):
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
 
-    ``pz = P z`` and ``pl = P lam``; no operator is applied, and every
-    norm of a complement part is taken as ``||v - P v||``.  ``b`` enters
-    only the splitting objective, ``b_norm`` only the residual.  For the
-    relaxed-reflection and multiplier forms ``param`` is the relaxation
-    parameter; for the splitting competitor it is the penalty ``rho`` and
-    the derivative norm / objective are the splitting Lagrangian's (the
-    ratio uses the corresponding ``1/(1+rho)``).  The ratio's denominator is
-    ``T`` at the zero reference.  The vector temporaries are written into
-    ``work``, from :func:`_trace_row_work`, whose contents are never read.
+    ``pz = P z`` and ``pl = P lam``; no operator is applied, and every norm of a complement
+    part is taken as ``||v - P v||``.  ``b`` enters only the splitting objective, ``b_norm``
+    only the residual.  For the relaxed-reflection and multiplier forms ``param`` is the
+    relaxation parameter; for the splitting competitor it is the penalty ``rho`` and the
+    derivative norm / objective are the splitting Lagrangian's (the ratio uses the corresponding
+    ``1/(1+rho)``).  The ratio's denominator is ``T`` at the zero reference.  The residual's
+    norm is that of :func:`_residual_parts`, which the stopping rule reads; every other norm
+    is a :func:`_norm`.  The vector temporaries are written into ``work``, from
+    :func:`_trace_row_work`, whose contents are never read.
     """
     zq, lq, t, u, r = work
     zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
-    lq_norm = float(np.linalg.norm(np.subtract(lam, pl, out=lq)))  # lq = lam - pl
-    lam_norm = float(np.linalg.norm(lam))
-    pl_norm = float(np.linalg.norm(pl))  # equals ||A lam||
+    lq_norm, lam_norm, pl_norm = _norm(np.subtract(lam, pl, out=lq)), _norm(lam), _norm(pl)  # pl_norm = ||A lam||
 
     if algo == "drs":
         rho = param
         beta = beta_from_rho(rho)
         deriv = float(np.hypot(zq_norm, pl_norm / rho))
-        obj = 0.5 * float(np.linalg.norm(np.subtract(np.abs(z, out=r), b, out=r)) ** 2)  # |z| - b
+        obj = 0.5 * _norm(np.subtract(np.abs(z, out=r), b, out=r)) ** 2  # |z| - b
         np.add(zq, np.divide(lq, rho, out=t), out=t)  # zq + lq / rho
-        obj += 0.5 * rho * float(np.linalg.norm(t) ** 2 - np.linalg.norm(np.divide(lam, rho, out=u)) ** 2)
+        obj += 0.5 * rho * (_norm(t) ** 2 - _norm(np.divide(lam, rho, out=u)) ** 2)
     else:
         beta = param
         np.add(np.multiply(1.0 - beta, lq, out=t), np.multiply(beta, zq, out=u), out=t)  # (1 - beta) lq + beta zq
-        deriv = float(np.hypot(np.linalg.norm(t), pl_norm))
-        obj = 0.5 * beta * float(np.linalg.norm(np.subtract(zq, lq, out=t)) ** 2) - 0.5 * lam_norm**2
+        deriv = float(np.hypot(_norm(t), pl_norm))
+        obj = 0.5 * beta * _norm(np.subtract(zq, lq, out=t)) ** 2 - 0.5 * lam_norm**2
 
     denom = _functional(beta, zq_norm, lq_norm, pl_norm)
     # at machine-precision convergence the quotient is 0/0 and only the
     # marker is meaningful (see inequality_ratio)
-    t_scale = max(float(np.linalg.norm(z)), lam_norm)
+    t_scale = max(_norm(z), lam_norm)
     if denom <= (1e-13 * t_scale) ** 2:
         t_ratio = float("inf")
     else:

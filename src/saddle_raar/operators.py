@@ -294,13 +294,17 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     def _lift(self, x2):
         """``A*`` of a stack ``(..., r, c)`` of object grids, as ``(..., l, pr, pc)``.
 
-        The row transforms skip the zero padding rows.  Each 1-D transform and
-        the scaling are those of one zero-padded ``fft2`` per mask, so the result
-        is bitwise that loop's; criterion 08 moves under a 1-ulp change here.
+        ``masks * x`` fills the corner of one zeroed block; the row transforms skip its zero
+        rows, and each step writes in place.  Each 1-D transform and the scaling are those of one
+        zero-padded ``fft2`` per mask, so the result is bitwise that loop's (criterion 08 moves under 1 ulp).
         """
-        pr, pc = self.padded
-        rows = np.fft.fft(self.masks * x2[..., None, :, :], n=pc, axis=-1)
-        return self.c0 * np.fft.fft(rows, n=pr, axis=-2)
+        (pr, pc), (r, c) = self.padded, self.grid
+        block = np.zeros((*x2.shape[:-2], self.l, pr, pc), dtype=np.complex128)
+        rows = block[..., :r, :]
+        np.multiply(self.masks, x2[..., None, :, :], out=rows[..., :c])
+        np.fft.fft(rows, axis=-1, out=rows)
+        np.fft.fft(block, axis=-2, out=block)
+        return np.multiply(self.c0, block, out=block)
 
     def apply_adjoint(self, x):
         return self._lift(self._check_object(x).reshape(self.grid)).reshape(self.N)

@@ -383,8 +383,9 @@ def run(
     builds a record only when that fires or when ``deriv_tol > 0``.  A
     non-finite iterate ends the run with ``stop_reason="nonfinite"``: the
     state is then the last finite iterate, and the trace ends with its
-    record when the projection made at it is finite.  Whatever ends the
-    run, the result holds the final state and its pair ``(z, lambda)``.
+    record when the projection made at it is finite; ``lambda`` alone is
+    swept, since each form's ``lambda`` carries a non-finite ``z`` or ``w``.
+    Whatever ends the run, the result holds the final state and its pair ``(z, lambda)``.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
     ``w`` at ``k = 0`` and after each accepted step.  Before any operator
     call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
@@ -425,7 +426,7 @@ def run(
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
         next_z, next_lam = form.pair(nxt, b)
-        if not (np.isfinite(next_z).all() and np.isfinite(next_lam).all()):
+        if not np.isfinite(next_lam).all():  # raar w - z, admm lambda + y - z, drs lambda + rho (z - y)
             reason = "nonfinite"
             if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
                 records.append(record(z, lam, pz, pl, param, k, reached))

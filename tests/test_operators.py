@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddle_raar import (
     AliasingError,
@@ -229,6 +231,27 @@ class TestBatchedCdpOperator:
         dense = E.materialize_adjoint()
         assert dense.flags.c_contiguous
         assert np.array_equal(dense, _column_adjoint(E))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(1, 9), c=st.integers(1, 9), n_masks=st.integers(2, 4),
+           extra=st.tuples(st.integers(0, 4), st.integers(0, 4)), seed=st.integers(0, 2**32 - 1))
+    def test_lift_is_the_per_mask_loop_and_holds_no_buffer(self, r, c, n_masks, extra, seed):
+        # paddings from the smallest unaliased (2r - 1, 2c - 1) up, odd and even
+        padded = (2 * r - 1 + extra[0], 2 * c - 1 + extra[1])
+        E = CodedDiffractionEnsemble((r, c), random_unit_masks((r, c), n_masks, seed), padded=padded)
+        x = random_complex(np.random.default_rng(seed), E.n)
+        x_in = x.copy()
+        # back-to-back calls give the same bits in their own memory: no block is kept between calls
+        first, second = E.apply_adjoint(x_in), E.apply_adjoint(x_in)
+        assert np.array_equal(x_in, x)  # the input is only read
+        assert first.tobytes() == second.tobytes() == _per_mask_adjoint(E, x).tobytes()
+        assert not np.shares_memory(first, second)
+        first[:] = np.nan
+        assert np.array_equal(second, _per_mask_adjoint(E, x))
+        dense, again = E.materialize_adjoint(), E.materialize_adjoint()
+        columns = np.stack([_per_mask_adjoint(E, e) for e in np.eye(E.n, dtype=np.complex128)], axis=1)
+        assert dense.tobytes() == again.tobytes() == columns.tobytes()
+        assert not np.shares_memory(dense, again)
 
     def test_unit_phase_matches_masked_division(self):
         rng = np.random.default_rng(31)

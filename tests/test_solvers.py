@@ -24,6 +24,7 @@ from saddle_raar import (
     run,
 )
 from saddle_raar.analysis import (
+    _norm,
     _trace_row,
     _trace_row_work,
     aligned_error,
@@ -531,23 +532,84 @@ def test_public_steps_cost_one_projection(dense_small):
 
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("record_every", [1, 10])
-def test_nonfinite_iterate_stops_and_keeps_trace(dense_small, algo, record_every):
+def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo, record_every):
     # apply call 1 starts the run and call j + 1 is step j's projection, so
-    # step 4 goes non-finite; iterate 3's record would need that projection
+    # step 4 goes non-finite: through a NaN projection, one non-finite entry
+    # of it, or one of its torus point.  Iterate 3's record needs that
+    # projection, so only a spoilt torus point leaves it in the trace
+    import saddle_raar.solvers as solvers
+
     E0, _, b = dense_small
-    E = CountingEnsemble(E0, nan_on_apply=5)
-    w0 = random_lift(E.N, seed=2)
-    ws = []
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50,
-                 StoppingRule(fixed_budget=True), record_every=record_every,
-                 on_iterate=lambda k, w: ws.append(w))
-    assert result.stop_reason == "nonfinite"
-    assert [r.k for r in result.records] == ([0, 1, 2] if record_every == 1 else [0])
-    assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
-    assert len(ws) == 4
-    assert all(np.isfinite(w).all() for w in ws)
+    w0 = random_lift(E0.N, seed=2)
+    schedule, budget = ParameterSchedule.constant(_PARAM[algo]), StoppingRule(fixed_budget=True)
+    rows = {r.k: _row(r) for r in run(E0, b, algo, schedule, w0, 50, budget).records}
     expected = _public_steps(algo, E0, b, initial_state(E0, b, algo, w0), _PARAM[algo], 3)[-1][0]
-    np.testing.assert_array_equal(ws[-1], expected)
+    torus = solvers.project_torus
+    for site, bad in (("all of P", np.nan), ("P", np.inf), ("P", np.nan), ("z", np.inf), ("z", np.nan)):
+        E = CountingEnsemble(E0, nan_on_apply=5 if site == "all of P" else None)
+
+        def spoil(v, at, site=site, bad=bad, E=E):
+            if at == site and E.applies == 5:
+                v = v.copy()
+                v[5] = bad
+            return v
+
+        monkeypatch.setattr(E, "project_range", lambda w, E=E: spoil(E.apply_adjoint(E.apply(w)), "P"))
+        monkeypatch.setattr(solvers, "project_torus", lambda w, b: spoil(torus(w, b), "z"))
+        ws = []
+        with np.errstate(invalid="ignore"):
+            result = run(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
+                         on_iterate=lambda k, w: ws.append(w))
+        assert result.stop_reason == "nonfinite", site
+        ks = [0, 1, 2] if record_every == 1 else [0]
+        assert [r.k for r in result.records] == (ks + [3] if site == "z" else ks), site
+        assert [_row(r) for r in result.records] == [rows[r.k] for r in result.records], site
+        assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
+        assert len(ws) == 4
+        assert all(np.isfinite(w).all() for w in ws)
+        np.testing.assert_array_equal(ws[-1], expected)
+        np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_nonfinite_entry_reaches_the_next_lambda(monkeypatch, dense_small, algo):
+    # run sweeps only the next lambda for finiteness.  A step's non-finite
+    # entry comes from its new point w (from the range projection: raar's
+    # next lift, the point admm and drs project onto the torus), from its
+    # incoming lambda (raar's w - z) or from its torus point z; each must
+    # reach the next lambda, at its own entry and wherever z went non-finite
+    import saddle_raar.solvers as solvers
+
+    E, _, b = dense_small
+    form, param, i = solvers._form(algo), _PARAM[algo], 5
+    state = initial_state(E, b, algo, random_lift(E.N, seed=2))
+    z, lam = form.pair(state, b)
+    torus = solvers.project_torus
+
+    class SpoilsProjection:
+        def project_range(self, w):
+            out = E.project_range(w)
+            out[i] = bad
+            return out
+
+    def spoilt(v):
+        v = v.copy()
+        v[i] = bad
+        return v
+
+    for bad in (np.inf, np.nan):
+        for site in ("w", "lam", "z"):
+            start = state
+            if site == "lam":
+                lam_bad = spoilt(lam)
+                start = RaarState(w=z + lam_bad) if algo == "raar" else type(state)(state.y, state.z, lam_bad)
+            with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+                if site == "z":
+                    m.setattr(solvers, "project_torus", lambda w, b: spoilt(torus(w, b)))
+                nxt = form.advance(SpoilsProjection() if site == "w" else E, b, start, param, z)
+                next_z, next_lam = form.pair(nxt, b)
+            assert not np.isfinite(next_lam[i]), (bad, site)
+            assert not np.isfinite(next_lam[~np.isfinite(next_z)]).any(), (bad, site)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -732,19 +794,22 @@ def test_run_records_match_direct_formulas(request, algo, ensemble):
     assert checked >= 20
 
 
-def _plain_row(b, b_norm, z, lam, pz, pl, param, algo):
-    """Residual, derivative norm and objective of a row in out-of-place expressions, one temporary each."""
+def _plain_row(b, b_norm, z, lam, pz, pl, param, algo, norm=_norm):
+    """Residual, derivative norm and objective of a row in out-of-place expressions, one temporary each.
+
+    The residual's norm is ``np.linalg.norm``; ``norm`` takes every other one.
+    """
     zq, lq = z - pz, lam - pl
     zq_norm = float(np.linalg.norm(zq))
     if algo == "drs":
         rho = param
-        deriv = float(np.hypot(zq_norm, float(np.linalg.norm(pl)) / rho))
-        obj = 0.5 * float(np.linalg.norm(np.abs(z) - b) ** 2)
-        obj += 0.5 * rho * float(np.linalg.norm(zq + lq / rho) ** 2 - np.linalg.norm(lam / rho) ** 2)
+        deriv = float(np.hypot(zq_norm, float(norm(pl)) / rho))
+        obj = 0.5 * float(norm(np.abs(z) - b) ** 2)
+        obj += 0.5 * rho * float(norm(zq + lq / rho) ** 2 - norm(lam / rho) ** 2)
     else:
         beta = param
-        deriv = float(np.hypot(np.linalg.norm((1.0 - beta) * lq + beta * zq), float(np.linalg.norm(pl))))
-        obj = 0.5 * beta * float(np.linalg.norm(zq - lq) ** 2) - 0.5 * float(np.linalg.norm(lam)) ** 2
+        deriv = float(np.hypot(norm((1.0 - beta) * lq + beta * zq), float(norm(pl))))
+        obj = 0.5 * beta * float(norm(zq - lq) ** 2) - 0.5 * float(norm(lam)) ** 2
     return zq_norm / b_norm, deriv, obj
 
 
@@ -767,6 +832,29 @@ def test_row_in_reused_work_vectors_is_bitwise_fresh(request, algo, ensemble):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), (k, name)
         plain = _plain_row(b, b_norm, z, lam, pz, pl, param, algo)
         assert np.array_equal((reused.residual, reused.deriv_norm, reused.objective), plain), k
+
+
+@pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_row_norms_agree_with_linalg_norm(request, algo, ensemble):
+    # the residual keeps np.linalg.norm's bits, which the stopping rule and
+    # every success test read; the other norms are unit-stride dots
+    E, _, b = request.getfixturevalue(ensemble)
+    param = _PARAM[algo]
+    beta = beta_from_rho(param) if algo == "drs" else param
+    b_norm = float(np.linalg.norm(b))
+    steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
+    for k, (_lift, z, lam) in enumerate(steps):
+        pz, pl = E.project_range(z), E.project_range(lam)
+        row = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, _trace_row_work(E.N))
+        assert (row.k, row.param, row.wall_ns) == (k, param, 17)
+        assert row.residual.hex() == (np.linalg.norm(z - pz) / b_norm).hex(), k
+        _, deriv, obj = _plain_row(b, b_norm, z, lam, pz, pl, param, algo, norm=np.linalg.norm)
+        norms = [np.linalg.norm(v) for v in (z - pz, lam - pl, pl)]
+        denom = beta * norms[0] ** 2 + (1.0 - beta) * norms[1] ** 2 + norms[2] ** 2
+        t_ratio = 1.0 + 2.0 * np.real(np.vdot(z, lam)) / denom
+        for name, ref in (("deriv_norm", deriv), ("objective", obj), ("t_ratio", t_ratio)):
+            assert abs(getattr(row, name) - ref) <= 1e-12 * max(1.0, abs(ref)), (k, name)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
