@@ -462,9 +462,10 @@ class SaddleCertificate:
 
     ``hessian_min_eig`` is the smallest eigenvalue of the tangent Hessian
     ``K_perp - diag(Re q)`` restricted to ``Xi``; ``rho`` the fitted
-    multiplier for the first-order condition ``Im q = rho * 1``; the beta
-    bounds give the largest relaxation parameters for which the local
-    saddle (curvature) and contraction conditions hold at this point.
+    multiplier for the first-order condition ``Im q = rho * 1``.  Given a
+    ``beta``, the dense path's beta bounds give the largest relaxation
+    parameters for which the local saddle (curvature) and contraction
+    conditions hold at this point; otherwise they and ``beta_ok`` are None.
     """
 
     q: np.ndarray
@@ -501,10 +502,13 @@ def certify_cross_section_minimizer(
 
     Coordinates where ``z`` vanishes carry no phase freedom; all quantities restrict to the
     support, which needs two entries or more (``ValueError``).  Up to ``DENSE_CAP`` support
-    dimensions one subset eigen-solve and one generalized one on ``Xi``; beyond that a
-    matrix-free Lanczos path computes the restricted eigenvalue (beta bounds then
-    unavailable).  Malformed ``z`` or ``lam`` raises ``InvalidDataError``.
+    dimensions one subset eigen-solve on ``Xi``, and a generalized one for the beta bounds
+    only when ``beta`` is given; beyond that a matrix-free Lanczos path (no beta bounds).
+    A ``beta`` outside ``raar_step``'s ``(0, 1]`` raises ``ValueError``, a malformed ``z``
+    or ``lam`` ``InvalidDataError``.
     """
+    if beta is not None and not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     z = check_vector(z, E.N, "iterate")
     lam = check_vector(lam, E.N, "dual")
     mag = np.abs(z)
@@ -522,7 +526,7 @@ def certify_cross_section_minimizer(
 
     min_eig, eig_resid, converged, method, g2 = _tangent_min_eig(E, z, np.real(q), 1.0)
     beta_saddle = beta_contraction = beta_bound = None
-    if g2 is not None:
+    if beta is not None and g2 is not None:
         import scipy.linalg
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
         q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
@@ -538,9 +542,7 @@ def certify_cross_section_minimizer(
         except scipy.linalg.LinAlgError:
             pass
 
-    beta_ok = None
-    if beta is not None and beta_bound is not None:
-        beta_ok = bool(beta < beta_bound)
+    beta_ok = None if beta_bound is None else bool(beta < beta_bound)
     return SaddleCertificate(
         q=q_full,
         rho=rho,

@@ -358,8 +358,9 @@ class TestDenseCertificateOracle:
             assert np.linalg.norm(_restricted_diag(d, b) - ref) <= 1e-12 * np.linalg.norm(d)
 
     def _check(self, E, z, lam):
+        # the bounds come with a beta, and do not depend on which
         min_eig, saddle, contraction = _cross_section_oracle(E, z, lam)
-        cert = certify_cross_section_minimizer(E, z, lam)
+        cert = certify_cross_section_minimizer(E, z, lam, beta=0.5)
         assert cert.method == "dense"
         assert cert.hessian_min_eig == pytest.approx(min_eig, abs=1e-12)
         assert cert.eig_residual <= 1e-10
@@ -409,23 +410,28 @@ class TestDenseCertificateOracle:
         E, x0, _ = cdp_8x8
         z_star = E.apply_adjoint(x0)
         certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
-        assert calls == [(False, [0, 0]), (True, [E.N - 2, E.N - 2])]
+        assert calls == [(False, [0, 0])]  # no beta, no pencil
         assert len(materialized) == 1
+        calls.clear()
+        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star), beta=0.9)
+        assert calls == [(False, [0, 0]), (True, [E.N - 2, E.N - 2])]
+        assert len(materialized) == 2
         calls.clear()
         E, x0, b = dense_wide
         certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25)
         assert calls == [(False, [0, 0])]
-        assert len(materialized) == 2
+        assert len(materialized) == 3
 
     def test_dense_certificate_memory_is_a_few_forms(self, cdp_8x8):
         # the forms are built from the N x 2n phase factor: one certificate
         # holds a few (N-1)^2 forms at once, not the N x N products of each
         E, x0, _ = cdp_8x8
         z_star = E.apply_adjoint(x0)
-        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))  # scipy loaded before tracing
+        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star), beta=0.9)  # scipy loaded before tracing
         tracemalloc.start()
         try:
-            certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
+            # with a beta, so that the pencil's forms are measured too
+            certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star), beta=0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -440,6 +446,14 @@ class TestDenseCertificateOracle:
         first, second = (certify_cross_section_minimizer(E, z, lam, beta=0.5) for _ in range(2))
         assert repr(first.summary()) == repr(second.summary())
         assert np.array_equal(first.q, second.q)
+        # without a beta no pencil is solved: the curvature fields are the beta call's bits
+        bare, again = (certify_cross_section_minimizer(E, z, lam) for _ in range(2))
+        assert repr(bare.summary()) == repr(again.summary())
+        assert np.array_equal(bare.q, again.q)
+        assert np.array_equal(bare.q, first.q)
+        curvature = ("rho", "first_order_defect", "hessian_min_eig", "eig_residual", "strict", "method")
+        assert repr([getattr(bare, k) for k in curvature]) == repr([getattr(first, k) for k in curvature])
+        assert (bare.beta_bound_saddle, bare.beta_bound_contraction, bare.beta_bound, bare.beta_ok) == (None,) * 4
         E, x0, b = dense_wide
         first, second = (certify_drs_cross_section(E, b, E.apply_adjoint(x0), rho=0.25) for _ in range(2))
         assert repr(first.summary()) == repr(second.summary())
@@ -771,6 +785,12 @@ _MALFORMED_CERTIFICATE = {
     "fixed_point_short_w": (lambda E, b, z: certify_fixed_point(E, b, z[:-1], 0.9), InvalidDataError),
     "cross_section_nan_z": (lambda E, b, z: certify_cross_section_minimizer(E, _nan_first(z), np.zeros_like(z)),
                             InvalidDataError),
+    "cross_section_negative_beta": (lambda E, b, z: certify_cross_section_minimizer(E, z, np.zeros_like(z), -1.0),
+                                    ValueError),
+    "cross_section_nan_beta": (lambda E, b, z: certify_cross_section_minimizer(E, z, np.zeros_like(z), np.nan),
+                               ValueError),
+    "cross_section_beta_above_one": (lambda E, b, z: certify_cross_section_minimizer(E, z, np.zeros_like(z), 5.0),
+                                     ValueError),
 }
 
 
