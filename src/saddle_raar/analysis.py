@@ -19,8 +19,9 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
-extreme eigenvalues they need; beyond that, matrix-free Lanczos with a convergence flag.  scipy is
-imported by those eigen-solves alone, when they run; everything else needs numpy only.
+extreme eigenvalues they need; beyond that, one matrix-free tangent Lanczos solve with a convergence
+flag, which also gives the spectral gap as the tangent curvature ``1 - lambda2^2`` at the solution.
+scipy is imported by those eigen-solves alone, when they run; everything else needs numpy only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import DimensionError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus, unit_phase
+from .operators import DimensionError, MeasurementEnsemble, check_magnitudes, check_vector, split_lift, unit_phase
 
 __all__ = [
     "DENSE_CAP",
@@ -398,12 +399,12 @@ def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarra
     return np.eye(E.N) - f @ f.T
 
 
-def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
+def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, seed: int):
     """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
 
     Lanczos runs on ``(H apply_h H)[1:, 1:]``, the operator in the basis
-    :func:`tangent_basis` of the reflector ``H``, from a fixed-seed start so
-    that the result depends on the operator alone.
+    :func:`tangent_basis` of the reflector ``H``, from the start that ``seed``
+    draws, so that a repeated call gives the same bits.
     """
     import scipy.sparse.linalg
 
@@ -415,7 +416,7 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     n_dim = b.size - 1
     op = scipy.sparse.linalg.LinearOperator((n_dim, n_dim), matvec=matvec, dtype=np.float64)
     try:
-        v0 = np.random.default_rng(0).standard_normal(n_dim)
+        v0 = np.random.default_rng(seed).standard_normal(n_dim)
         vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=EIG_TOL, maxiter=5000, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if len(exc.eigenvalues):
@@ -427,7 +428,7 @@ def _restricted_min_eig_lanczos(apply_h, b: np.ndarray):
     return lam, resid, True
 
 
-def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float):
+def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float, seed: int = 0):
     """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
 
     ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and
@@ -435,7 +436,7 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
     Up to ``DENSE_CAP`` support dimensions one dense subset eigen-solve, and ``g2`` is ``K_perp``
     on ``Xi``, ``I - (H F)(H F)^T`` less row and column 0: the ``N x 2n`` phase factor reflected
     once (O(N n)), one ``(N-1) x 2n`` product (O(N^2 n)) and ``diag(d)`` in closed form (O(N^2)).
-    Beyond that Lanczos through the same reflector, and ``g2`` is None.
+    Beyond that Lanczos through the same reflector from the start ``seed`` draws, and ``g2`` is None.
     """
     mag = np.abs(z)
     s = mag > 0
@@ -453,7 +454,7 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
         full[s] = xi
         return scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * xi
 
-    return *_restricted_min_eig_lanczos(apply_h, b), "lanczos", None
+    return *_restricted_min_eig_lanczos(apply_h, b, seed), "lanczos", None
 
 
 @dataclass
@@ -619,8 +620,11 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
 
     Builds ``B* = diag(conj(u0)) A*`` with ``u0`` the phase of ``A* x0``
     and returns the second-largest singular value of the real stack
-    ``[Re(B*), Im(B*)]``.  Dense SVD for ambient dimensions up to
-    ``DENSE_CAP``; matrix-free two-vector SVD beyond, with convergence flag.
+    ``F = [Re(B*), Im(B*)]``.  Dense SVD for ambient dimensions up to
+    ``DENSE_CAP``.  Beyond it the matrix-free tangent solve of the certificates
+    at ``z = A* x0``, ``d = 0``, from the start ``seed`` draws: ``F F^T b = b``,
+    so ``K_perp = I - F F^T`` has least tangent eigenvalue ``mu = 1 - lambda2^2``,
+    and ``sigma_top = ||A z|| / ||z||``; both are NaN if the solve does not converge.
     ``grid`` is the object's shape, for the rank of the matricized object;
     an ``x0`` or ``grid`` whose size is not ``E.n`` raises ``DimensionError``.
     """
@@ -632,7 +636,6 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
     b = np.abs(w0)
     if np.min(b) <= 1e-14 * np.max(b):
         raise ValueError("zero measurement magnitudes: phase of the solution undefined")
-    u0 = w0 / b
 
     random_masks = getattr(E, "random_mask_count", 0)
     n_patterns = getattr(E, "l", None)
@@ -646,37 +649,13 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
         notes.append("masks deterministic or too few patterns")
 
     if E.N <= DENSE_CAP:
-        svals = np.linalg.svd(_phase_factor(E, u0), compute_uv=False)
+        svals = np.linalg.svd(_phase_factor(E, w0 / b), compute_uv=False)
         sigma_top, lam2 = float(svals[0]), float(svals[1])
         method, converged = "dense", True
     else:
-        import scipy.sparse.linalg
-        n = E.n
-
-        def matvec(t):
-            v = t[:n] - 1j * t[n:]
-            return np.real(np.conj(u0) * E.apply_adjoint(v))
-
-        def rmatvec(w):
-            y = E.apply(u0 * np.asarray(w, dtype=np.complex128))
-            return np.concatenate([y.real, -y.imag])
-
-        op = scipy.sparse.linalg.LinearOperator(
-            (E.N, 2 * n), matvec=matvec, rmatvec=rmatvec, dtype=np.float64
-        )
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(2 * n)
-        try:
-            svals = scipy.sparse.linalg.svds(
-                op, k=2, which="LM", v0=v0, return_singular_vectors=False, tol=1e-10
-            )
-            svals = np.sort(svals)[::-1]
-            sigma_top, lam2 = float(svals[0]), float(svals[1])
-            converged = True
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            sigma_top, lam2 = float("nan"), float("nan")
-            converged = False
-        method = "lanczos"
+        mu, _, converged, method, _ = _tangent_min_eig(E, w0, np.zeros(E.N), 1.0, seed)
+        lam2 = math.sqrt(max(1.0 - mu, 0.0)) if converged else float("nan")
+        sigma_top = float(np.linalg.norm(E.apply(w0)) / np.linalg.norm(w0)) if converged else float("nan")
 
     return SpectralGapResult(
         lambda2=lam2,
@@ -706,9 +685,7 @@ def fejer_monitor(E: MeasurementEnsemble, b, iterates, betas, z_star, lam_star) 
     floor = (1e-12 * np.linalg.norm(b)) ** 2
     t_vals, margins, ratios = [], [], []
     for k in range(1, len(iterates)):
-        w_prev = iterates[k - 1]
-        z = project_torus(w_prev, b)
-        lam = w_prev - z
+        z, lam = split_lift(iterates[k - 1], b)
         t, m = _functional_and_margin(E, z, lam, z_star, lam_star, betas[k])
         t_vals.append(t)
         margins.append(m)

@@ -134,8 +134,11 @@ def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int) -> 
 
 
 def load_solver_state(path) -> dict:
+    """Read a state file; an unknown ``algo`` or a ``param`` that is not a number raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc["algo"] not in ("raar", "admm", "drs") or type(doc["param"]) not in (int, float):
+        raise ValueError(f"need algo raar, admm or drs and a numeric param, got {doc['algo']!r}, {doc['param']!r}")
     doc["ensemble"] = ensemble_from_descriptor(doc["ensemble"])
     doc["b"] = np.asarray(doc["b"], dtype=np.float64)
     doc["w"] = interleaved_to_complex(doc.pop("w_re_im"))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, artifacts, experiments
 from .initializers import null_vector, random_lift
-from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, project_torus
+from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, split_lift
 from .solvers import ParameterSchedule, StoppingRule, finish, run
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "execute", "main"]
@@ -389,7 +389,7 @@ def _execute_certify(cfg: RunConfig) -> int:
         raise UsageError("certify requires --state pointing to a solve state file")
     try:
         doc = artifacts.load_solver_state(o["state"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # a state file is outside input: any bad field
         raise UsageError(f"cannot load state file {o['state']}: {exc}") from exc
     E, b, w = doc["ensemble"], doc["b"], doc["w"]
     param = doc["param"]
@@ -398,8 +398,7 @@ def _execute_certify(cfg: RunConfig) -> int:
     cert = analysis.certify_fixed_point(E, b, w, beta, tol=o["tol"])
     summary = cert.summary() | {"hessian_min_eig": None}
     if o["cross-section"]:
-        z = project_torus(w, b)
-        saddle = analysis.certify_cross_section_minimizer(E, z, w - z, beta=beta)
+        saddle = analysis.certify_cross_section_minimizer(E, *split_lift(w, b), beta=beta)
         summary |= {"hessian_min_eig": saddle.hessian_min_eig, "cross_section": saddle.summary()}
     artifacts.write_json(os.path.join(out, "summary.json"), summary)
     return 0
@@ -411,27 +410,21 @@ def _execute_gap(cfg: RunConfig) -> int:
     grid = _parse_grid(o["grid"])
     rng = np.random.default_rng(o["seed"])
     x0 = np.exp(2j * np.pi * rng.random(grid)).reshape(-1)
-    rows = []
-    lambdas = []
-    for mask_seed in range(o["seeds"]):
-        E = build_cdp_ensemble(grid, seed=mask_seed, n_masks=o["masks"])
-        result = analysis.spectral_gap(E, x0, grid=grid)
-        rows.append(
-            (mask_seed, repr(result.lambda2), repr(result.sigma_top), result.hypothesis_met)
-        )
-        lambdas.append(result.lambda2)
-    artifacts.write_csv(
-        os.path.join(out, "gap.csv"), ("seed", "lambda2", "sigma_top", "hypothesis_met"), rows
-    )
+    gaps = [analysis.spectral_gap(build_cdp_ensemble(grid, seed=mask_seed, n_masks=o["masks"]), x0, grid=grid)
+            for mask_seed in range(o["seeds"])]
+    rows = [(mask_seed, repr(g.lambda2), repr(g.sigma_top), g.hypothesis_met) for mask_seed, g in enumerate(gaps)]
+    artifacts.write_csv(os.path.join(out, "gap.csv"), ("seed", "lambda2", "sigma_top", "hypothesis_met"), rows)
+    lambdas = np.array([g.lambda2 for g in gaps])
     artifacts.write_json(
         os.path.join(out, "summary.json"),
         {
             "grid": list(grid),
             "masks": o["masks"],
             "seeds": o["seeds"],
-            "lambda2_max": max(lambdas),
-            "lambda2_min": min(lambdas),
-            "all_below_one": bool(max(lambdas) < 1.0),
+            # an unconverged seed's NaN reaches the max and the min, and certifies nothing
+            "lambda2_max": float(lambdas.max()),
+            "lambda2_min": float(lambdas.min()),
+            "all_below_one": bool((lambdas < 1.0).all()),
         },
     )
     return 0

@@ -31,7 +31,7 @@ from .operators import (
     build_cdp_ensemble,
     build_gaussian_ensemble,
     build_rpp,
-    project_torus,
+    split_lift,
 )
 from .solvers import ParameterSchedule, StoppingRule, finish, reconstruct, run
 
@@ -414,8 +414,7 @@ def cdp_case_run(
         stop=StoppingRule(fixed_budget=True),
         on_iterate=observe,
     )
-    z_snap = project_torus(w_snap, b)
-    x_snap = reconstruct(E, z_snap, w_snap - z_snap)
+    x_snap = reconstruct(E, *split_lift(w_snap, b))
 
     x_fin = reconstruct(E, result.z, result.lam)
     return CdpPathResult(

@@ -39,6 +39,7 @@ __all__ = [
     "random_unit_masks",
     "unit_phase",
     "project_torus",
+    "split_lift",
     "shepp_logan",
     "build_rpp",
     "ensemble_from_descriptor",
@@ -85,6 +86,12 @@ def project_torus(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(b, dtype=np.float64)
     return b * unit_phase(w)
+
+
+def split_lift(w: np.ndarray, b: np.ndarray):
+    """The primal/dual pair ``(z, w - z)``, ``z = project_torus(w, b)``, of a relaxed-reflection lift ``w``."""
+    z = project_torus(w, b)
+    return z, w - z
 
 
 def check_magnitudes(b: np.ndarray, N: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import DiagnosticsRecord, _residual_parts, _trace_row, _trace_row_work, certify_fixed_point
-from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus
+from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus, split_lift
 
 __all__ = [
     "RaarState",
@@ -257,17 +257,12 @@ def _range_parts(p, carry, rho_prev, rho):
     return pz, pl, pl - rho_p
 
 
-def _raar_pair(state, b):
-    z = project_torus(state.w, b)
-    return z, state.w - z
-
-
 def _state_pair(state, b):
     return state.z, state.lam
 
 
 def _admm_start(w0, b):
-    z, lam = _raar_pair(RaarState(w=w0), b)  # the pair of the raar start
+    z, lam = split_lift(w0, b)  # the pair of the raar start
     return AdmmState(y=z, z=z, lam=lam)
 
 
@@ -296,7 +291,7 @@ class _Form(NamedTuple):
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(lambda w0, b: RaarState(w=w0), _raar_pair, attrgetter("w"),
+    "raar": _Form(lambda w0, b: RaarState(w=w0), lambda state, b: split_lift(state.w, b), attrgetter("w"),
                   lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z)),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol)),

@@ -675,17 +675,37 @@ class TestMatrixFreePaths:
             assert (again.hessian_min_eig, again.eig_residual) == (free.hessian_min_eig, free.eig_residual)
             np.testing.assert_array_equal(again.q, free.q)
 
-    def test_iterative_spectral_gap_matches_dense(self, cdp_8x8, monkeypatch):
-        E, x0, _ = cdp_8x8
-        dense = spectral_gap(E, x0, grid=(8, 8))
+    @pytest.mark.parametrize("case", ["cdp_8x8", "three_masks", "rank_one", "all_ones_masks", "cdp_20x12"])
+    def test_iterative_spectral_gap_matches_dense(self, case, request, monkeypatch):
+        # above the cap the gap is the tangent solve at the solution: mu = 1 - lambda2^2
+        def phase_object(grid):
+            return np.exp(2j * np.pi * np.random.default_rng(11).random(grid)).reshape(-1)
+
+        grid = (20, 12) if case == "cdp_20x12" else (8, 8)
+        if case == "cdp_8x8":
+            E, x0, _ = request.getfixturevalue("cdp_8x8")
+        elif case == "rank_one":  # as test_rank_one_object_flagged
+            rng = np.random.default_rng(12)
+            u, v = random_complex(rng, 8), random_complex(rng, 8)
+            E, x0 = build_cdp_ensemble(grid, seed=1), np.outer(u, v).reshape(-1)
+        elif case == "all_ones_masks":  # as test_deterministic_masks_flagged
+            E = CodedDiffractionEnsemble(grid, np.ones((2, *grid), dtype=complex))
+            x0 = np.abs(np.random.default_rng(0).standard_normal(grid)).reshape(-1)
+        else:
+            E, x0 = build_cdp_ensemble(grid, seed=3, n_masks=3 if case == "three_masks" else 2), phase_object(grid)
+        dense = spectral_gap(E, x0, grid=grid)
         import saddle_raar.analysis as analysis_mod
 
         monkeypatch.setattr(analysis_mod, "DENSE_CAP", 64)
-        free = spectral_gap(E, x0, grid=(8, 8))
-        assert free.method == "lanczos"
+        free = spectral_gap(E, x0, grid=grid)
+        assert (dense.method, free.method) == ("dense", "lanczos")
         assert free.converged
         assert free.lambda2 == pytest.approx(dense.lambda2, abs=1e-8)
         assert free.sigma_top == pytest.approx(1.0, abs=1e-8)
+        assert (free.hypothesis_met, free.notes) == (dense.hypothesis_met, dense.notes)
+        # the start is seeded: a repeat gives the same bits, another seed the same gap
+        assert spectral_gap(E, x0, grid=grid) == free
+        assert spectral_gap(E, x0, grid=grid, seed=7).lambda2 == pytest.approx(free.lambda2, abs=1e-12)
 
     @pytest.mark.parametrize("partial", [[], [0.5]])
     def test_unconverged_solves_are_reported_not_raised(self, cdp_8x8, monkeypatch, partial):
@@ -701,7 +721,6 @@ class TestMatrixFreePaths:
         z_star = E.apply_adjoint(x0)
         monkeypatch.setattr(analysis_mod, "DENSE_CAP", 64)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
         for cert in (certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star)),
                      certify_drs_cross_section(E, b, z_star, rho=0.25)):
             assert (cert.method, cert.converged, cert.strict) == ("lanczos", False, False)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -310,6 +312,21 @@ class TestCertifyCommand:
         assert main(["certify", "--out", str(tmp_path)]) == 1
         assert main(["certify", "--state", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("field, value", [("n", 4.0), ("param", "0.9"), ("algo", "gd")])
+    def test_state_with_a_bad_field_is_usage_error(self, tmp_path, capsys, field, value):
+        from saddle_raar import build_gaussian_ensemble, random_lift
+        from saddle_raar.artifacts import save_solver_state
+
+        E = build_gaussian_ensemble(4, 16, seed=0)
+        path = tmp_path / "state.json"
+        save_solver_state(path, E, [1.0] * E.N, random_lift(E.N, 0), "raar", 0.9, 0)
+        doc = json.loads(path.read_text())
+        (doc["ensemble"] if field == "n" else doc)[field] = value
+        path.write_text(json.dumps(doc))
+        assert main(["certify", "--state", str(path), "--out", str(tmp_path / "cert")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot load state file {path}: ")
+        assert not (tmp_path / "cert").exists()
+
 
 class TestGapCommand:
     def test_gap_values_below_one(self, tmp_path):
@@ -323,6 +340,28 @@ class TestGapCommand:
         assert all(v < 1.0 for v in values)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_below_one"]
+
+    @pytest.mark.parametrize("nan_seed", [0, 1, 2])
+    def test_an_unconverged_seed_certifies_nothing(self, tmp_path, monkeypatch, nan_seed):
+        # an unconverged matrix-free gap is NaN: it reaches the max and min wherever it falls
+        from saddle_raar import analysis
+
+        gap = analysis.spectral_gap
+        calls = []
+
+        def gap_with_a_nan(*args, **kwargs):
+            calls.append(None)
+            result = gap(*args, **kwargs)
+            if len(calls) - 1 == nan_seed:
+                result = dataclasses.replace(result, lambda2=math.nan, sigma_top=math.nan, converged=False)
+            return result
+
+        monkeypatch.setattr(analysis, "spectral_gap", gap_with_a_nan)
+        assert main(["gap", "--grid", "8x8", "--seeds", "3", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert math.isnan(summary["lambda2_max"]) and math.isnan(summary["lambda2_min"])
+        assert summary["all_below_one"] is False
+        assert (tmp_path / "gap.csv").read_text().splitlines()[1 + nan_seed].split(",")[1] == "nan"
 
 
 class TestSweepCommand:

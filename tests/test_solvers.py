@@ -33,6 +33,7 @@ from saddle_raar.analysis import (
     convergence_functional,
     fejer_monitor,
 )
+import saddle_raar.operators as operators
 from saddle_raar.solvers import drs_fixed_point_residuals
 from conftest import CountingEnsemble, random_complex
 
@@ -502,7 +503,8 @@ def test_raar_run_projects_onto_the_torus_once_per_iteration(monkeypatch, dense_
         counts["steps"] += 1
         return step(*args)
 
-    monkeypatch.setattr(solvers, "project_torus", counted_torus)
+    for module in (solvers, operators):  # raar's pair projects in operators.split_lift
+        monkeypatch.setattr(module, "project_torus", counted_torus)
     monkeypatch.setattr(solvers, "raar_step", counted_step)
     result = run(E, b, "raar", ParameterSchedule.constant(0.9), random_lift(E.N, seed=5), 400, stop)
     # one for the start and one per step, also for the step a stopping rule drops
@@ -555,7 +557,8 @@ def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo,
             return v
 
         monkeypatch.setattr(E, "project_range", lambda w, E=E: spoil(E.apply_adjoint(E.apply(w)), "P"))
-        monkeypatch.setattr(solvers, "project_torus", lambda w, b: spoil(torus(w, b), "z"))
+        for module in (solvers, operators):  # raar's pair projects in operators.split_lift
+            monkeypatch.setattr(module, "project_torus", lambda w, b: spoil(torus(w, b), "z"))
         ws = []
         with np.errstate(invalid="ignore"):
             result = run(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
@@ -605,7 +608,8 @@ def test_a_nonfinite_entry_reaches_the_next_lambda(monkeypatch, dense_small, alg
                 start = RaarState(w=z + lam_bad) if algo == "raar" else type(state)(state.y, state.z, lam_bad)
             with monkeypatch.context() as m, np.errstate(invalid="ignore"):
                 if site == "z":
-                    m.setattr(solvers, "project_torus", lambda w, b: spoilt(torus(w, b)))
+                    for module in (solvers, operators):  # raar's pair projects in operators.split_lift
+                        m.setattr(module, "project_torus", lambda w, b: spoilt(torus(w, b)))
                 nxt = form.advance(SpoilsProjection() if site == "w" else E, b, start, param, z)
                 next_z, next_lam = form.pair(nxt, b)
             assert not np.isfinite(next_lam[i]), (bad, site)
