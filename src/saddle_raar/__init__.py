@@ -19,18 +19,13 @@ from .analysis import (
     certify_cross_section_minimizer,
     certify_drs_cross_section,
     certify_fixed_point,
-    contraction_margin,
-    convergence_functional,
     correlation,
     criticality_vector,
     diagnostics,
     dual_gradient,
-    dual_gradient_norm,
     fejer_monitor,
     global_phase,
-    inequality_ratio,
     objective,
-    optimal_dual,
     rho_from_beta,
     spectral_gap,
 )
@@ -67,8 +62,10 @@ from .solvers import (
     RaarState,
     StoppingRule,
     admm_step,
+    curvature,
     drs_step,
     finish,
+    fixed_point_check,
     initial_state,
     raar_step,
     reconstruct,

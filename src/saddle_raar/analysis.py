@@ -14,8 +14,9 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
   ``Xi = { xi real : <xi, b> = 0 }`` that quotients out global phase;
 * the measurement spectral gap ``lambda2`` certifying strict local
   minimality of the true solution;
-* the convergence functional ``T`` and its self-referenced inequality
-  ratio used as a basin-of-attraction indicator.
+* the convergence functional ``T`` along a run (``fejer_monitor``) and
+  its self-referenced inequality ratio, the trace's basin-of-attraction
+  indicator ``t_ratio``.
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
@@ -40,21 +41,14 @@ __all__ = [
     "rho_from_beta",
     "objective",
     "dual_gradient",
-    "dual_gradient_norm",
-    "optimal_dual",
     "criticality_vector",
     "global_phase",
     "aligned_error",
     "aligned_distance",
     "correlation",
-    "convergence_functional",
-    "inequality_ratio",
-    "contraction_margin",
     "FixedPointCertificate",
     "certify_fixed_point",
     "beta_max_from_threshold",
-    "tangent_basis",
-    "assemble_complement_form",
     "SaddleCertificate",
     "certify_cross_section_minimizer",
     "certify_drs_cross_section",
@@ -117,21 +111,6 @@ def dual_gradient(E: MeasurementEnsemble, z, lam, beta: float) -> np.ndarray:
     ``g = -(beta Q(z - lam) + lam)``.
     """
     return -(beta * E.project_complement(np.asarray(z) - np.asarray(lam)) + np.asarray(lam))
-
-
-def dual_gradient_norm(E: MeasurementEnsemble, z, lam, beta: float) -> float:
-    """Norm of :func:`dual_gradient`: ``(||Q((1-beta)lam + beta z)||^2 + ||A lam||^2)^{1/2}``."""
-    return diagnostics(E, 1.0, z, lam, beta, 0).deriv_norm  # b enters only the residual, not read here
-
-
-def optimal_dual(E: MeasurementEnsemble, z, beta: float) -> np.ndarray:
-    """The unique dual maximizer of the objective at fixed ``z``.
-
-    Equals ``-beta' Q z`` with ``beta' = beta/(1-beta)``; undefined at
-    ``beta = 1``.
-    """
-    bp = beta_prime(beta)
-    return -bp * E.project_complement(z)
 
 
 def criticality_vector(E: MeasurementEnsemble, z, lam) -> np.ndarray:
@@ -205,47 +184,6 @@ def _functional_and_margin(E: MeasurementEnsemble, z, lam, z_star, lam_star, bet
     t = float(_functional(beta, np.linalg.norm(E.project_complement(z - z_star)),
                           np.linalg.norm(E.project_complement(lam - lam_star)), np.linalg.norm(E.apply(lam))))
     return t, float(t - 2.0 * _real_inner(z_star - z, lam - lam_star))
-
-
-def convergence_functional(
-    E: MeasurementEnsemble,
-    z,
-    lam,
-    z_star,
-    lam_star,
-    beta: float,
-) -> float:
-    """Distance functional ``T``.
-
-    ``T = beta ||Q(z - z*)||^2 + (1-beta) ||Q(lam - lam*)||^2 + ||A lam||^2``,
-    with the reference pair first rotated by the global phase aligning
-    ``z* + lam*`` to ``z + lam`` (references are phase families).
-    """
-    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[0]
-
-
-def inequality_ratio(E: MeasurementEnsemble, z, lam, beta: float) -> float:
-    """Basin indicator ``1 + 2<z, lam> / (beta ||Qz||^2 + (1-beta)||Q lam||^2 + ||A lam||^2)``.
-
-    Positive values signal entry into the attraction basin of a noiseless
-    solution.  The indicator is a 0/0 limit at such a solution: once the
-    denominator falls to roundoff level relative to the torus scale the
-    iterate is a solution to machine precision and the ``+inf`` marker is
-    returned (the quotient's sign would be pure roundoff noise there).
-    """
-    return diagnostics(E, 1.0, z, lam, beta, 0).t_ratio  # b enters only the residual, not read here
-
-
-def contraction_margin(
-    E: MeasurementEnsemble, z, lam, z_star, lam_star, beta: float
-) -> float:
-    """Margin ``T(z, lam) - 2 <alpha z* - z, lam - alpha lam*>``.
-
-    A positive margin at every step makes the phase-aligned distance to
-    the reference non-increasing (Fejer-type contraction); the margin is
-    zero at the reference itself.
-    """
-    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +301,8 @@ def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x - np.multiply.outer(c * v, v @ x)
 
 
-def tangent_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of ``Xi = { xi real : <xi, b> = 0 }``: ``H[:, 1:]``."""
-    return _reflect(np.eye(len(b)), b)[:, 1:]
-
-
 def _restricted_diag(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tangent_basis(b).T @ diag(d) @ tangent_basis(b)``: rows and columns 1: of the closed form
+    """``B.T @ diag(d) @ B`` for the tangent basis ``B = H[:, 1:]``: rows and columns 1: of the closed form
     ``H diag(d) H = diag(d) - v p^T - p v^T``, ``p = c d v - (c^2/2) <v, d v> v``, in O(N^2)."""
     v, c = _householder(b)
     p = (c * d * v - (0.5 * c * c * (v @ (d * v))) * v)[1:]
@@ -393,17 +326,11 @@ def _phase_factor(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
     return np.concatenate([bstar.real, bstar.imag], axis=1)
 
 
-def assemble_complement_form(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
-    """Dense form ``Re(diag(conj(u)) Q diag(u)) = I - F F^T`` for unit ``u``, ``F`` the :func:`_phase_factor`."""
-    f = _phase_factor(E, u)
-    return np.eye(E.N) - f @ f.T
-
-
 def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, seed: int):
     """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
 
     Lanczos runs on ``(H apply_h H)[1:, 1:]``, the operator in the basis
-    :func:`tangent_basis` of the reflector ``H``, from the start that ``seed``
+    ``H[:, 1:]`` of the reflector ``H``, from the start that ``seed``
     draws, so that a repeated call gives the same bits.
     """
     import scipy.sparse.linalg
@@ -771,7 +698,7 @@ def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: 
 
     denom = _functional(beta, zq_norm, lq_norm, pl_norm)
     # at machine-precision convergence the quotient is 0/0 and only the
-    # marker is meaningful (see inequality_ratio)
+    # marker is meaningful: its sign would be pure roundoff
     t_scale = max(_norm(z), lam_norm)
     if denom <= (1e-13 * t_scale) ** 2:
         t_ratio = float("inf")

@@ -2,7 +2,8 @@
 
 All writes are atomic (write to a temp file in the target directory, then
 rename).  CSV files have a header row, stable column order, UTF-8 text
-and LF line endings.
+and LF line endings.  A state file keeps each field of a solver state,
+which its form's check and curvature read back.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
 from .analysis import DiagnosticsRecord, global_phase
 from .operators import complex_to_interleaved, ensemble_from_descriptor, interleaved_to_complex, unit_phase
+from .solvers import _form
 
 __all__ = [
     "atomic_write_bytes",
@@ -120,26 +123,35 @@ def aligned_real_image(vec: np.ndarray, reference: np.ndarray, grid) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def save_solver_state(path, ensemble, b, w, algo: str, param: float, k: int) -> None:
-    """Persist a converged/final state with everything needed to certify it."""
+def save_solver_state(path, ensemble, b, state, algo: str, param: float, k: int) -> None:
+    """Persist a final ``state`` of ``algo`` with everything needed to certify it: each field, interleaved."""
     doc = {
         "algo": algo,
         "param": float(param),
         "k": int(k),
         "ensemble": ensemble.descriptor(),
         "b": np.asarray(b, dtype=np.float64).tolist(),
-        "w_re_im": complex_to_interleaved(w),
+        "state": {f.name: complex_to_interleaved(getattr(state, f.name)) for f in fields(state)},
     }
     write_json(path, doc)
 
 
 def load_solver_state(path) -> dict:
-    """Read a state file; an unknown ``algo`` or a ``param`` that is not a number raises ``ValueError``."""
+    """Read a state file, with ``doc["state"]`` rebuilt as its form's state.
+
+    An unknown ``algo``, a ``param`` that is not a number, or a state field
+    that is missing or not a list of ``2 N`` numbers raises ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc["algo"] not in ("raar", "admm", "drs") or type(doc["param"]) not in (int, float):
-        raise ValueError(f"need algo raar, admm or drs and a numeric param, got {doc['algo']!r}, {doc['param']!r}")
-    doc["ensemble"] = ensemble_from_descriptor(doc["ensemble"])
+    kind = _form(doc["algo"]).state
+    if type(doc["param"]) not in (int, float):
+        raise ValueError(f"need a numeric param, got {doc['param']!r}")
+    doc["ensemble"] = E = ensemble_from_descriptor(doc["ensemble"])
     doc["b"] = np.asarray(doc["b"], dtype=np.float64)
-    doc["w"] = interleaved_to_complex(doc.pop("w_re_im"))
+    saved = doc.get("state") if isinstance(doc.get("state"), dict) else {}
+    state = {f.name: saved.get(f.name) for f in fields(kind)}
+    if not all(isinstance(v, list) and len(v) == 2 * E.N for v in state.values()):
+        raise ValueError(f"need {doc['algo']} state fields {', '.join(state)}, each a list of {2 * E.N} numbers")
+    doc["state"] = kind(**{name: interleaved_to_complex(v) for name, v in state.items()})
     return doc

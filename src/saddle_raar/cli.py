@@ -1,10 +1,11 @@
 """Command-line front end: config parsing, orchestration, artifact emission.
 
 Subcommands: ``solve`` (single run), ``sweep`` (Gaussian success rates),
-``cdp`` (coded-diffraction case suites), ``certify`` (fixed-point and
-cross-section certificates on a saved state), ``gap`` (spectral gaps over
-mask seeds).  Options come from flags, optionally seeded by a JSON config
-file parsed as flags (flags override the file; unknown keys are rejected).
+``cdp`` (coded-diffraction case suites), ``certify`` (a saved state's
+fixed-point check and curvature, read through the form that wrote it),
+``gap`` (spectral gaps over mask seeds).  Options come from flags,
+optionally seeded by a JSON config file parsed as flags (flags override
+the file; unknown keys are rejected).
 
 Exit codes: 0 success, 1 usage error, 2 solver non-convergence in strict
 mode.
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import analysis, artifacts, experiments
 from .initializers import null_vector, random_lift
-from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp, split_lift
-from .solvers import ParameterSchedule, StoppingRule, finish, run
+from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp
+from .solvers import ParameterSchedule, StoppingRule, curvature, finish, fixed_point_check, run
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "execute", "main"]
 
@@ -285,7 +286,7 @@ def _execute_solve(cfg: RunConfig) -> int:
     }
     artifacts.write_json(os.path.join(out, "summary.json"), summary)
     artifacts.save_solver_state(
-        os.path.join(out, "state.json"), E, b, done.lift, algo, param, result.final_record.k
+        os.path.join(out, "state.json"), E, b, result.state, algo, param, result.final_record.k
     )
     if o["ensemble"] == "cdp":
         grid = _parse_grid(o["grid"])
@@ -391,14 +392,10 @@ def _execute_certify(cfg: RunConfig) -> int:
         doc = artifacts.load_solver_state(o["state"])
     except (OSError, ValueError, TypeError, KeyError) as exc:  # a state file is outside input: any bad field
         raise UsageError(f"cannot load state file {o['state']}: {exc}") from exc
-    E, b, w = doc["ensemble"], doc["b"], doc["w"]
-    param = doc["param"]
-    beta = param if doc["algo"] != "drs" else analysis.beta_from_rho(param)
-    beta = min(max(beta, 1e-12), 1.0 - 1e-12)
-    cert = analysis.certify_fixed_point(E, b, w, beta, tol=o["tol"])
-    summary = cert.summary() | {"hessian_min_eig": None}
+    read = (doc["ensemble"], doc["b"], doc["algo"], doc["state"], doc["param"])  # through the form that wrote it
+    summary = fixed_point_check(*read, tol=o["tol"])[1] | {"hessian_min_eig": None}
     if o["cross-section"]:
-        saddle = analysis.certify_cross_section_minimizer(E, *split_lift(w, b), beta=beta)
+        saddle = curvature(*read)
         summary |= {"hessian_min_eig": saddle.hessian_min_eig, "cross_section": saddle.summary()}
     artifacts.write_json(os.path.join(out, "summary.json"), summary)
     return 0

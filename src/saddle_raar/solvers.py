@@ -12,7 +12,8 @@ Three equivalent views of the same phase-retrieval geometry:
 
 A parameter schedule (piecewise-linear in the iteration index) drives
 continuation runs; ``run`` is the shared loop with trace recording and
-stopping rules, and ``finish`` reads a finished run out by its form.
+stopping rules; ``finish`` reads a finished run out by its form, and
+``fixed_point_check`` and ``curvature`` a state of any form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DiagnosticsRecord, _residual_parts, _trace_row, _trace_row_work, certify_fixed_point
+from .analysis import (DiagnosticsRecord, SaddleCertificate, _residual_parts, _trace_row, _trace_row_work,
+                       certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point)
 from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus, split_lift
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
     "initial_state",
     "run",
     "finish",
+    "fixed_point_check",
+    "curvature",
     "reconstruct",
     "drs_fixed_point_residuals",
 ]
@@ -100,6 +104,22 @@ class DrsState(_Triple):
 # ---------------------------------------------------------------------------
 
 
+# each form's step parameter: its name, its range and the test of that range, which NaN fails
+_RANGES = {
+    "raar": ("beta", "(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "admm": ("beta", "(0, 1)", lambda v: 0.0 < v < 1.0),
+    "drs": ("rho", "(0, inf)", lambda v: 0.0 < v < np.inf),
+}
+
+
+def _checked_param(algo: str, value):
+    """``value``, or ``ValueError`` when it lies outside the range of ``algo``'s step parameter."""
+    name, contract, ok = _RANGES[algo]
+    if not ok(value):
+        raise ValueError(f"{name} must lie in {contract}, got {value}")
+    return value
+
+
 def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None) -> np.ndarray:
     """One relaxed-reflection update.
 
@@ -109,8 +129,7 @@ def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None) -> np.ndarray:
     complement term; at ``beta = 1`` the averaged reflector composition.
     A caller that already holds ``[w]_Z`` passes it as ``t``.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    _checked_param("raar", beta)
     w = np.asarray(w, dtype=np.complex128)
     t = project_torus(w, b) if t is None else t
     return beta * w + (1.0 - 2.0 * beta) * t + beta * E.project_range(2.0 * t - w)
@@ -122,8 +141,7 @@ def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float) -> AdmmS
     ``y <- (I - beta Q)(z - lambda)``; ``z <- [y + lambda]_Z``;
     ``lambda <- lambda + (y - z)``, with ``Q`` the complement projection.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _checked_param("admm", beta)
     d = state.z - state.lam
     y = d - beta * (d - E.project_range(d))  # (I - beta Q) d
     z = project_torus(y + state.lam, b)
@@ -137,8 +155,7 @@ def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float) -> DrsState
     ``y <- P(z + lambda/rho)``; ``z <- ([w]_Z + rho w) / (1 + rho)`` with
     ``w = y - lambda/rho``; ``lambda <- lambda + rho (z - y)``.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _checked_param("drs", rho)
     mu = state.lam / rho
     y = E.project_range(state.z + mu)
     w = y - mu
@@ -269,38 +286,43 @@ def _admm_start(w0, b):
 def _reflection_check(E, b, w, beta, tol):
     # raar's beta = 1 is checked just inside the certificate's open range
     cert = certify_fixed_point(E, b, w, min(beta, 1.0 - 1e-12), tol)
-    return w, cert.certified, cert.summary()
+    return cert.certified, cert.summary()
 
 
 def _splitting_check(E, b, state, rho, tol):
     resids = drs_fixed_point_residuals(E, b, state, rho)
     doc = {"fixed_point_residuals": dict(zip(("range_dual", "complement_primal", "torus_gap"), resids))}
-    return state.z + state.lam / rho, bool(max(resids) <= tol * np.linalg.norm(b)), doc
+    return bool(max(resids) <= tol * np.linalg.norm(b)), doc
 
 
 class _Form(NamedTuple):
+    state: type  # the state's class, which a state file's fields rebuild
     start: Callable  # (w0, b) -> the state lifted from w0
     pair: Callable  # (state, b) -> (z, lambda)
     lift: Callable  # state -> the lifted iterate on_iterate sees
     penalty: Callable  # step parameter -> rho of the step's projection
     advance: Callable  # (E, b, state, step parameter, z of the state's pair) -> next state
-    check: Callable  # (E, b, state, step parameter, tol) -> (lift a state file keeps, pass flag, certificate)
+    check: Callable  # (E, b, state, step parameter, tol) -> (pass flag, certificate)
+    curvature: Callable  # (E, b, state, step parameter) -> tangent curvature certificate
 
 
 # An advance looks its public step up when called, so that a wrapper
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.
 _FORMS = {
-    "raar": _Form(lambda w0, b: RaarState(w=w0), lambda state, b: split_lift(state.w, b), attrgetter("w"),
-                  lambda beta: -1.0,
+    "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0), lambda state, b: split_lift(state.w, b),
+                  attrgetter("w"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z)),
-                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol)),
-    "admm": _Form(_admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
+                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol),
+                  lambda E, b, state, beta: certify_cross_section_minimizer(E, *split_lift(state.w, b), beta=beta)),
+    "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
                   lambda E, b, state, beta, z: admm_step(E, b, state, beta),
-                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol)),
-    "drs": _Form(lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
+                  lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol),
+                  lambda E, b, state, beta: certify_cross_section_minimizer(E, *split_lift(state.lift, b), beta=beta)),
+    "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
                  _state_pair, attrgetter("z"), lambda rho: rho,
-                 lambda E, b, state, rho, z: drs_step(E, b, state, rho), _splitting_check),
+                 lambda E, b, state, rho, z: drs_step(E, b, state, rho), _splitting_check,
+                 lambda E, b, state, rho: certify_drs_cross_section(E, b, state.z, rho)),
 }
 
 
@@ -447,25 +469,40 @@ def run(
     return RunResult(records=records, state=state, stop_reason=reason, z=z, lam=lam)
 
 
+def fixed_point_check(E: MeasurementEnsemble, b, algo: str, state, param: float, tol: float = 1e-8):
+    """``(pass flag, certificate)`` of a ``state`` of ``algo`` at step parameter ``param``.
+
+    raar and admm: ``certify_fixed_point`` at their lift and ``min(param, 1 - 1e-12)``,
+    reporting its summary; drs: passes when its largest ``drs_fixed_point_residuals``
+    is at most ``tol * ||b||``, reporting them.  A ``param`` outside the step's range
+    raises ``ValueError`` before any operator call, as in ``curvature``.
+    """
+    return _form(algo).check(E, b, state, _checked_param(algo, param), tol)
+
+
+def curvature(E: MeasurementEnsemble, b, algo: str, state, param: float) -> SaddleCertificate:
+    """Tangent curvature certificate of a ``state`` of ``algo`` at step parameter ``param``.
+
+    raar and admm: ``certify_cross_section_minimizer`` on the split of their lift,
+    given the beta; drs: ``certify_drs_cross_section``, ``rho K_perp - diag(b/|z| - 1)``.
+    """
+    return _form(algo).curvature(E, b, state, _checked_param(algo, param))
+
+
 class Finish(NamedTuple):
     """A finished run read out by its form."""
 
     x: np.ndarray  # the object estimate A(z + lambda/rho)
-    lift: np.ndarray  # the lift a state file keeps
     fixed_point_pass: bool
     certificate: dict  # the fixed-point check as ``solve`` writes it
 
 
 def finish(E: MeasurementEnsemble, b, algo: str, result: RunResult, param: float, tol: float = 1e-8) -> Finish:
-    """Object estimate, kept lift and fixed-point check of a run of ``algo`` at parameter ``param``.
+    """Object estimate and fixed-point check of a run of ``algo`` at parameter ``param``.
 
     ``x = A(z + lambda/rho)`` comes from the run's pair with ``rho`` the
-    form's penalty (-1 for raar and admm).  The kept lift is ``w`` for raar,
-    ``z + lambda`` for admm and ``z + lambda/rho`` for drs.  raar and admm
-    are checked by ``certify_fixed_point`` at ``min(param, 1 - 1e-12)`` and
-    report its summary; drs passes when the largest of its
-    ``drs_fixed_point_residuals`` is at most ``tol * ||b||``.
+    form's penalty (-1 for raar and admm); the check is
+    ``fixed_point_check`` of the run's final state.
     """
-    form = _form(algo)
-    x = reconstruct(E, result.z, result.lam, form.penalty(param))
-    return Finish(x, *form.check(E, b, result.state, param, tol))
+    x = reconstruct(E, result.z, result.lam, _form(algo).penalty(param))
+    return Finish(x, *fixed_point_check(E, b, algo, result.state, param, tol))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from saddle_raar import MeasurementEnsemble, build_cdp_ensemble, build_gaussian_ensemble
+from saddle_raar import MeasurementEnsemble, beta_prime, build_cdp_ensemble, build_gaussian_ensemble, diagnostics
+from saddle_raar.analysis import _functional_and_margin, _phase_factor, _reflect
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +58,49 @@ class CountingEnsemble(MeasurementEnsemble):
     def apply_adjoint(self, x):
         self.adjoints += 1
         return self.inner.apply_adjoint(x)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: closed forms and readouts the tests check the library against
+# ---------------------------------------------------------------------------
+
+
+def optimal_dual(E, z, beta):
+    """The unique dual maximizer of the objective at fixed ``z``: ``-beta' Q z``, undefined at ``beta = 1``."""
+    bp = beta_prime(beta)
+    return -bp * E.project_complement(z)
+
+
+def dual_gradient_norm(E, z, lam, beta):
+    """Norm of ``dual_gradient``, ``(||Q((1-beta)lam + beta z)||^2 + ||A lam||^2)^{1/2}``, as a trace row has it."""
+    return diagnostics(E, 1.0, z, lam, beta, 0).deriv_norm  # b enters only the residual, not read here
+
+
+def inequality_ratio(E, z, lam, beta):
+    """Basin indicator ``1 + 2<z, lam> / (beta ||Qz||^2 + (1-beta)||Q lam||^2 + ||A lam||^2)``, as a trace row has it.
+
+    The ``+inf`` marker stands for the 0/0 limit at a solution, where the
+    quotient's sign would be pure roundoff.
+    """
+    return diagnostics(E, 1.0, z, lam, beta, 0).t_ratio  # b enters only the residual, not read here
+
+
+def convergence_functional(E, z, lam, z_star, lam_star, beta):
+    """``T = beta ||Q(z - z*)||^2 + (1-beta) ||Q(lam - lam*)||^2 + ||A lam||^2`` against the phase-aligned reference."""
+    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[0]
+
+
+def contraction_margin(E, z, lam, z_star, lam_star, beta):
+    """Margin ``T(z, lam) - 2 <alpha z* - z, lam - alpha lam*>``; positive at each step means Fejer contraction."""
+    return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[1]
+
+
+def tangent_basis(b):
+    """Orthonormal basis (columns) of ``Xi = { xi real : <xi, b> = 0 }``: ``H[:, 1:]``."""
+    return _reflect(np.eye(len(b)), b)[:, 1:]
+
+
+def assemble_complement_form(E, u):
+    """Dense form ``Re(diag(conj(u)) Q diag(u)) = I - F F^T`` for unit ``u``, ``F`` the phase factor."""
+    f = _phase_factor(E, u)
+    return np.eye(E.N) - f @ f.T

@@ -17,30 +17,29 @@ from saddle_raar import (
     certify_cross_section_minimizer,
     certify_drs_cross_section,
     certify_fixed_point,
-    contraction_margin,
-    convergence_functional,
     correlation,
     criticality_vector,
     diagnostics,
     dual_gradient,
-    dual_gradient_norm,
     global_phase,
-    inequality_ratio,
     objective,
-    optimal_dual,
     project_torus,
     random_lift,
     spectral_gap,
 )
-from saddle_raar.analysis import (
-    _reflect,
-    _restricted_diag,
+from saddle_raar.analysis import _reflect, _restricted_diag, beta_max_from_threshold
+from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
+from conftest import (
+    CountingEnsemble,
     assemble_complement_form,
-    beta_max_from_threshold,
+    contraction_margin,
+    convergence_functional,
+    dual_gradient_norm,
+    inequality_ratio,
+    optimal_dual,
+    random_complex,
     tangent_basis,
 )
-from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
-from conftest import CountingEnsemble, random_complex
 
 
 def _random_torus_pair(E, rng, b=None):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from saddle_raar import build_gaussian_ensemble, diagnostics, project_torus
+from saddle_raar import build_gaussian_ensemble, diagnostics, initial_state, project_torus
 from saddle_raar.artifacts import (
     aligned_real_image,
     load_solver_state,
@@ -77,18 +79,26 @@ def test_image_helpers():
     assert np.allclose(aligned, np.abs(x0).reshape(4, 4), atol=1e-12)
 
 
-def test_state_roundtrip(tmp_path):
+@pytest.mark.parametrize("algo", ["raar", "admm", "drs"])
+def test_state_roundtrip(tmp_path, algo):
     E = build_gaussian_ensemble(4, 10, seed=3)
     rng = np.random.default_rng(4)
     b = np.abs(E.apply_adjoint(random_complex(rng, 4)))
-    w = random_complex(rng, 10)
+    state = initial_state(E, b, algo, random_complex(rng, 10))
+    for f in dataclasses.fields(state):  # distinct fields, none of them the start's copy of another
+        setattr(state, f.name, random_complex(rng, 10))
     path = tmp_path / "state.json"
-    save_solver_state(path, E, b, w, algo="raar", param=0.9, k=42)
+    save_solver_state(path, E, b, state, algo=algo, param=0.9, k=42)
     doc = load_solver_state(path)
-    assert doc["algo"] == "raar"
+    assert doc["algo"] == algo
     assert doc["param"] == 0.9
     assert doc["k"] == 42
     assert np.array_equal(doc["b"], b)
-    assert np.array_equal(doc["w"], w)
+    assert type(doc["state"]) is type(state)
+    assert [f.name for f in dataclasses.fields(doc["state"])] == [f.name for f in dataclasses.fields(state)]
+    for f in dataclasses.fields(state):
+        saved, loaded = getattr(state, f.name), getattr(doc["state"], f.name)
+        assert loaded.dtype == np.complex128
+        assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64)), f.name  # bitwise
     x = random_complex(rng, 4)
     assert np.array_equal(doc["ensemble"].apply_adjoint(x), E.apply_adjoint(x))

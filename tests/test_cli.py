@@ -312,20 +312,77 @@ class TestCertifyCommand:
         assert main(["certify", "--out", str(tmp_path)]) == 1
         assert main(["certify", "--state", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("field, value", [("n", 4.0), ("param", "0.9"), ("algo", "gd")])
+    @pytest.mark.parametrize("field, value", [
+        ("n", 4.0), ("param", "0.9"), ("algo", "gd"),
+        pytest.param("w_re_im", None, id="old-w_re_im-file"),
+        pytest.param("w", None, id="missing-state-field"),
+        pytest.param("w", [0.0] * 30, id="state-field-of-wrong-length"),
+        pytest.param("w", 1.0, id="state-field-not-a-list"),
+        pytest.param("w", "0.0", id="state-field-a-string"),
+    ])
     def test_state_with_a_bad_field_is_usage_error(self, tmp_path, capsys, field, value):
-        from saddle_raar import build_gaussian_ensemble, random_lift
+        from saddle_raar import RaarState, build_gaussian_ensemble, random_lift
         from saddle_raar.artifacts import save_solver_state
 
         E = build_gaussian_ensemble(4, 16, seed=0)
         path = tmp_path / "state.json"
-        save_solver_state(path, E, [1.0] * E.N, random_lift(E.N, 0), "raar", 0.9, 0)
+        save_solver_state(path, E, [1.0] * E.N, RaarState(w=random_lift(E.N, 0)), "raar", 0.9, 0)
         doc = json.loads(path.read_text())
-        (doc["ensemble"] if field == "n" else doc)[field] = value
+        target = {"n": doc["ensemble"], "w": doc["state"]}.get(field, doc)
+        if field == "w_re_im":  # the layout that kept one lift instead of the state's fields
+            doc["w_re_im"] = doc.pop("state")["w"]
+        elif value is None:
+            del target[field]
+        else:
+            target[field] = value
         path.write_text(json.dumps(doc))
         assert main(["certify", "--state", str(path), "--out", str(tmp_path / "cert")]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot load state file {path}: ")
         assert not (tmp_path / "cert").exists()
+
+    @pytest.mark.parametrize("algo, param, contract", [
+        ("raar", 7.0, "beta must lie in (0, 1]"), ("raar", -0.5, "beta must lie in (0, 1]"),
+        ("raar", math.nan, "beta must lie in (0, 1]"), ("admm", 1.0, "beta must lie in (0, 1)"),
+        ("admm", 0.0, "beta must lie in (0, 1)"), ("drs", 0.0, "rho must lie in (0, inf)"),
+        ("drs", -2.0, "rho must lie in (0, inf)"), ("drs", math.inf, "rho must lie in (0, inf)"),
+        ("drs", math.nan, "rho must lie in (0, inf)"),
+    ])
+    def test_param_outside_its_forms_range_is_rejected(self, tmp_path, capsys, monkeypatch, algo, param, contract):
+        from saddle_raar import GaussianEnsemble, build_gaussian_ensemble, initial_state, random_lift
+        from saddle_raar.artifacts import save_solver_state
+
+        E = build_gaussian_ensemble(4, 16, seed=0)
+        b = [1.0] * E.N
+        path = tmp_path / "state.json"
+        save_solver_state(path, E, b, initial_state(E, b, algo, random_lift(E.N, 0)), algo, param, 0)
+
+        def no_operator(*args):
+            raise AssertionError("an operator was applied")
+
+        for name in ("apply", "apply_adjoint", "project_range", "project_complement"):
+            monkeypatch.setattr(GaussianEnsemble, name, no_operator)
+        for flags in ([], ["--cross-section"]):
+            assert main(["certify", "--state", str(path), *flags, "--out", str(tmp_path / "cert")]) == 1
+            assert capsys.readouterr().err == f"error: {contract}, got {param}\n"
+            assert not (tmp_path / "cert").exists()
+
+    @pytest.mark.parametrize("algo", ["raar", "admm", "drs"])
+    def test_certify_reads_a_state_through_the_form_that_wrote_it(self, tmp_path, algo):
+        from saddle_raar.artifacts import _ArrayEncoder
+        from saddle_raar.solvers import curvature
+
+        run_dir, out = tmp_path / "run", tmp_path / "cert"
+        assert main(["solve", "--algo", algo, "--n", "16", "--N", "64", "--seed", "1", "--out", str(run_dir)]) == 0
+        assert main(["certify", "--state", str(run_dir / "state.json"), "--cross-section", "--out", str(out)]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        cross, min_eig = doc.pop("cross_section"), doc.pop("hessian_min_eig")
+        # the certificate solve wrote for this state, and the form's own curvature called directly
+        assert doc == json.loads((run_dir / "summary.json").read_text())["certificate"]
+        state = load_solver_state(run_dir / "state.json")
+        direct = curvature(state["ensemble"], state["b"], algo, state["state"], state["param"])
+        assert json.dumps(cross, sort_keys=True) == json.dumps(direct.summary(), sort_keys=True, cls=_ArrayEncoder)
+        assert min_eig == direct.hessian_min_eig
+        assert (cross["rho"] == 0.25) if algo == "drs" else (cross["beta"] == 0.9)
 
 
 class TestGapCommand:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,12 @@ from saddle_raar.analysis import (
     _trace_row_work,
     aligned_error,
     certify_fixed_point,
-    contraction_margin,
-    convergence_functional,
     fejer_monitor,
 )
 import saddle_raar.operators as operators
-from saddle_raar.solvers import drs_fixed_point_residuals
-from conftest import CountingEnsemble, random_complex
+from saddle_raar.artifacts import load_solver_state, save_solver_state
+from saddle_raar.solvers import drs_fixed_point_residuals, fixed_point_check
+from conftest import CountingEnsemble, contraction_margin, convergence_functional, random_complex
 
 
 class TestRaarStep:
@@ -167,8 +168,9 @@ class TestDrs:
     def test_rho_validation(self, dense_wide):
         E, _, b = dense_wide
         state = initial_state(E, b, "drs", random_lift(E.N, seed=1))
-        with pytest.raises(ValueError):
-            drs_step(E, b, state, -1.0)
+        for rho in (-1.0, 0.0, np.inf, np.nan):  # the range a state file's rho is checked against too
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, inf\)"):
+                drs_step(E, b, state, rho)
 
 
 class TestParameterMaps:
@@ -711,22 +713,25 @@ def test_malformed_input_is_rejected_before_any_operator_call(dense_small, case)
 
 
 def _readout_by_hand(E, b, algo, result, param, tol):
-    """``(x, kept lift, pass flag, certificate)`` written out per form, as callers read a run out without ``finish``."""
+    """``(x, saved state fields, pass flag, certificate)`` per form, as callers read a run out without ``finish``."""
+    if algo == "raar":
+        saved = {"w": result.state.w}
+    else:
+        saved = {"y": result.state.y, "z": result.state.z, "lam": result.state.lam}
     if algo == "drs":
         x = reconstruct(E, result.z, result.lam, param)
-        w = result.z + result.lam / param
         resids = drs_fixed_point_residuals(E, b, result.state, param)
         cert = {"fixed_point_residuals": {"range_dual": resids[0], "complement_primal": resids[1],
                                           "torus_gap": resids[2]}}
-        return x, w, bool(max(resids) <= tol * np.linalg.norm(b)), cert
+        return x, saved, bool(max(resids) <= tol * np.linalg.norm(b)), cert
     w = result.state.w if algo == "raar" else result.state.lift
     z = result.z if algo == "raar" else project_torus(w, b)
     fixed = certify_fixed_point(E, b, w, min(param, 1.0 - 1e-12), tol)
-    return reconstruct(E, z, w - z), w, fixed.certified, fixed.summary()
+    return reconstruct(E, z, w - z), saved, fixed.certified, fixed.summary()
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-def test_finish_is_each_forms_readout(dense_wide, algo):
+def test_finish_is_each_forms_readout(dense_wide, tmp_path, algo):
     E, _, b = dense_wide
     param = _PARAM[algo]
     w0 = random_lift(E.N, seed=2)
@@ -737,11 +742,17 @@ def test_finish_is_each_forms_readout(dense_wide, algo):
     # each result passes its check at the looser tol and fails it at the default 1e-8
     for result, loose in ((stopped, 1e-6), (budget, 1e-2)):
         for tol, kwargs, passes in ((loose, {"tol": loose}, True), (1e-8, {}, False)):
-            x, w, passed, cert = _readout_by_hand(E, b, algo, result, param, tol)
+            x, saved, passed, cert = _readout_by_hand(E, b, algo, result, param, tol)
             done = finish(E, b, algo, result, param, **kwargs)
             assert passed is passes and done.fixed_point_pass is passes
             assert done.certificate == cert
-            np.testing.assert_array_equal(done.lift, w)
+            # the state a state file keeps: every field of the final state, checked again as finish checks it
+            save_solver_state(tmp_path / "state.json", E, b, result.state, algo, param, result.final_record.k)
+            kept = load_solver_state(tmp_path / "state.json")["state"]
+            assert [f.name for f in dataclasses.fields(kept)] == list(saved)
+            for name, value in saved.items():
+                np.testing.assert_array_equal(getattr(kept, name), value)
+            assert fixed_point_check(E, b, algo, kept, param, **kwargs) == (passes, cert)
             if algo == "admm" and result is budget:  # by hand admm reads out from [lift]_Z, a roundoff apart
                 assert np.linalg.norm(done.x - x) <= 1e-15 * np.linalg.norm(x)
             else:
