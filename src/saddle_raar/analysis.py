@@ -20,8 +20,9 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
-extreme eigenvalues they need; beyond that, one matrix-free tangent Lanczos solve with a convergence
-flag, which also gives the spectral gap as the tangent curvature ``1 - lambda2^2`` at the solution.
+extreme eigenvalues they need: ``lambda2^2`` is the largest eigenvalue of the reflected factor's ``2n x 2n``
+tangent Gram.  Beyond that, one matrix-free tangent Lanczos solve with a convergence flag, which also gives
+``lambda2`` from the tangent curvature ``1 - lambda2^2`` at the solution; both take ``sigma_top = ||A w0|| / ||w0||``.
 scipy is imported by those eigen-solves alone, when they run; everything else needs numpy only.
 """
 
@@ -371,9 +372,11 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
     u = unit_phase(z)
     if b.size <= DENSE_CAP:
         f = _reflect(_phase_factor(E, u * s), b)[1:]
-        g2 = np.eye(b.size - 1) - f @ f.T
+        g2 = f @ f.T
+        np.negative(g2, out=g2)
+        g2.flat[:: b.size] += 1.0  # I - f f^T in the product's own buffer
         h = _restricted_diag(-d, b)
-        h += scale * g2
+        h += g2 if scale == 1.0 else scale * g2
         return *_min_eigpair(h), "dense", g2
 
     def apply_h(xi):
@@ -528,7 +531,7 @@ class SpectralGapResult:
     """Second singular value of the phase-conjugated measurement stack.
 
     ``lambda2 < 1`` certifies strict local minimality of the true solution
-    on its cross section; the top singular value is 1 by construction.
+    on its cross section; the top one, ``sigma_top = ||A w0|| / ||w0||``, is 1.
     ``hypothesis_met`` is False when the randomness/rank assumptions behind
     that guarantee do not hold (deterministic masks, rank-1 object, single
     pattern), in which case ``lambda2`` is still reported.
@@ -547,11 +550,13 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
 
     Builds ``B* = diag(conj(u0)) A*`` with ``u0`` the phase of ``A* x0``
     and returns the second-largest singular value of the real stack
-    ``F = [Re(B*), Im(B*)]``.  Dense SVD for ambient dimensions up to
-    ``DENSE_CAP``.  Beyond it the matrix-free tangent solve of the certificates
-    at ``z = A* x0``, ``d = 0``, from the start ``seed`` draws: ``F F^T b = b``,
-    so ``K_perp = I - F F^T`` has least tangent eigenvalue ``mu = 1 - lambda2^2``,
-    and ``sigma_top = ||A z|| / ||z||``; both are NaN if the solve does not converge.
+    ``F = [Re(B*), Im(B*)]``.  ``F F^T b = b``, so the certificates' reflector splits
+    ``H F F^T H = diag(1, f f^T)``, ``f = (H F)[1:]``: up to ``DENSE_CAP`` ambient
+    dimensions ``lambda2^2`` is the largest eigenvalue of the ``2n x 2n`` Gram ``f^T f``.
+    Beyond it the matrix-free tangent solve of the certificates at ``w0 = A* x0``,
+    ``d = 0``, from the start ``seed`` draws: ``K_perp = I - F F^T`` has least tangent
+    eigenvalue ``mu = 1 - lambda2^2``.  Both take ``sigma_top = ||A w0|| / ||w0||``, and
+    both are NaN if the solve does not converge.
     ``grid`` is the object's shape, for the rank of the matricized object;
     an ``x0`` or ``grid`` whose size is not ``E.n`` raises ``DimensionError``.
     """
@@ -576,13 +581,13 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
         notes.append("masks deterministic or too few patterns")
 
     if E.N <= DENSE_CAP:
-        svals = np.linalg.svd(_phase_factor(E, w0 / b), compute_uv=False)
-        sigma_top, lam2 = float(svals[0]), float(svals[1])
+        f = _reflect(_phase_factor(E, w0 / b), b)[1:]
+        lam2 = math.sqrt(max(float(np.linalg.eigvalsh(f.T @ f)[-1]), 0.0))
         method, converged = "dense", True
     else:
         mu, _, converged, method, _ = _tangent_min_eig(E, w0, np.zeros(E.N), 1.0, seed)
         lam2 = math.sqrt(max(1.0 - mu, 0.0)) if converged else float("nan")
-        sigma_top = float(np.linalg.norm(E.apply(w0)) / np.linalg.norm(w0)) if converged else float("nan")
+    sigma_top = float(np.linalg.norm(E.apply(w0)) / np.linalg.norm(w0)) if converged else float("nan")
 
     return SpectralGapResult(
         lambda2=lam2,

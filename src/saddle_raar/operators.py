@@ -395,8 +395,7 @@ def complex_to_interleaved(vec: np.ndarray) -> list:
 
 
 def interleaved_to_complex(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr[0::2] + 1j * arr[1::2]
+    return np.array(values, dtype=np.float64).view(np.complex128)
 
 
 def ensemble_from_descriptor(d: dict) -> MeasurementEnsemble:

@@ -1,8 +1,20 @@
-import numpy as np
-import pytest
+import os
 
-from saddle_raar import MeasurementEnsemble, beta_prime, build_cdp_ensemble, build_gaussian_ensemble, diagnostics
-from saddle_raar.analysis import _functional_and_margin, _phase_factor, _reflect
+# One BLAS thread, as the benchmark runs, unless the caller set a count: set before numpy loads BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from saddle_raar import (  # noqa: E402
+    MeasurementEnsemble,
+    beta_prime,
+    build_cdp_ensemble,
+    build_gaussian_ensemble,
+    diagnostics,
+)
+from saddle_raar.analysis import _functional_and_margin, _phase_factor, _reflect  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +116,10 @@ def assemble_complement_form(E, u):
     """Dense form ``Re(diag(conj(u)) Q diag(u)) = I - F F^T`` for unit ``u``, ``F`` the phase factor."""
     f = _phase_factor(E, u)
     return np.eye(E.N) - f @ f.T
+
+
+def dense_spectral_gap(E, x0):
+    """``(sigma_top, lambda2)``, the two largest singular values of the phase factor at ``A* x0``, by a full SVD."""
+    w0 = E.apply_adjoint(x0)
+    svals = np.linalg.svd(_phase_factor(E, w0 / np.abs(w0)), compute_uv=False)
+    return float(svals[0]), float(svals[1])

@@ -27,13 +27,21 @@ from saddle_raar import (
     random_lift,
     spectral_gap,
 )
-from saddle_raar.analysis import _reflect, _restricted_diag, beta_max_from_threshold
+from saddle_raar.analysis import (
+    _min_eigpair,
+    _phase_factor,
+    _reflect,
+    _restricted_diag,
+    _tangent_min_eig,
+    beta_max_from_threshold,
+)
 from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
 from conftest import (
     CountingEnsemble,
     assemble_complement_form,
     contraction_margin,
     convergence_functional,
+    dense_spectral_gap,
     dual_gradient_norm,
     inequality_ratio,
     optimal_dual,
@@ -497,6 +505,23 @@ class TestDenseCertificateOracle:
             assert cert.hessian_min_eig == pytest.approx(min_eig, abs=1e-12)
             assert cert.eig_residual <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1.0, 0.25])
+    def test_complement_form_built_in_place_has_the_same_bits(self, cdp_8x8, scale):
+        # K_perp = I - f f^T in the product's own buffer, added unscaled at scale 1
+        E, x0, b = cdp_8x8
+        noise = random_complex(np.random.default_rng(8), E.N)
+        z = project_torus(E.apply_adjoint(x0) + 0.02 * np.mean(b) * noise, b)
+        d = np.random.default_rng(9).standard_normal(E.N)
+        min_eig, resid, converged, method, g2 = _tangent_min_eig(E, z, d, scale)
+        mag = np.abs(z)
+        f = _reflect(_phase_factor(E, z / mag), mag)[1:]
+        ref = np.eye(E.N - 1) - f @ f.T
+        h = _restricted_diag(-d, mag)
+        h += scale * ref
+        assert (method, converged) == ("dense", True)
+        assert np.array_equal(g2, ref)
+        assert (min_eig, resid) == _min_eigpair(h)[:2]
+
 
 class TestSpectralGap:
     def test_top_singular_pair(self, cdp_8x8):
@@ -509,6 +534,16 @@ class TestSpectralGap:
         image = np.imag(np.conj(u0) * E.apply_adjoint(1j * x0)) / np.linalg.norm(x0)
         assert np.linalg.norm(image) == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(image, b / np.linalg.norm(b), atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["cdp_8x8", "three_masks", "rank_one", "all_ones_masks", "dense_wide"])
+    def test_dense_gap_matches_the_full_svd(self, case, request):
+        # F F^T b = b: the reflected factor's tangent Gram holds every squared singular value but the top one
+        E, x0, grid = _gap_case(case, request)
+        sigma_top, lambda2 = dense_spectral_gap(E, x0)
+        gap = spectral_gap(E, x0, grid=grid)
+        assert (gap.method, gap.converged) == ("dense", True)
+        assert abs(gap.lambda2 - lambda2) <= 1e-14
+        assert abs(gap.sigma_top - 1.0) <= 1e-14 and abs(sigma_top - 1.0) <= 1e-14
 
     def test_below_one_across_mask_seeds(self):
         rng = np.random.default_rng(11)
@@ -650,6 +685,26 @@ class TestDiagnostics:
         assert rec.deriv_norm == pytest.approx(expected, rel=1e-12)
 
 
+def _gap_case(case, request):
+    """``(E, x0, grid)`` of a named spectral-gap case."""
+    def phase_object(grid):
+        return np.exp(2j * np.pi * np.random.default_rng(11).random(grid)).reshape(-1)
+
+    grid = {"cdp_20x12": (20, 12), "dense_wide": (4, 4)}.get(case, (8, 8))
+    if case in ("cdp_8x8", "dense_wide"):
+        E, x0, _ = request.getfixturevalue(case)
+    elif case == "rank_one":  # as test_rank_one_object_flagged
+        rng = np.random.default_rng(12)
+        u, v = random_complex(rng, 8), random_complex(rng, 8)
+        E, x0 = build_cdp_ensemble(grid, seed=1), np.outer(u, v).reshape(-1)
+    elif case == "all_ones_masks":  # as test_deterministic_masks_flagged
+        E = CodedDiffractionEnsemble(grid, np.ones((2, *grid), dtype=complex))
+        x0 = np.abs(np.random.default_rng(0).standard_normal(grid)).reshape(-1)
+    else:
+        E, x0 = build_cdp_ensemble(grid, seed=3, n_masks=3 if case == "three_masks" else 2), phase_object(grid)
+    return E, x0, grid
+
+
 class TestMatrixFreePaths:
     def test_lanczos_certificate_matches_dense(self, cdp_8x8, monkeypatch):
         E, x0, b = cdp_8x8
@@ -677,21 +732,7 @@ class TestMatrixFreePaths:
     @pytest.mark.parametrize("case", ["cdp_8x8", "three_masks", "rank_one", "all_ones_masks", "cdp_20x12"])
     def test_iterative_spectral_gap_matches_dense(self, case, request, monkeypatch):
         # above the cap the gap is the tangent solve at the solution: mu = 1 - lambda2^2
-        def phase_object(grid):
-            return np.exp(2j * np.pi * np.random.default_rng(11).random(grid)).reshape(-1)
-
-        grid = (20, 12) if case == "cdp_20x12" else (8, 8)
-        if case == "cdp_8x8":
-            E, x0, _ = request.getfixturevalue("cdp_8x8")
-        elif case == "rank_one":  # as test_rank_one_object_flagged
-            rng = np.random.default_rng(12)
-            u, v = random_complex(rng, 8), random_complex(rng, 8)
-            E, x0 = build_cdp_ensemble(grid, seed=1), np.outer(u, v).reshape(-1)
-        elif case == "all_ones_masks":  # as test_deterministic_masks_flagged
-            E = CodedDiffractionEnsemble(grid, np.ones((2, *grid), dtype=complex))
-            x0 = np.abs(np.random.default_rng(0).standard_normal(grid)).reshape(-1)
-        else:
-            E, x0 = build_cdp_ensemble(grid, seed=3, n_masks=3 if case == "three_masks" else 2), phase_object(grid)
+        E, x0, grid = _gap_case(case, request)
         dense = spectral_gap(E, x0, grid=grid)
         import saddle_raar.analysis as analysis_mod
 

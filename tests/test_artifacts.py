@@ -25,6 +25,18 @@ def test_interleaved_roundtrip():
     assert np.array_equal(v, back)
 
 
+def test_interleaved_roundtrip_keeps_signed_zeros_and_non_finite_parts():
+    v = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), complex(np.nan, 0.0)])
+    back = interleaved_to_complex(complex_to_interleaved(v))
+    assert back.dtype == np.complex128
+    assert back.view(np.uint64).tobytes() == v.view(np.uint64).tobytes()
+
+
+def test_interleaved_of_odd_length_is_rejected():
+    with pytest.raises(ValueError):
+        interleaved_to_complex([1.0, 2.0, 3.0])
+
+
 def test_csv_format(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("a", "b"), [(1, 2), (3, 4)])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -376,13 +377,27 @@ class TestCertifyCommand:
         assert main(["certify", "--state", str(run_dir / "state.json"), "--cross-section", "--out", str(out)]) == 0
         doc = json.loads((out / "summary.json").read_text())
         cross, min_eig = doc.pop("cross_section"), doc.pop("hessian_min_eig")
-        # the certificate solve wrote for this state, and the form's own curvature called directly
-        assert doc == json.loads((run_dir / "summary.json").read_text())["certificate"]
+        # the certificate solve wrote for this state with the pass flag, and the form's own curvature called directly
+        solve_cert = json.loads((run_dir / "summary.json").read_text())["certificate"]
+        assert doc == solve_cert | {"certified": True}
+        assert ("certified" in solve_cert) == (algo != "drs")
         state = load_solver_state(run_dir / "state.json")
         direct = curvature(state["ensemble"], state["b"], algo, state["state"], state["param"])
         assert json.dumps(cross, sort_keys=True) == json.dumps(direct.summary(), sort_keys=True, cls=_ArrayEncoder)
         assert min_eig == direct.hessian_min_eig
         assert (cross["rho"] == 0.25) if algo == "drs" else (cross["beta"] == 0.9)
+
+    def test_certify_tol_decides_a_drs_verdict(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--algo", "drs", "--n", "16", "--N", "64", "--seed", "1", "--out", str(run_dir)]) == 0
+        residuals = json.loads((run_dir / "summary.json").read_text())["certificate"]["fixed_point_residuals"]
+        met = max(residuals.values()) / float(np.linalg.norm(load_solver_state(run_dir / "state.json")["b"]))
+        for tol, certified in ((1e-30, False), (2.0 * met, True)):
+            out = tmp_path / f"cert-{tol}"
+            assert main(["certify", "--state", str(run_dir / "state.json"), "--tol", repr(tol), "--out", str(out)]) == 0
+            doc = json.loads((out / "summary.json").read_text())
+            assert doc["certified"] is certified
+            assert doc["fixed_point_residuals"] == residuals
 
 
 class TestGapCommand:
