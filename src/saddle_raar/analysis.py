@@ -372,11 +372,9 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
     u = unit_phase(z)
     if b.size <= DENSE_CAP:
         f = _reflect(_phase_factor(E, u * s), b)[1:]
-        g2 = f @ f.T
-        np.negative(g2, out=g2)
-        g2.flat[:: b.size] += 1.0  # I - f f^T in the product's own buffer
+        g2 = np.eye(b.size - 1) - f @ f.T
         h = _restricted_diag(-d, b)
-        h += g2 if scale == 1.0 else scale * g2
+        h += scale * g2
         return *_min_eigpair(h), "dense", g2
 
     def apply_h(xi):
@@ -531,7 +529,8 @@ class SpectralGapResult:
     """Second singular value of the phase-conjugated measurement stack.
 
     ``lambda2 < 1`` certifies strict local minimality of the true solution
-    on its cross section; the top one, ``sigma_top = ||A w0|| / ||w0||``, is 1.
+    on its cross section.  ``sigma_top = ||A w0|| / ||w0||`` at ``w0 = A* x0`` is not
+    measured from ``F``: it checks the isometry ``A A* = I`` along ``x0`` and reads 1.
     ``hypothesis_met`` is False when the randomness/rank assumptions behind
     that guarantee do not hold (deterministic masks, rank-1 object, single
     pattern), in which case ``lambda2`` is still reported.

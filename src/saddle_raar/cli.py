@@ -393,8 +393,7 @@ def _execute_certify(cfg: RunConfig) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:  # a state file is outside input: any bad field
         raise UsageError(f"cannot load state file {o['state']}: {exc}") from exc
     read = (doc["ensemble"], doc["b"], doc["algo"], doc["state"], doc["param"])  # through the form that wrote it
-    passed, certificate = fixed_point_check(*read, tol=o["tol"])
-    summary = certificate | {"certified": passed, "hessian_min_eig": None}
+    summary = fixed_point_check(*read, tol=o["tol"])[1] | {"hessian_min_eig": None}
     if o["cross-section"]:
         saddle = curvature(*read)
         summary |= {"hessian_min_eig": saddle.hessian_min_eig, "cross_section": saddle.summary()}

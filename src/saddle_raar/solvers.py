@@ -291,8 +291,9 @@ def _reflection_check(E, b, w, beta, tol):
 
 def _splitting_check(E, b, state, rho, tol):
     resids = drs_fixed_point_residuals(E, b, state, rho)
-    doc = {"fixed_point_residuals": dict(zip(("range_dual", "complement_primal", "torus_gap"), resids))}
-    return bool(max(resids) <= tol * np.linalg.norm(b)), doc
+    passed = bool(max(resids) <= tol * np.linalg.norm(b))
+    return passed, {"fixed_point_residuals": dict(zip(("range_dual", "complement_primal", "torus_gap"), resids)),
+                    "certified": passed}
 
 
 class _Form(NamedTuple):
@@ -474,8 +475,9 @@ def fixed_point_check(E: MeasurementEnsemble, b, algo: str, state, param: float,
 
     raar and admm: ``certify_fixed_point`` at their lift and ``min(param, 1 - 1e-12)``,
     reporting its summary; drs: passes when its largest ``drs_fixed_point_residuals``
-    is at most ``tol * ||b||``, reporting them.  A ``param`` outside the step's range
-    raises ``ValueError`` before any operator call, as in ``curvature``.
+    is at most ``tol * ||b||``, reporting them.  Every form's certificate holds the pass
+    flag as ``certified``.  A ``param`` outside the step's range raises ``ValueError``
+    before any operator call, as in ``curvature``.
     """
     return _form(algo).check(E, b, state, _checked_param(algo, param), tol)
 

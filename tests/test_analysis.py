@@ -27,14 +27,7 @@ from saddle_raar import (
     random_lift,
     spectral_gap,
 )
-from saddle_raar.analysis import (
-    _min_eigpair,
-    _phase_factor,
-    _reflect,
-    _restricted_diag,
-    _tangent_min_eig,
-    beta_max_from_threshold,
-)
+from saddle_raar.analysis import _reflect, _restricted_diag, beta_max_from_threshold
 from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
 from conftest import (
     CountingEnsemble,
@@ -504,23 +497,6 @@ class TestDenseCertificateOracle:
             cert = certify_drs_cross_section(E, b, z, rho=rho)
             assert cert.hessian_min_eig == pytest.approx(min_eig, abs=1e-12)
             assert cert.eig_residual <= 1e-10
-
-    @pytest.mark.parametrize("scale", [1.0, 0.25])
-    def test_complement_form_built_in_place_has_the_same_bits(self, cdp_8x8, scale):
-        # K_perp = I - f f^T in the product's own buffer, added unscaled at scale 1
-        E, x0, b = cdp_8x8
-        noise = random_complex(np.random.default_rng(8), E.N)
-        z = project_torus(E.apply_adjoint(x0) + 0.02 * np.mean(b) * noise, b)
-        d = np.random.default_rng(9).standard_normal(E.N)
-        min_eig, resid, converged, method, g2 = _tangent_min_eig(E, z, d, scale)
-        mag = np.abs(z)
-        f = _reflect(_phase_factor(E, z / mag), mag)[1:]
-        ref = np.eye(E.N - 1) - f @ f.T
-        h = _restricted_diag(-d, mag)
-        h += scale * ref
-        assert (method, converged) == ("dense", True)
-        assert np.array_equal(g2, ref)
-        assert (min_eig, resid) == _min_eigpair(h)[:2]
 
 
 class TestSpectralGap:

@@ -721,9 +721,10 @@ def _readout_by_hand(E, b, algo, result, param, tol):
     if algo == "drs":
         x = reconstruct(E, result.z, result.lam, param)
         resids = drs_fixed_point_residuals(E, b, result.state, param)
+        passed = bool(max(resids) <= tol * np.linalg.norm(b))
         cert = {"fixed_point_residuals": {"range_dual": resids[0], "complement_primal": resids[1],
-                                          "torus_gap": resids[2]}}
-        return x, saved, bool(max(resids) <= tol * np.linalg.norm(b)), cert
+                                          "torus_gap": resids[2]}, "certified": passed}
+        return x, saved, passed, cert
     w = result.state.w if algo == "raar" else result.state.lift
     z = result.z if algo == "raar" else project_torus(w, b)
     fixed = certify_fixed_point(E, b, w, min(param, 1.0 - 1e-12), tol)
