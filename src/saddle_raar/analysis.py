@@ -20,9 +20,12 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
-extreme eigenvalues they need: ``lambda2^2`` is the largest eigenvalue of the reflected factor's ``2n x 2n``
-tangent Gram.  Beyond that, one matrix-free tangent Lanczos solve with a convergence flag, which also gives
-``lambda2`` from the tangent curvature ``1 - lambda2^2`` at the solution; both take ``sigma_top = ||A w0|| / ||w0||``.
+extreme eigenvalues they need.  A tangent form is written once, on its lower triangle, into one
+Fortran-ordered ``(N-1)^2`` buffer by a ``dsyr2k`` and a ``dsyrk``, and solved in that buffer; its
+residual comes from the form's action through one projection, the Lanczos branch's matvec.
+``lambda2^2`` is the largest eigenvalue of the reflected factor's ``2n x 2n`` tangent Gram.  Beyond
+the cap, one matrix-free tangent Lanczos solve with a convergence flag, which also gives ``lambda2``
+from the tangent curvature ``1 - lambda2^2`` at the solution; both take ``sigma_top = ||A w0|| / ||w0||``.
 scipy is imported by those eigen-solves alone, when they run; everything else needs numpy only.
 """
 
@@ -33,7 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import DimensionError, MeasurementEnsemble, check_magnitudes, check_vector, split_lift, unit_phase
+from .operators import (DimensionError, InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector,
+                        split_lift, unit_phase)
 
 __all__ = [
     "DENSE_CAP",
@@ -302,22 +306,22 @@ def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x - np.multiply.outer(c * v, v @ x)
 
 
-def _restricted_diag(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``B.T @ diag(d) @ B`` for the tangent basis ``B = H[:, 1:]``: rows and columns 1: of the closed form
-    ``H diag(d) H = diag(d) - v p^T - p v^T``, ``p = c d v - (c^2/2) <v, d v> v``, in O(N^2)."""
+def _tangent_form(f: np.ndarray, b: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
+    """``scale K_perp - diag(d)`` on the tangent subspace, in the basis ``B = H[:, 1:]``: lower triangle only,
+    one Fortran-ordered ``(N-1)^2`` buffer that LAPACK can overwrite, from the reflected factor ``f = (H F)[1:]``.
+
+    ``B.T K_perp B = I - f f^T``, and ``B.T diag(d) B`` is rows and columns 1: of the closed form
+    ``H diag(d) H = diag(d) - v p^T - p v^T``, ``p = c d v - (c^2/2) <v, d v> v``: the diagonal is
+    ``scale - d[1:]``, the rank-2 part one ``dsyr2k`` (O(N^2)) and ``-scale f f^T`` one ``dsyrk`` (O(N^2 n)).
+    """
+    from scipy.linalg.blas import dsyr2k, dsyrk
     v, c = _householder(b)
-    p = (c * d * v - (0.5 * c * c * (v @ (d * v))) * v)[1:]
-    out = np.stack([-v[1:], -p], axis=1) @ np.stack([p, v[1:]])
-    out.flat[:: b.size] += d[1:]
-    return out
-
-
-def _min_eigpair(hr: np.ndarray):
-    """Smallest eigenvalue of a dense symmetric form, with its residual norm."""
-    import scipy.linalg
-    vals, vecs = scipy.linalg.eigh(hr, subset_by_index=[0, 0])
-    resid = np.linalg.norm(hr @ vecs[:, 0] - vals[0] * vecs[:, 0])
-    return float(vals[0]), float(resid), True
+    p = c * d * v - (0.5 * c * c * (v @ (d * v))) * v
+    h = np.zeros((b.size - 1, b.size - 1), order="F")  # zeroed: eigh's finiteness check reads the upper triangle
+    dsyr2k(1.0, v[1:, None], p[1:, None], c=h, lower=1, overwrite_c=1)
+    h.reshape(-1, order="F")[:: b.size] += scale - d[1:]
+    dsyrk(-scale, f.T, beta=1.0, c=h, trans=1, lower=1, overwrite_c=1)  # f.T is Fortran-ordered: no copy
+    return h
 
 
 def _phase_factor(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
@@ -327,21 +331,11 @@ def _phase_factor(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
     return np.concatenate([bstar.real, bstar.imag], axis=1)
 
 
-def _restricted_min_eig_lanczos(apply_h, b: np.ndarray, seed: int):
-    """Smallest eigenvalue of a symmetric operator restricted to ``<xi,b>=0``.
-
-    Lanczos runs on ``(H apply_h H)[1:, 1:]``, the operator in the basis
-    ``H[:, 1:]`` of the reflector ``H``, from the start that ``seed``
-    draws, so that a repeated call gives the same bits.
-    """
+def _min_eig_lanczos(matvec, n_dim: int, seed: int):
+    """Smallest eigenvalue of a symmetric ``n_dim``-dimensional operator by Lanczos, from the start ``seed`` draws,
+    so that a repeated call gives the same bits."""
     import scipy.sparse.linalg
 
-    def matvec(xi):
-        x = np.zeros(b.size)
-        x[1:] = xi
-        return _reflect(apply_h(_reflect(x, b)), b)[1:]
-
-    n_dim = b.size - 1
     op = scipy.sparse.linalg.LinearOperator((n_dim, n_dim), matvec=matvec, dtype=np.float64)
     try:
         v0 = np.random.default_rng(seed).standard_normal(n_dim)
@@ -360,29 +354,38 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
     """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
 
     ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and
-    ``Xi`` live on the support of ``z``.  Returns ``(eigenvalue, residual, converged, method, g2)``.
-    Up to ``DENSE_CAP`` support dimensions one dense subset eigen-solve, and ``g2`` is ``K_perp``
-    on ``Xi``, ``I - (H F)(H F)^T`` less row and column 0: the ``N x 2n`` phase factor reflected
-    once (O(N n)), one ``(N-1) x 2n`` product (O(N^2 n)) and ``diag(d)`` in closed form (O(N^2)).
-    Beyond that Lanczos through the same reflector from the start ``seed`` draws, and ``g2`` is None.
+    ``Xi`` live on the support of ``z``.  Returns ``(eigenvalue, residual, converged, method, f)``.
+    The form acts in the basis ``H[:, 1:]`` of the reflector ``H`` through one projection; the
+    residual is taken from that action.  Up to ``DENSE_CAP`` support dimensions, ``f = (H F)[1:]``
+    is the phase factor reflected once (O(N n)), and the form's lower triangle is built from it in
+    place (:func:`_tangent_form`) for one dense subset eigen-solve that overwrites it.  Beyond that
+    Lanczos on the same action from the start ``seed`` draws, and ``f`` is None.  A non-finite ``d``
+    (an iterate entry too small for its quotient) raises ``InvalidDataError`` before any operator call.
     """
+    if not np.isfinite(d).all():
+        raise InvalidDataError("iterate has an entry too small for a finite tangent curvature")
     mag = np.abs(z)
     s = mag > 0
     b = mag[s]
     u = unit_phase(z)
-    if b.size <= DENSE_CAP:
-        f = _reflect(_phase_factor(E, u * s), b)[1:]
-        g2 = np.eye(b.size - 1) - f @ f.T
-        h = _restricted_diag(-d, b)
-        h += scale * g2
-        return *_min_eigpair(h), "dense", g2
 
-    def apply_h(xi):
+    def matvec(xi):
+        x = np.zeros(b.size)
+        x[1:] = xi
+        x = _reflect(x, b)
         full = np.zeros(E.N)
-        full[s] = xi
-        return scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * xi
+        full[s] = x
+        return _reflect(scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * x, b)[1:]
 
-    return *_restricted_min_eig_lanczos(apply_h, b, seed), "lanczos", None
+    if b.size <= DENSE_CAP:
+        import scipy.linalg
+        f = _reflect(_phase_factor(E, u * s), b)[1:]
+        vals, vecs = scipy.linalg.eigh(_tangent_form(f, b, d, scale), lower=True, subset_by_index=[0, 0],
+                                       overwrite_a=True)
+        lam, y = float(vals[0]), vecs[:, 0]
+        return lam, float(np.linalg.norm(matvec(y) - lam * y)), True, "dense", f
+
+    return *_min_eig_lanczos(matvec, b.size - 1, seed), "lanczos", None
 
 
 @dataclass
@@ -445,25 +448,25 @@ def certify_cross_section_minimizer(
     if np.count_nonzero(s) < 2:
         raise ValueError(f"iterate support has {np.count_nonzero(s)} entries: its cross section is empty")
     b = mag[s]
-    q_full = criticality_vector(E, z, lam)
+    with np.errstate(over="ignore"):  # q overflows at a subnormal entry of z, which the tangent solve rejects
+        q_full = criticality_vector(E, z, lam)
     q = q_full[s]
+    min_eig, eig_resid, converged, method, f = _tangent_min_eig(E, z, np.real(q), 1.0)
     b2 = b * b
     # multiplier fitted by the b^2-weighted mean, matching the constraint
     # <theta, b^2> = 0 that defines the cross section
     rho = float(np.dot(b2, np.imag(q)) / np.sum(b2))
     first_order_defect = float(np.linalg.norm(np.imag(q) - rho))
 
-    min_eig, eig_resid, converged, method, g2 = _tangent_min_eig(E, z, np.real(q), 1.0)
     beta_saddle = beta_contraction = beta_bound = None
-    if beta is not None and g2 is not None:
+    if beta is not None and f is not None:
         import scipy.linalg
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
         q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
-        d0 = _restricted_diag(q0, b)
         top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
         try:
-            # symmetric scratch forms: their transposes are Fortran-ordered views LAPACK overwrites, no copy
-            nu_max = float(scipy.linalg.eigh(d0.T, g2.T, subset_by_index=top, eigvals_only=True,
+            nu_max = float(scipy.linalg.eigh(_tangent_form(f, b, -q0, 0.0), _tangent_form(f, b, np.zeros(b.size), 1.0),
+                                             lower=True, subset_by_index=top, eigvals_only=True,
                                              overwrite_a=True, overwrite_b=True)[0])
             beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
             beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
@@ -506,7 +509,9 @@ def certify_drs_cross_section(
     mag = np.abs(z)
     if np.any(mag <= 0) or E.N < 2:
         raise ValueError("curvature check needs N >= 2 and nonzero iterate magnitudes")
-    min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, b / mag - 1.0, rho)
+    with np.errstate(over="ignore"):  # b / |z| overflows at a subnormal entry, which the tangent solve rejects
+        d = b / mag - 1.0
+    min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, d, rho)
     return SaddleCertificate(
         q=np.zeros_like(z),
         rho=rho,

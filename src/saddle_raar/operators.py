@@ -66,16 +66,20 @@ class InvalidDataError(ValueError):
 # Elementwise torus operations
 # ---------------------------------------------------------------------------
 
+# Smallest normal double: below it ``w / |w|`` can overflow.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def unit_phase(w: np.ndarray) -> np.ndarray:
-    """Entrywise phase ``w / |w|``, with phase 1 where ``w`` vanishes.
+    """Entrywise phase ``w / |w|``, with phase 1 where ``|w|`` is below the smallest normal double.
 
-    The zero-entry convention makes the map total and deterministic; any
+    A subnormal entry takes the phase of a zero one, where ``w / |w|`` could overflow.
+    The convention makes the map total, finite on finite input and deterministic; any
     unit value is admissible there.
     """
     w = np.asarray(w, dtype=np.complex128)
     mag = np.abs(w)
-    return np.divide(w, mag, out=np.ones_like(w), where=mag > 0)
+    return np.divide(w, mag, out=np.ones_like(w), where=mag >= _TINY)
 
 
 def project_torus(w: np.ndarray, b: np.ndarray) -> np.ndarray:

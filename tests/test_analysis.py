@@ -27,7 +27,7 @@ from saddle_raar import (
     random_lift,
     spectral_gap,
 )
-from saddle_raar.analysis import _reflect, _restricted_diag, beta_max_from_threshold
+from saddle_raar.analysis import _reflect, _tangent_form, beta_max_from_threshold
 from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
 from conftest import (
     CountingEnsemble,
@@ -340,7 +340,7 @@ def _cross_section_oracle(E, z, lam):
 class TestDenseCertificateOracle:
     def test_implicit_restriction_matches_basis_products(self):
         # the dense branch restricts K_perp = I - F F^T through the reflected
-        # factor, and diag(d) in closed form
+        # factor, and diag(d) in closed form, into the lower triangle of one form
         rng = np.random.default_rng(4)
         for n, sign, tail in ((7, 1.0, 1.0), (30, -1.0, 1.0), (64, 1.0, 1.0), (9, 1.0, 1e-9)):
             b = tail * (rng.random(n) + 0.1)
@@ -352,10 +352,11 @@ class TestDenseCertificateOracle:
             assert np.linalg.norm(basis.T @ b) <= 1e-13 * np.linalg.norm(b)
             hf = _reflect(f, b)[1:]
             assert np.linalg.norm(hf - basis.T @ f) <= 1e-12 * np.linalg.norm(f)
-            ref = basis.T @ (np.eye(n) - f @ f.T) @ basis
-            assert np.linalg.norm(np.eye(n - 1) - hf @ hf.T - ref) <= 1e-12 * np.linalg.norm(ref)
-            ref = basis.T @ np.diag(d) @ basis
-            assert np.linalg.norm(_restricted_diag(d, b) - ref) <= 1e-12 * np.linalg.norm(d)
+            for scale in (0.0, 1.0, 0.37):
+                ref = basis.T @ (scale * (np.eye(n) - f @ f.T) - np.diag(d)) @ basis
+                form = _tangent_form(hf, b, d, scale)
+                assert form.flags.f_contiguous and form.shape == (n - 1, n - 1)
+                assert np.linalg.norm(np.tril(form) - np.tril(ref)) <= 1e-12 * np.linalg.norm(ref)
 
     def _check(self, E, z, lam):
         # the bounds come with a beta, and do not depend on which
@@ -436,6 +437,58 @@ class TestDenseCertificateOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * E.N**2 * 8
+
+    def test_bare_dense_certificate_holds_one_form_and_the_factor(self, cdp_8x8):
+        # without a beta: one (N-1)^2 form, built in place and solved in place, next to
+        # the reflected (N-1) x 2n factor; no copy of the form and no N x N product
+        E, x0, _ = cdp_8x8
+        z_star = E.apply_adjoint(x0)
+        certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))  # scipy loaded before tracing
+        tracemalloc.start()
+        try:
+            certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        form, factor = (E.N - 1) ** 2 * 8, (E.N - 1) * 2 * E.n * 8
+        assert peak <= 1.2 * (form + factor)  # 1.12x measured: the rest is LAPACK's workspace
+
+    def test_dense_residual_matches_the_assembled_form(self, cdp_8x8, dense_wide, monkeypatch):
+        # eig_residual is taken through the operator, not from the form the solve overwrites:
+        # at the eigenvector eigh returns, perturbed so that the residual is not roundoff, it
+        # matches ||h y - lambda y|| with h assembled from A* on an explicit basis
+        eigh = scipy.linalg.eigh
+        rng = np.random.default_rng(12)
+        solved = []
+
+        def perturbed_eigh(a, b=None, **kwargs):
+            vals, vecs = eigh(a, b, **kwargs)
+            step = rng.standard_normal(vecs.shape)
+            vecs = vecs + 1e-3 * step / np.linalg.norm(step, axis=0)
+            solved.append((vals[0], vecs[:, 0] / np.linalg.norm(vecs[:, 0])))
+            return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_eigh)
+        E, x0, b = cdp_8x8
+        z = project_torus(E.apply_adjoint(x0) + 0.02 * np.mean(b) * random_complex(np.random.default_rng(8), E.N), b)
+        z[[0, 5, 64]] = 0.0  # a partial support
+        lam = optimal_dual(E, z, 0.8)
+        s = np.abs(z) > 0
+        Ew, xw, bw = dense_wide
+        zw = Ew.apply_adjoint(xw)
+        rho = 0.25
+        cases = [(lambda: certify_cross_section_minimizer(E, z, lam), z,
+                  _dense_oracle_forms(E, z)[1] - np.diag(np.real(criticality_vector(E, z, lam))[s])),
+                 (lambda: certify_drs_cross_section(Ew, bw, zw, rho), zw,
+                  rho * _dense_oracle_forms(Ew, zw)[1] - np.diag(bw / np.abs(zw) - 1.0))]
+        for certify, z_, h in cases:
+            solved.clear()
+            cert = certify()
+            (val, y), = solved
+            basis = tangent_basis(np.abs(z_[np.abs(z_) > 0]))
+            oracle = np.linalg.norm(basis.T @ h @ basis @ y - val * y)
+            assert oracle > 1e-6
+            assert abs(cert.eig_residual - oracle) <= 1e-12
 
     def test_repeated_dense_certificates_are_bitwise_equal(self, cdp_8x8, dense_wide):
         E, x0, _ = cdp_8x8
@@ -811,7 +864,14 @@ def _nan_first(v):
     return v
 
 
+def _tiny_first(v):
+    v = v.astype(complex)
+    v[0] = 1e-320
+    return v
+
+
 _MALFORMED_CERTIFICATE = {
+    "drs_tiny_z": (lambda E, b, z: certify_drs_cross_section(E, b, _tiny_first(z), 0.25), InvalidDataError),
     "drs_zero_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, 0.0), ValueError),
     "drs_negative_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, -1.0), ValueError),
     "drs_negative_b": (lambda E, b, z: certify_drs_cross_section(E, _negative_first(b), z, 0.25), InvalidDataError),
@@ -838,6 +898,19 @@ def test_malformed_certificate_input_is_rejected_before_any_operator_call(dense_
     with pytest.raises(error):
         certify(E, b, z)
     assert (E.applies, E.adjoints) == (0, 0)
+
+
+def test_tiny_iterate_entry_is_a_named_error():
+    # a subnormal entry is finite, but its curvature quotient is not: both certificates
+    # name the iterate, with no overflow warning on the way (pytest makes one an error)
+    E = build_gaussian_ensemble(8, 32, seed=0)
+    w = E.apply_adjoint(random_complex(np.random.default_rng(0), 8))
+    b, z = np.abs(w), _tiny_first(w)
+    for certify in (lambda: certify_drs_cross_section(E, b, z, 0.25),
+                    lambda: certify_cross_section_minimizer(E, z, np.zeros_like(z)),
+                    lambda: certify_cross_section_minimizer(E, z, np.zeros_like(z), beta=0.9)):
+        with pytest.raises(InvalidDataError, match="iterate"):
+            certify()
 
 
 def test_empty_cross_section_is_rejected_before_any_operator_call():

@@ -264,6 +264,10 @@ class TestBatchedCdpOperator:
         assert unit_phase(w).tobytes() == expected.tobytes()
 
 
+# zeros, subnormals and normals near the smallest normal double, 2.2e-308
+_TINY_PARTS = [0.0, -0.0, 5e-324, -1e-320, 1e-310, -2e-308, 2.3e-308]
+
+
 class TestTorusProjection:
     def test_real_positive(self):
         b = np.array([1.0, 2.0, 0.5])
@@ -293,6 +297,23 @@ class TestTorusProjection:
 
     def test_unit_phase_zero(self):
         assert unit_phase(np.array([0.0 + 0.0j]))[0] == 1.0 + 0.0j
+
+    def test_subnormal_entry_takes_phase_one(self):
+        # w / |w| overflows here: 1e-310 / |1e-310 (1 + i)| rounds |w| to a subnormal
+        w = np.array([1e-310 + 1e-310j, -5e-324j])
+        assert unit_phase(w).tobytes() == np.ones(2, dtype=complex).tobytes()
+        assert project_torus(w, np.array([2.0, 3.0])).tobytes() == np.array([2.0, 3.0], dtype=complex).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.floats(-1e300, 1e300), st.sampled_from(_TINY_PARTS))] * 2),
+                    min_size=1, max_size=16))
+    def test_unit_phase_is_finite_and_exact_above_the_smallest_normal(self, parts):
+        w = np.array([complex(re, im) for re, im in parts])
+        phase = unit_phase(w)
+        assert np.isfinite(phase).all()
+        assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
+        normal = np.abs(w) >= np.finfo(np.float64).tiny
+        assert phase[normal].tobytes() == (w[normal] / np.abs(w[normal])).tobytes()
 
 
 class TestPhantom:
