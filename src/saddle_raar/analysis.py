@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (DimensionError, InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector,
-                        split_lift, unit_phase)
+from .operators import (_TINY, DimensionError, InvalidDataError, MeasurementEnsemble, check_magnitudes,
+                        check_vector, split_lift, unit_phase)
 
 __all__ = [
     "DENSE_CAP",
@@ -122,15 +122,12 @@ def criticality_vector(E: MeasurementEnsemble, z, lam) -> np.ndarray:
     """Entrywise quotient ``z^{-1} * Q(z - lam)``.
 
     Realness of the result is the first-order condition for ``z`` to
-    minimize the objective on the torus.  Coordinates where ``z`` vanishes
-    are excluded (reported as zero).
+    minimize the objective on the torus.  Coordinates where ``|z|`` is below
+    the smallest normal double, zero to :func:`unit_phase`, report zero.
     """
     z = np.asarray(z, dtype=np.complex128)
-    support = np.abs(z) > 0
     resid = E.project_complement(z - np.asarray(lam))
-    out = np.zeros_like(z)
-    out[support] = resid[support] / z[support]
-    return out
+    return np.divide(resid, z, out=np.zeros_like(z), where=np.abs(z) >= _TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +445,9 @@ def certify_cross_section_minimizer(
     if np.count_nonzero(s) < 2:
         raise ValueError(f"iterate support has {np.count_nonzero(s)} entries: its cross section is empty")
     b = mag[s]
-    with np.errstate(over="ignore"):  # q overflows at a subnormal entry of z, which the tangent solve rejects
+    if b.min() < _TINY:  # q would report 0 there, but the entry is on the support
+        raise InvalidDataError("iterate has an entry too small for a finite tangent curvature")
+    with np.errstate(over="ignore"):  # q can overflow at a tiny normal entry, which the tangent solve rejects
         q_full = criticality_vector(E, z, lam)
     q = q_full[s]
     min_eig, eig_resid, converged, method, f = _tangent_min_eig(E, z, np.real(q), 1.0)
@@ -509,7 +508,9 @@ def certify_drs_cross_section(
     mag = np.abs(z)
     if np.any(mag <= 0) or E.N < 2:
         raise ValueError("curvature check needs N >= 2 and nonzero iterate magnitudes")
-    with np.errstate(over="ignore"):  # b / |z| overflows at a subnormal entry, which the tangent solve rejects
+    if mag.min() < _TINY:
+        raise InvalidDataError("iterate has an entry too small for a finite tangent curvature")
+    with np.errstate(over="ignore"):  # b / |z| can overflow at a tiny normal entry, which the tangent solve rejects
         d = b / mag - 1.0
     min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, d, rho)
     return SaddleCertificate(
@@ -661,7 +662,8 @@ class DiagnosticsRecord:
 
 def _residual_parts(z, pz, b_norm: float, zq):
     """``(||z - P z||, ||z - P z|| / ||b||)``, a record's residual, with ``z - P z`` written into ``zq``."""
-    zq_norm = float(np.linalg.norm(np.subtract(z, pz, out=zq)))
+    re, im = np.subtract(z, pz, out=zq).real, zq.imag
+    zq_norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's two dots, without its wrapper
     return zq_norm, zq_norm / b_norm
 
 

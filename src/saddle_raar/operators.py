@@ -75,10 +75,13 @@ def unit_phase(w: np.ndarray) -> np.ndarray:
 
     A subnormal entry takes the phase of a zero one, where ``w / |w|`` could overflow.
     The convention makes the map total, finite on finite input and deterministic; any
-    unit value is admissible there.
+    unit value is admissible there.  Where every ``|w|`` reaches that double, one unmasked
+    divide gives the same bits; a NaN fails that test and keeps the masked form.
     """
     w = np.asarray(w, dtype=np.complex128)
     mag = np.abs(w)
+    if mag.size and mag.min() >= _TINY:
+        return np.divide(w, mag)
     return np.divide(w, mag, out=np.ones_like(w), where=mag >= _TINY)
 
 
@@ -220,7 +223,7 @@ class GaussianEnsemble(MeasurementEnsemble):
 
     ``A*`` is the N x n matrix with orthonormal columns obtained from an
     i.i.d. complex standard-Gaussian draw, so ``A A* = I`` holds exactly
-    up to factorization roundoff.
+    up to factorization roundoff.  It is stored at a 64-byte boundary.
     """
 
     kind = "dense-gaussian"
@@ -239,7 +242,9 @@ class GaussianEnsemble(MeasurementEnsemble):
         rng = np.random.default_rng(self.seed)
         g = rng.standard_normal((self.N, self.n)) + 1j * rng.standard_normal((self.N, self.n))
         q, _ = np.linalg.qr(g)
-        self._adjoint = q  # N x n, orthonormal columns
+        buf = np.empty(q.nbytes + 64, dtype=np.uint8)  # P costs more at some offsets of A* in a cache line
+        self._adjoint = buf[-buf.ctypes.data % 64:][:q.nbytes].view(np.complex128).reshape(q.shape)
+        self._adjoint[...] = q  # N x n, orthonormal columns
 
     def apply_adjoint(self, x):
         return self._adjoint @ self._check_object(x)

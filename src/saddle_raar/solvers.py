@@ -18,6 +18,7 @@ stopping rules; ``finish`` reads a finished run out by its form, and
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from numbers import Integral
@@ -402,7 +403,8 @@ def run(
     non-finite iterate ends the run with ``stop_reason="nonfinite"``: the
     state is then the last finite iterate, and the trace ends with its
     record when the projection made at it is finite; ``lambda`` alone is
-    swept, since each form's ``lambda`` carries a non-finite ``z`` or ``w``.
+    tested, since each form's ``lambda`` carries a non-finite ``z`` or ``w``:
+    one dot ``lambda^H lambda``, swept entrywise only when the dot is not finite.
     Whatever ends the run, the result holds the final state and its pair ``(z, lambda)``.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
     ``w`` at ``k = 0`` and after each accepted step.  Before any operator
@@ -444,7 +446,8 @@ def run(
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
         next_z, next_lam = form.pair(nxt, b)
-        if not np.isfinite(next_lam).all():  # raar w - z, admm lambda + y - z, drs lambda + rho (z - y)
+        # raar w - z, admm lambda + y - z, drs lambda + rho (z - y); a finite lambda can overflow the dot
+        if not math.isfinite(np.vdot(next_lam, next_lam).real) and not np.isfinite(next_lam).all():
             reason = "nonfinite"
             if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
                 records.append(record(z, lam, pz, pl, param, k, reached))

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -911,6 +912,33 @@ def test_tiny_iterate_entry_is_a_named_error():
                     lambda: certify_cross_section_minimizer(E, z, np.zeros_like(z), beta=0.9)):
         with pytest.raises(InvalidDataError, match="iterate"):
             certify()
+
+
+def test_subnormal_iterate_entry_reports_zero_criticality():
+    # unit_phase takes a subnormal entry for a zero one, and so does the quotient: no overflow
+    E = build_gaussian_ensemble(8, 32, seed=0)
+    rng = np.random.default_rng(0)
+    z, lam = E.apply_adjoint(random_complex(rng, 8)), random_complex(rng, 32)
+    z[3] = 1e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = criticality_vector(E, z, lam)
+    normal = np.arange(E.N) != 3
+    assert q[3] == 0 and np.isfinite(q).all()
+    assert q[normal].tobytes() == (E.project_complement(z - lam)[normal] / z[normal]).tobytes()
+
+
+def test_tiny_normal_iterate_entry_is_a_named_error():
+    # a normal entry can still overflow its quotient: b / |z| for drs, Q(z - lam) / z for raar
+    E = build_gaussian_ensemble(8, 32, seed=0)
+    z = 100 * E.apply_adjoint(random_complex(np.random.default_rng(0), 8))
+    z[3] = 1e-307
+    for certify in (lambda: certify_drs_cross_section(E, np.abs(z) + 50, z, 0.25),
+                    lambda: certify_cross_section_minimizer(E, z, np.zeros_like(z))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="iterate"):
+                certify()
 
 
 def test_empty_cross_section_is_rejected_before_any_operator_call():

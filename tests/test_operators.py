@@ -94,6 +94,16 @@ class TestGaussianEnsemble:
         b = build_gaussian_ensemble(4, 8, seed=3).materialize_adjoint()
         assert np.array_equal(a, b)
 
+    def test_adjoint_sits_on_a_cache_line_and_is_the_qr_output(self):
+        for seed in range(6):
+            for n, N in ((100, 400), (16, 48), (3, 7)):
+                E = build_gaussian_ensemble(n, N, seed)
+                rng = np.random.default_rng(seed)
+                q, _ = np.linalg.qr(rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)))
+                assert E._adjoint.ctypes.data % 64 == 0
+                assert E._adjoint.shape == q.shape and E._adjoint.flags.c_contiguous
+                assert E._adjoint.tobytes() == q.tobytes()
+
 
 class TestCodedDiffractionEnsemble:
     def test_single_pixel(self):
@@ -266,6 +276,13 @@ class TestBatchedCdpOperator:
 
 # zeros, subnormals and normals near the smallest normal double, 2.2e-308
 _TINY_PARTS = [0.0, -0.0, 5e-324, -1e-320, 1e-310, -2e-308, 2.3e-308]
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
+
+def _masked_phase(w):
+    """``unit_phase``'s masked form: ``w / |w|`` where ``|w|`` is normal, 1 elsewhere."""
+    mag = np.abs(w)
+    return np.divide(w, mag, out=np.ones_like(w), where=mag >= _SMALLEST_NORMAL)
 
 
 class TestTorusProjection:
@@ -314,6 +331,28 @@ class TestTorusProjection:
         assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
         normal = np.abs(w) >= np.finfo(np.float64).tiny
         assert phase[normal].tobytes() == (w[normal] / np.abs(w[normal])).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.one_of(st.floats(_SMALLEST_NORMAL, 1e300), st.floats(-1e300, -_SMALLEST_NORMAL)),
+                              st.one_of(st.floats(-1e300, 1e300), st.sampled_from(_TINY_PARTS)), st.booleans()),
+                    min_size=1, max_size=16))
+    def test_unit_phase_of_normal_magnitudes_is_the_plain_quotient(self, parts):
+        # one part of each entry is normal, so every |w| is and the unmasked divide runs
+        w = np.array([complex(a, c) if real_first else complex(c, a) for a, c, real_first in parts])
+        assert np.abs(w).min() >= _SMALLEST_NORMAL
+        phase = unit_phase(w)
+        assert phase.tobytes() == (w / np.abs(w)).tobytes() == _masked_phase(w).tobytes()
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.nan, 1.0), complex(np.inf, 0.0),
+                                     complex(1.0, -np.inf), complex(np.inf, np.inf), complex(-np.inf, np.nan)])
+    def test_a_nonfinite_entry_keeps_the_masked_form(self, bad):
+        w = random_complex(np.random.default_rng(2), 9)
+        w[4] = bad
+        with np.errstate(invalid="ignore"):
+            phase, masked = unit_phase(w), _masked_phase(w)
+        assert phase.tobytes() == masked.tobytes()
+        if np.isnan(np.abs(bad)):
+            assert phase[4] == 1.0
 
 
 class TestPhantom:

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import math
+import types
 
 import numpy as np
 import pytest
@@ -616,6 +619,48 @@ def test_a_nonfinite_entry_reaches_the_next_lambda(monkeypatch, dense_small, alg
                 next_z, next_lam = form.pair(nxt, b)
             assert not np.isfinite(next_lam[i]), (bad, site)
             assert not np.isfinite(next_lam[~np.isfinite(next_z)]).any(), (bad, site)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_finite_lambda_that_overflows_the_dot_runs_on(monkeypatch, dense_small, algo):
+    # entries near 1e160 overflow lambda^H lambda: the sweep then finds lambda finite, and the
+    # run goes on exactly as with the sweep alone
+    import saddle_raar.solvers as solvers
+
+    E, _, b = dense_small
+    w0 = 1e160 * random_lift(E.N, seed=2)
+    args = (E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50, StoppingRule(fixed_budget=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # the trace's norms overflow too
+        lams = [lam for _, _, lam in _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 50)]
+        assert any(not math.isfinite(np.vdot(lam, lam).real) for lam in lams)
+        assert all(np.isfinite(lam).all() for lam in lams)
+        result = run(*args)
+        monkeypatch.setattr(solvers, "math", types.SimpleNamespace(isfinite=lambda x: False))  # the sweep alone
+        swept = run(*args)
+    assert result.stop_reason == "max_iters" and len(result.records) == 51
+    assert repr([_row(r) for r in result.records]) == repr([_row(r) for r in swept.records])
+    assert repr(_bits(result)) == repr(_bits(swept))
+
+
+@pytest.mark.parametrize("algo", ["raar", "drs"])
+def test_run_does_not_hang_on_where_a_star_sits(algo):
+    # A* re-seated off its cache line, at 16, 32 and 48 mod 64: every bit of the run is kept
+    E = build_gaussian_ensemble(100, 400, seed=3)
+    b = np.abs(E.apply_adjoint(random_complex(np.random.default_rng(4), 100)))
+    args = (b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=5), 50,
+            StoppingRule(fixed_budget=True))
+    ref = run(E, *args)
+    size = E._adjoint.nbytes
+    for offset in (16, 32, 48):
+        moved = copy.copy(E)
+        buf = np.empty(size + 64, dtype=np.uint8)
+        start = (offset - buf.ctypes.data) % 64
+        moved._adjoint = buf[start:start + size].view(np.complex128).reshape(E._adjoint.shape)
+        moved._adjoint[...] = E._adjoint
+        assert moved._adjoint.ctypes.data % 64 == offset
+        out = run(moved, *args)
+        assert [_row(r) for r in out.records] == [_row(r) for r in ref.records]
+        assert _bits(out) == _bits(ref)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
