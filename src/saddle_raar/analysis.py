@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (_TINY, DimensionError, InvalidDataError, MeasurementEnsemble, check_magnitudes,
-                        check_vector, split_lift, unit_phase)
+from .operators import (_TINY, DimensionError, InvalidDataError, MeasurementEnsemble, _aligned_empty,
+                        check_magnitudes, check_vector, split_lift, unit_phase)
 
 __all__ = [
     "DENSE_CAP",
@@ -78,11 +78,16 @@ def beta_prime(beta: float) -> float:
     return beta / (1.0 - beta)
 
 
+def _checked_rho(rho: float) -> float:
+    """``rho``, or the splitting step's ``ValueError`` when it lies outside ``(0, inf)``, as NaN does."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must lie in (0, inf), got {rho}")
+    return rho
+
+
 def beta_from_rho(rho: float) -> float:
-    """Relaxation parameter paired with a splitting penalty: ``1 / (rho + 1)``."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return 1.0 / (rho + 1.0)
+    """Relaxation parameter paired with a splitting penalty: ``1 / (rho + 1)``; ``rho`` lies in ``(0, inf)``."""
+    return 1.0 / (_checked_rho(rho) + 1.0)
 
 
 def rho_from_beta(beta: float) -> float:
@@ -498,11 +503,11 @@ def certify_drs_cross_section(
 
     Certifies ``(rho+1) I - diag(b/|z|) - rho K >= 0`` on the tangent
     subspace, with ``K = Re(diag(conj(u)) P diag(u))``: the tangent
-    curvature ``rho K_perp - diag(b/|z| - 1)``.  ``rho <= 0``, a zero in ``z`` or
-    ``N = 1`` raises ``ValueError``, malformed ``b`` or ``z`` ``InvalidDataError``.
+    curvature ``rho K_perp - diag(b/|z| - 1)``.  Before any operator call, ``rho`` outside
+    ``(0, inf)``, a zero in ``z`` or ``N = 1`` raises ``ValueError``, malformed ``b`` or ``z``
+    ``InvalidDataError``.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _checked_rho(rho)
     b = check_magnitudes(b, E.N)
     z = check_vector(z, E.N, "iterate")
     mag = np.abs(z)
@@ -673,11 +678,12 @@ def _norm(v) -> float:
 
 
 def _trace_row_work(n: int):
-    """Work vectors of :func:`_trace_row` for ``n`` coordinates: four complex, one real."""
-    return (*(np.empty(n, dtype=np.complex128) for _ in range(4)), np.empty(n))
+    """Work vectors of :func:`_trace_row` for ``n`` coordinates, on 64-byte boundaries: four complex, one real."""
+    return (*(_aligned_empty(n) for _ in range(4)), _aligned_empty(n, np.float64))
 
 
-def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work):
+def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work,
+               lam_sq=None):
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
 
     ``pz = P z`` and ``pl = P lam``; no operator is applied, and every norm of a complement
@@ -687,12 +693,14 @@ def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: 
     derivative norm / objective are the splitting Lagrangian's (the ratio uses the corresponding
     ``1/(1+rho)``).  The ratio's denominator is ``T`` at the zero reference.  The residual's
     norm is that of :func:`_residual_parts`, which the stopping rule reads; every other norm
-    is a :func:`_norm`.  The vector temporaries are written into ``work``, from
+    is a :func:`_norm`.  A caller that holds ``lam^H lam`` passes its real part as ``lam_sq``,
+    the dot :func:`_norm` would make.  The vector temporaries are written into ``work``, from
     :func:`_trace_row_work`, whose contents are never read.
     """
     zq, lq, t, u, r = work
     zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
-    lq_norm, lam_norm, pl_norm = _norm(np.subtract(lam, pl, out=lq)), _norm(lam), _norm(pl)  # pl_norm = ||A lam||
+    lam_norm = _norm(lam) if lam_sq is None else math.sqrt(lam_sq)
+    lq_norm, pl_norm = _norm(np.subtract(lam, pl, out=lq)), _norm(pl)  # pl_norm = ||A lam||
 
     if algo == "drs":
         rho = param

@@ -29,7 +29,8 @@ import numpy as np
 
 from .analysis import (DiagnosticsRecord, SaddleCertificate, _residual_parts, _trace_row, _trace_row_work,
                        certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point)
-from .operators import InvalidDataError, MeasurementEnsemble, check_magnitudes, check_vector, project_torus, split_lift
+from .operators import (InvalidDataError, MeasurementEnsemble, _aligned_empty, check_magnitudes, check_vector,
+                        project_torus, split_lift)
 
 __all__ = [
     "RaarState",
@@ -121,48 +122,67 @@ def _checked_param(algo: str, value):
     return value
 
 
-def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None) -> np.ndarray:
+# Each step is written once, for fresh vectors and for an ``out`` state alike: every
+# operation names its destination, and ``None`` allocates.  The operands keep the order
+# of the plain expression in the docstring, so ``out`` changes where the bits go, not
+# what they are.  An ``out`` may share no memory with the step's inputs.
+
+
+def raar_step(E: MeasurementEnsemble, b, w, beta: float, t=None, *, out=None) -> np.ndarray:
     """One relaxed-reflection update.
 
     ``w -> beta w + (1 - 2 beta) [w]_Z + beta P(2 [w]_Z - w)`` where
     ``[w]_Z`` is the torus projection and ``P`` the range projection.
     At ``beta = 1/2`` this is alternating projections plus a halved
     complement term; at ``beta = 1`` the averaged reflector composition.
-    A caller that already holds ``[w]_Z`` passes it as ``t``.
+    A caller that already holds ``[w]_Z`` passes it as ``t``.  With ``out``,
+    a pair of N-vectors ``(lift, work)``, the new lift is written into
+    ``lift`` and returned, and ``work`` takes the step's temporaries.
     """
     _checked_param("raar", beta)
     w = np.asarray(w, dtype=np.complex128)
     t = project_torus(w, b) if t is None else t
-    return beta * w + (1.0 - 2.0 * beta) * t + beta * E.project_range(2.0 * t - w)
+    new, work = (None, None) if out is None else out
+    new = np.multiply(beta, w, out=new)
+    work = np.multiply(1.0 - 2.0 * beta, t, out=work)
+    np.add(new, work, out=new)
+    x = np.subtract(np.multiply(2.0, t, out=work), w, out=work)
+    return np.add(new, np.multiply(beta, E.project_range(x), out=work), out=new)
 
 
-def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float) -> AdmmState:
+def admm_step(E: MeasurementEnsemble, b, state: AdmmState, beta: float, *, out: AdmmState | None = None) -> AdmmState:
     """One triple update of the multiplier form (unit dual step).
 
     ``y <- (I - beta Q)(z - lambda)``; ``z <- [y + lambda]_Z``;
     ``lambda <- lambda + (y - z)``, with ``Q`` the complement projection.
+    With ``out`` the new triple is written into its vectors.
     """
     _checked_param("admm", beta)
-    d = state.z - state.lam
-    y = d - beta * (d - E.project_range(d))  # (I - beta Q) d
-    z = project_torus(y + state.lam, b)
-    lam = state.lam + (y - z)
-    return AdmmState(y=y, z=z, lam=lam)
+    y, z, lam = (None, None, None) if out is None else (out.y, out.z, out.lam)
+    d = np.subtract(state.z, state.lam, out=y)
+    q = np.subtract(d, E.project_range(d), out=z)  # Q d
+    y = np.subtract(d, np.multiply(beta, q, out=q), out=d)  # (I - beta Q) d
+    z = project_torus(np.add(y, state.lam, out=q), b, out=q)
+    r = np.subtract(y, z, out=lam)
+    return AdmmState(y=y, z=z, lam=np.add(state.lam, r, out=r))
 
 
-def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float) -> DrsState:
+def drs_step(E: MeasurementEnsemble, b, state: DrsState, rho: float, *, out: DrsState | None = None) -> DrsState:
     """One splitting update with penalty ``rho``.
 
     ``y <- P(z + lambda/rho)``; ``z <- ([w]_Z + rho w) / (1 + rho)`` with
     ``w = y - lambda/rho``; ``lambda <- lambda + rho (z - y)``.
+    With ``out`` the new triple is written into its vectors.
     """
     _checked_param("drs", rho)
-    mu = state.lam / rho
-    y = E.project_range(state.z + mu)
-    w = y - mu
-    z = (project_torus(w, b) + rho * w) / (1.0 + rho)
-    lam = state.lam + rho * (z - y)
-    return DrsState(y=y, z=z, lam=lam)
+    y, z, lam = (None, None, None) if out is None else (out.y, out.z, out.lam)
+    mu = np.divide(state.lam, rho, out=lam)
+    y = E.project_range(np.add(state.z, mu, out=z), out=y)
+    w = np.subtract(y, mu, out=z)
+    t = project_torus(w, b, out=mu)
+    z = np.divide(np.add(t, np.multiply(rho, w, out=w), out=w), 1.0 + rho, out=w)
+    r = np.multiply(rho, np.subtract(z, y, out=t), out=t)
+    return DrsState(y=y, z=z, lam=np.add(state.lam, r, out=r))
 
 
 def reconstruct(E: MeasurementEnsemble, z, lam, rho: float = -1.0) -> np.ndarray:
@@ -263,19 +283,23 @@ class RunResult:
 # at each step (by ``rho / (rho + rho_prev)`` in general), so none builds up.
 
 
-def _range_parts(p, carry, rho_prev, rho):
-    """``(P z, P lambda, next carry)`` of an iterate from ``p`` and ``carry``."""
+def _range_parts(p, carry, rho_prev, rho, out=(None,) * 4):
+    """``(P z, P lambda, next carry)`` of an iterate from ``p`` and ``carry``, written into ``out[:3]``.
+
+    ``out[3]`` takes ``rho p``; the next carry may overwrite ``carry``, which is read first.
+    """
+    pz, pl, nxt, rho_p = out
     if rho == rho_prev == -1.0:  # raar and admm: the same values without the exact negations and halving
-        pz = (p + carry) * 0.5
-        pl = carry - pz
-        return pz, pl, pl + p
-    rho_p = rho * p
-    pz = (rho_p - carry) / (rho + rho_prev)
-    pl = carry + rho_prev * pz
-    return pz, pl, pl - rho_p
+        pz = np.multiply(np.add(p, carry, out=pz), 0.5, out=pz)
+        pl = np.subtract(carry, pz, out=pl)
+        return pz, pl, np.add(pl, p, out=nxt)
+    rho_p = np.multiply(rho, p, out=rho_p)
+    pz = np.divide(np.subtract(rho_p, carry, out=pz), rho + rho_prev, out=pz)
+    pl = np.add(carry, np.multiply(rho_prev, pz, out=pl), out=pl)
+    return pz, pl, np.subtract(pl, rho_p, out=nxt)
 
 
-def _state_pair(state, b):
+def _state_pair(state, b, out=None):
     return state.z, state.lam
 
 
@@ -300,30 +324,36 @@ def _splitting_check(E, b, state, rho, tol):
 class _Form(NamedTuple):
     state: type  # the state's class, which a state file's fields rebuild
     start: Callable  # (w0, b) -> the state lifted from w0
-    pair: Callable  # (state, b) -> (z, lambda)
-    lift: Callable  # state -> the lifted iterate on_iterate sees
+    pair: Callable  # (state, b, out=None) -> (z, lambda), written into out when the form computes them
+    lift: Callable  # state -> the lifted iterate on_iterate sees, an array the caller owns
     penalty: Callable  # step parameter -> rho of the step's projection
-    advance: Callable  # (E, b, state, step parameter, z of the state's pair) -> next state
+    advance: Callable  # (E, b, state, step parameter, z of the state's pair, out=None) -> next state
+    slot: Callable  # (three N-vectors, work vector) -> (pair's out, step's out) of a state run writes there
     check: Callable  # (E, b, state, step parameter, tol) -> (pass flag, certificate)
     curvature: Callable  # (E, b, state, step parameter) -> tangent curvature certificate
 
 
 # An advance looks its public step up when called, so that a wrapper
 # installed on a step sees every step of a run; raar hands its step the
-# [w]_Z of the iterate's record.
+# [w]_Z of the iterate's record.  raar's and drs's lifts are run vectors,
+# so on_iterate gets a copy.
 _FORMS = {
-    "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0), lambda state, b: split_lift(state.w, b),
-                  attrgetter("w"), lambda beta: -1.0,
-                  lambda E, b, state, beta, z: RaarState(w=raar_step(E, b, state.w, beta, z)),
+    "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0),
+                  lambda state, b, out=None: split_lift(state.w, b, out=out),
+                  lambda state: state.w.copy(), lambda beta: -1.0,
+                  lambda E, b, state, beta, z, out=None: RaarState(w=raar_step(E, b, state.w, beta, z, out=out)),
+                  lambda w, z, lam, work: ((z, lam), (w, work)),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol),
                   lambda E, b, state, beta: certify_cross_section_minimizer(E, *split_lift(state.w, b), beta=beta)),
     "admm": _Form(AdmmState, _admm_start, _state_pair, attrgetter("lift"), lambda beta: -1.0,
-                  lambda E, b, state, beta, z: admm_step(E, b, state, beta),
+                  lambda E, b, state, beta, z, out=None: admm_step(E, b, state, beta, out=out),
+                  lambda y, z, lam, work: ((z, lam), AdmmState(y, z, lam)),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol),
                   lambda E, b, state, beta: certify_cross_section_minimizer(E, *split_lift(state.lift, b), beta=beta)),
     "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
-                 _state_pair, attrgetter("z"), lambda rho: rho,
-                 lambda E, b, state, rho, z: drs_step(E, b, state, rho), _splitting_check,
+                 _state_pair, lambda state: state.z.copy(), lambda rho: rho,
+                 lambda E, b, state, rho, z, out=None: drs_step(E, b, state, rho, out=out),
+                 lambda y, z, lam, work: ((z, lam), DrsState(y, z, lam)), _splitting_check,
                  lambda E, b, state, rho: certify_drs_cross_section(E, b, state.z, rho)),
 }
 
@@ -351,14 +381,14 @@ def initial_state(E: MeasurementEnsemble, b, algo: str, w0):
 
 
 class _StepView:
-    """The ensemble as a step sees it, keeping the range projection the step makes."""
+    """The ensemble as a step sees it: a range projection goes to the run's vector ``p``
+    unless the step names its own ``out``, and the view keeps it."""
 
-    def __init__(self, E: MeasurementEnsemble):
-        self.E = E
-        self.projection = None
+    def __init__(self, E: MeasurementEnsemble, p):
+        self.E, self.p, self.projection = E, p, None
 
-    def project_range(self, w):
-        self.projection = self.E.project_range(w)
+    def project_range(self, w, out=None):
+        self.projection = self.E.project_range(w, out=self.p if out is None else out)
         return self.projection
 
 
@@ -387,12 +417,17 @@ def run(
 
     The run starts at ``initial_state(E, b, algo, w0)``.  The schedule is
     evaluated at the 1-based iteration index before each step, and the
-    iterates are those of the public step functions.  A
-    record costs vector norms only, with its temporaries in work vectors
-    allocated once per run: its ``P z`` and ``P lambda`` come from
+    iterates are those of the public step functions, bit for bit.  The run
+    allocates its N-vectors once, on 64-byte boundaries, and every step
+    writes into them through the steps' ``out``: two states used in turn
+    with their pairs, the range projection, the record's ``P z``, ``P lambda``
+    and carried projection, one work vector, and the row's work vectors.  It
+    writes into no array it did not allocate, ``w0`` and ``b`` included.  A
+    record costs vector norms only: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
-    stopping rule is set.  The start costs one more of each, and so does
+    stopping rule is set, and its ``||lambda||`` from the dot that tests
+    that ``lambda``.  The start costs one more ``A`` and ``A*``, and so does
     the final record of a run that reaches ``max_iters`` (it projects the
     vector the next step would); a stopping rule that fires at iterate
     ``k`` has made step ``k + 1`` for its record and drops that step's
@@ -405,9 +440,11 @@ def run(
     record when the projection made at it is finite; ``lambda`` alone is
     tested, since each form's ``lambda`` carries a non-finite ``z`` or ``w``:
     one dot ``lambda^H lambda``, swept entrywise only when the dot is not finite.
-    Whatever ends the run, the result holds the final state and its pair ``(z, lambda)``.
+    Whatever ends the run, the result holds the final state and its pair ``(z, lambda)``,
+    in the run's vectors, which nothing writes after ``run`` returns.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
-    ``w`` at ``k = 0`` and after each accepted step.  Before any operator
+    ``w`` at ``k = 0`` and after each accepted step; ``w`` is the caller's to
+    keep (raar's and drs's lifts are copied out of the run's vectors).  Before any operator
     call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
     ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget or
     a stride below 1 ``ValueError``.
@@ -422,51 +459,58 @@ def run(
     b = np.asarray(b, dtype=np.float64)  # checked by initial_state; not copied
     b_norm = float(np.linalg.norm(b))
     stop = stop or StoppingRule()
-    view = _StepView(E)
+    work = _aligned_empty(E.N)  # raar's step temporaries, drs's rho p, and the vector the last record projects
+    slots = [form.slot(*(_aligned_empty(E.N) for _ in range(3)), work) for _ in range(2)]  # step k + 1 writes slot k % 2
+    parts = (*(_aligned_empty(E.N) for _ in range(3)), work)  # P z, P lambda, the carried projection
+    view = _StepView(E, _aligned_empty(E.N))
+    row_work = _trace_row_work(E.N)  # every row's vector temporaries
     t0 = time.perf_counter_ns()
 
-    z, lam = form.pair(state, b)
+    z, lam = form.pair(state, b, out=slots[1][0])  # raar's start pair sits where step 2 writes its pair
+    lam_sq = np.vdot(lam, lam).real
     param = schedule.value_at(1)
     rho = form.penalty(param)
-    carry = E.project_range(lam - rho * z)
+    carry = E.project_range(np.subtract(lam, np.multiply(rho, z, out=work), out=work), out=parts[2])
     records = []
-    work = _trace_row_work(E.N)  # every row's vector temporaries, reused
     if on_iterate is not None:
         on_iterate(0, form.lift(state))
 
-    def record(z, lam, pz, pl, param, k, reached):
-        return _trace_row(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo, work)
+    def record(z, lam, lam_sq, pz, pl, param, k, reached):
+        return _trace_row(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo, row_work, lam_sq)
 
     reason = None
     k, reached = 0, t0
 
     while k < max_iters:
         next_param = schedule.value_at(k + 1)
-        nxt = form.advance(view, b, state, next_param, z)
+        pair_out, step_out = slots[k % 2]
+        nxt = form.advance(view, b, state, next_param, z, step_out)
         rho_prev, rho = rho, form.penalty(next_param)
-        pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho)
-        next_z, next_lam = form.pair(nxt, b)
+        pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho, parts)
+        next_z, next_lam = form.pair(nxt, b, out=pair_out)
         # raar w - z, admm lambda + y - z, drs lambda + rho (z - y); a finite lambda can overflow the dot
-        if not math.isfinite(np.vdot(next_lam, next_lam).real) and not np.isfinite(next_lam).all():
+        next_lam_sq = np.vdot(next_lam, next_lam).real
+        if not math.isfinite(next_lam_sq) and not np.isfinite(next_lam).all():
             reason = "nonfinite"
             if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
-                records.append(record(z, lam, pz, pl, param, k, reached))
+                records.append(record(z, lam, lam_sq, pz, pl, param, k, reached))
             break
         if k % record_every == 0 or not stop.fixed_budget and (
-                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, work[0])[1] <= stop.residual_tol):
-            rec = record(z, lam, pz, pl, param, k, reached)
+                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, row_work[0])[1] <= stop.residual_tol):
+            rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
             reason = _stop_reason(stop, rec)
             if k % record_every == 0 or reason:
                 records.append(rec)
             if reason:
                 break
-        state, z, lam, param, k = nxt, next_z, next_lam, next_param, k + 1
+        state, z, lam, lam_sq, param, k = nxt, next_z, next_lam, next_lam_sq, next_param, k + 1
         reached = time.perf_counter_ns()
         if on_iterate is not None:
             on_iterate(k, form.lift(state))
     else:
-        pz, pl, _ = _range_parts(E.project_range(z + lam / rho), carry, rho, rho)
-        rec = record(z, lam, pz, pl, param, k, reached)
+        x = np.add(z, np.divide(lam, rho, out=work), out=work)
+        pz, pl, _ = _range_parts(E.project_range(x, out=view.p), carry, rho, rho, parts)
+        rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
         reason = _stop_reason(stop, rec) or "max_iters"
         records.append(rec)
 

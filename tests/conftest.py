@@ -67,9 +67,9 @@ class CountingEnsemble(MeasurementEnsemble):
         out = self.inner.apply(w)
         return out * np.nan if self.applies == self.nan_on_apply else out
 
-    def apply_adjoint(self, x):
+    def apply_adjoint(self, x, out=None):
         self.adjoints += 1
-        return self.inner.apply_adjoint(x)
+        return self.inner.apply_adjoint(x, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,8 @@ class _TinyPair(MeasurementEnsemble):
         self.n, self.N = 1, 2
         self._a = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
 
-    def apply_adjoint(self, x):
-        return self._a @ self._check_object(x)
+    def apply_adjoint(self, x, out=None):
+        return np.matmul(self._a, self._check_object(x), out=out)
 
     def apply(self, w):
         return self._a.conj().T @ self._check_measurement(w)
@@ -875,6 +875,8 @@ _MALFORMED_CERTIFICATE = {
     "drs_tiny_z": (lambda E, b, z: certify_drs_cross_section(E, b, _tiny_first(z), 0.25), InvalidDataError),
     "drs_zero_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, 0.0), ValueError),
     "drs_negative_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, -1.0), ValueError),
+    "drs_inf_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, np.inf), ValueError),
+    "drs_nan_rho": (lambda E, b, z: certify_drs_cross_section(E, b, z, np.nan), ValueError),
     "drs_negative_b": (lambda E, b, z: certify_drs_cross_section(E, _negative_first(b), z, 0.25), InvalidDataError),
     "drs_short_b": (lambda E, b, z: certify_drs_cross_section(E, b[:-1], z, 0.25), InvalidDataError),
     "fixed_point_negative_b": (lambda E, b, z: certify_fixed_point(E, _negative_first(b), z, 0.9), InvalidDataError),

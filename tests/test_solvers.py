@@ -16,6 +16,7 @@ from saddle_raar import (
     admm_step,
     beta_from_rho,
     beta_prime,
+    build_cdp_ensemble,
     build_gaussian_ensemble,
     diagnostics,
     drs_step,
@@ -192,6 +193,12 @@ class TestParameterMaps:
             rho_from_beta(1.0)
         with pytest.raises(ValueError):
             beta_from_rho(0.0)
+
+    def test_rho_outside_its_range_is_rejected(self):
+        # the drs step's range and message; inf once gave beta 0.0 and NaN gave NaN
+        for rho in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, inf\), got"):
+                beta_from_rho(rho)
 
 
 class TestSchedule:
@@ -489,6 +496,26 @@ def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
         np.testing.assert_array_equal(w, lift)
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_leaves_caller_arrays_alone_and_lifts_stay_valid(cdp_8x8, algo):
+    # run writes only into vectors it allocated, and a lift on_iterate keeps is never overwritten
+    E, _, b = cdp_8x8
+    w0 = random_lift(E.N, seed=4)
+    w0_bytes, b_bytes = w0.tobytes(), b.tobytes()
+    lifts = []
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 30,
+                 StoppingRule(fixed_budget=True), on_iterate=lambda k, w: lifts.append(w))
+    assert w0.tobytes() == w0_bytes and b.tobytes() == b_bytes
+    assert len({id(w) for w in lifts}) == len(lifts) == 31
+    kept = [result.z, result.lam, *vars(result.state).values()]
+    assert not any(np.shares_memory(w, v) for w in lifts for v in kept + [w0, b])
+    expected = _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 30)
+    for w, (lift, _z, _lam) in zip(lifts, expected):
+        np.testing.assert_array_equal(w, lift)
+    np.testing.assert_array_equal(result.z, expected[-1][1])
+    np.testing.assert_array_equal(result.lam, expected[-1][2])
+
+
 @pytest.mark.parametrize(
     "stop", [StoppingRule(fixed_budget=True), StoppingRule(residual_tol=1e-10, deriv_tol=1e-10)]
 )
@@ -500,13 +527,13 @@ def test_raar_run_projects_onto_the_torus_once_per_iteration(monkeypatch, dense_
     counts = {"torus": 0, "steps": 0}
     torus, step = solvers.project_torus, solvers.raar_step
 
-    def counted_torus(w, b):
+    def counted_torus(w, b, out=None):
         counts["torus"] += 1
-        return torus(w, b)
+        return torus(w, b, out=out)
 
-    def counted_step(*args):
+    def counted_step(*args, **kwargs):
         counts["steps"] += 1
-        return step(*args)
+        return step(*args, **kwargs)
 
     for module in (solvers, operators):  # raar's pair projects in operators.split_lift
         monkeypatch.setattr(module, "project_torus", counted_torus)
@@ -561,9 +588,9 @@ def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo,
                 v[5] = bad
             return v
 
-        monkeypatch.setattr(E, "project_range", lambda w, E=E: spoil(E.apply_adjoint(E.apply(w)), "P"))
+        monkeypatch.setattr(E, "project_range", lambda w, out=None, E=E: spoil(E.apply_adjoint(E.apply(w), out=out), "P"))
         for module in (solvers, operators):  # raar's pair projects in operators.split_lift
-            monkeypatch.setattr(module, "project_torus", lambda w, b: spoil(torus(w, b), "z"))
+            monkeypatch.setattr(module, "project_torus", lambda w, b, out=None: spoil(torus(w, b, out=out), "z"))
         ws = []
         with np.errstate(invalid="ignore"):
             result = run(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
@@ -595,8 +622,8 @@ def test_a_nonfinite_entry_reaches_the_next_lambda(monkeypatch, dense_small, alg
     torus = solvers.project_torus
 
     class SpoilsProjection:
-        def project_range(self, w):
-            out = E.project_range(w)
+        def project_range(self, w, out=None):
+            out = E.project_range(w, out=out)
             out[i] = bad
             return out
 
@@ -614,7 +641,7 @@ def test_a_nonfinite_entry_reaches_the_next_lambda(monkeypatch, dense_small, alg
             with monkeypatch.context() as m, np.errstate(invalid="ignore"):
                 if site == "z":
                     for module in (solvers, operators):  # raar's pair projects in operators.split_lift
-                        m.setattr(module, "project_torus", lambda w, b: spoilt(torus(w, b)))
+                        m.setattr(module, "project_torus", lambda w, b, out=None: spoilt(torus(w, b, out=out)))
                 nxt = form.advance(SpoilsProjection() if site == "w" else E, b, start, param, z)
                 next_z, next_lam = form.pair(nxt, b)
             assert not np.isfinite(next_lam[i]), (bad, site)
@@ -661,6 +688,45 @@ def test_run_does_not_hang_on_where_a_star_sits(algo):
         out = run(moved, *args)
         assert [_row(r) for r in out.records] == [_row(r) for r in ref.records]
         assert _bits(out) == _bits(ref)
+
+
+def _placed(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    out = buf[start:start + a.nbytes].view(a.dtype)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_alignment_changes_speed_not_bits():
+    # at CDP 32x32 (N = 8192) numpy's SIMD loops peel differently at each offset of a
+    # vector in a cache line; a step written into out vectors there, or a row, keeps every bit
+    E = build_cdp_ensemble((32, 32), seed=0)
+    rng = np.random.default_rng(7)
+    b = np.abs(E.apply_adjoint(random_complex(rng, E.n)))
+    y, z, lam, pz, pl = (random_complex(rng, E.N) for _ in range(5))
+    z = project_torus(z, b)
+
+    def bits(place, out):
+        vectors = [place(v) for v in (b, y, z, lam, pz, pl)]
+        pb, py, pz_, plam, ppz, ppl = vectors
+        fresh = (lambda: place(np.zeros(E.N, dtype=complex))) if out else (lambda: None)
+        got = [raar_step(E, pb, py, 0.9, pz_, out=(fresh(), fresh()) if out else None)]
+        for step, cls, param in ((admm_step, AdmmState, 0.9), (drs_step, DrsState, 0.25)):
+            state = step(E, pb, cls(py, pz_, plam), param, out=cls(fresh(), fresh(), fresh()) if out else None)
+            got += [state.y, state.z, state.lam]
+        work = (*(place(np.empty(E.N, dtype=complex)) for _ in range(4)), place(np.empty(E.N)))
+        rows = [_trace_row(pb, float(np.linalg.norm(b)), pz_, plam, ppz, ppl, param, 3, 0, algo, work)
+                for algo, param in (("raar", 0.9), ("drs", 0.25))]
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(vectors, (b, y, z, lam, pz, pl)))  # inputs kept
+        return [v.tobytes() for v in got], [repr(_row(r)) for r in rows]
+
+    ref = bits(lambda v: v, out=False)
+    for offset in (0, 16, 32, 48):
+        for out in (False, True):
+            assert bits(lambda v: _placed(v, offset), out) == ref, (offset, out)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
