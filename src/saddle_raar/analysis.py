@@ -181,13 +181,9 @@ def _functional(beta: float, zq_norm, lq_norm, al_norm):
 
 def _functional_and_margin(E: MeasurementEnsemble, z, lam, z_star, lam_star, beta: float):
     """``(T, margin)`` of a pair against a reference, with ``T`` evaluated once."""
-    z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    z_star = np.asarray(z_star, dtype=np.complex128)
-    lam_star = np.asarray(lam_star, dtype=np.complex128)
+    z, lam, z_star, lam_star = (np.asarray(v, dtype=np.complex128) for v in (z, lam, z_star, lam_star))
     alpha = global_phase(z + lam, z_star + lam_star)
-    z_star = alpha * z_star
-    lam_star = alpha * lam_star
+    z_star, lam_star = alpha * z_star, alpha * lam_star
     t = float(_functional(beta, np.linalg.norm(E.project_complement(z - z_star)),
                           np.linalg.norm(E.project_complement(lam - lam_star)), np.linalg.norm(E.apply(lam))))
     return t, float(t - 2.0 * _real_inner(z_star - z, lam - lam_star))
@@ -231,9 +227,7 @@ def beta_max_from_threshold(threshold: float) -> float:
     The fixed-point magnitude stays nonnegative iff ``(1-beta)/beta >= t``,
     i.e. ``beta <= 1/(1+t)``; nonpositive thresholds admit the whole (0, 1].
     """
-    if threshold <= 0.0:
-        return 1.0
-    return 1.0 / (1.0 + threshold)
+    return 1.0 if threshold <= 0.0 else 1.0 / (1.0 + threshold)
 
 
 def certify_fixed_point(
@@ -579,15 +573,9 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
     if np.min(b) <= 1e-14 * np.max(b):
         raise ValueError("zero measurement magnitudes: phase of the solution undefined")
 
-    random_masks = getattr(E, "random_mask_count", 0)
+    notes = [] if rank >= 2 else ["object rank < 2"]
     n_patterns = getattr(E, "l", None)
-    hypothesis = True
-    notes = []
-    if rank < 2:
-        hypothesis = False
-        notes.append("object rank < 2")
-    if n_patterns is not None and (n_patterns < 2 or random_masks < 1):
-        hypothesis = False
+    if n_patterns is not None and (n_patterns < 2 or getattr(E, "random_mask_count", 0) < 1):
         notes.append("masks deterministic or too few patterns")
 
     if E.N <= DENSE_CAP:
@@ -602,7 +590,7 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
     return SpectralGapResult(
         lambda2=lam2,
         sigma_top=sigma_top,
-        hypothesis_met=hypothesis,
+        hypothesis_met=not notes,
         method=method,
         converged=converged,
         notes="; ".join(notes),
@@ -632,13 +620,8 @@ def fejer_monitor(E: MeasurementEnsemble, b, iterates, betas, z_star, lam_star) 
         t_vals.append(t)
         margins.append(m)
         ratios.append((t - m) / t if t > floor else 0.0)
-    distances = np.array([aligned_distance(w, w_star) for w in iterates])
-    return {
-        "T": np.array(t_vals),
-        "margin": np.array(margins),
-        "ratio": np.array(ratios),
-        "distance": distances,
-    }
+    return {"T": np.array(t_vals), "margin": np.array(margins), "ratio": np.array(ratios),
+            "distance": np.array([aligned_distance(w, w_star) for w in iterates])}
 
 
 # ---------------------------------------------------------------------------

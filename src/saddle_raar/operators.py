@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "DimensionError",
@@ -249,13 +250,15 @@ class GaussianEnsemble(MeasurementEnsemble):
 
     ``A*`` is the N x n matrix with orthonormal columns obtained from an
     i.i.d. complex standard-Gaussian draw, so ``A A* = I`` holds exactly
-    up to factorization roundoff.  It is stored at a 64-byte boundary.
+    up to factorization roundoff.  ``numpy.linalg.lapack_lite``'s ``zgeqrf``
+    and ``zungqr`` factor the draw in place as ``np.linalg.qr`` does, bit for
+    bit, without scipy; ``A*`` is stored at a 64-byte boundary.
     """
 
     kind = "dense-gaussian"
 
     def __init__(self, n: int, N: int, seed: int):
-        for name, value in (("n", n), ("N", N)):
+        for name, value in (("n", n), ("N", N), ("seed", seed)):
             if not isinstance(value, Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if n < 1 or N < 1:
@@ -266,10 +269,12 @@ class GaussianEnsemble(MeasurementEnsemble):
         self.N = int(N)
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        g = rng.standard_normal((self.N, self.n)) + 1j * rng.standard_normal((self.N, self.n))
-        q, _ = np.linalg.qr(g)
-        self._adjoint = _aligned_empty(q.shape)  # P costs more at some offsets of A* in a cache line
-        self._adjoint[...] = q  # N x n, orthonormal columns
+        h = np.empty((self.n, self.N), dtype=np.complex128)  # LAPACK's column-major N x n
+        h.real.T[...] = rng.standard_normal((self.N, self.n))  # the bytes of the draw a + 1j * b
+        h.imag.T[...] = rng.standard_normal((self.N, self.n))
+        _qr_in_place(h)
+        self._adjoint = _aligned_empty(h.T.shape)  # P costs more at some offsets of A* in a cache line
+        self._adjoint[...] = h.T  # N x n, orthonormal columns
 
     def apply_adjoint(self, x, out=None):
         return np.matmul(self._adjoint, self._check_object(x), out=out)
@@ -283,6 +288,21 @@ class GaussianEnsemble(MeasurementEnsemble):
 
     def descriptor(self):
         return {"kind": self.kind, "n": self.n, "N": self.N, "seed": self.seed}
+
+
+def _qr_in_place(h: np.ndarray) -> None:
+    """Overwrite C-ordered ``h``, LAPACK's column-major ``m x n`` for ``h.shape == (n, m)``, with its QR's Q.
+
+    These are ``np.linalg.qr``'s reduced-mode calls and workspace sizes, so Q is its output bit
+    for bit.  ``lapack_lite`` checks no dimension against the buffer: each comes from ``h.shape``.
+    """
+    n, m = h.shape
+    tau, work = np.empty(n, dtype=np.complex128), np.zeros(1, dtype=np.complex128)
+    for routine, dims in ((lapack_lite.zgeqrf, (m, n)), (lapack_lite.zungqr, (m, n, n))):
+        routine(*dims, h, m, tau, work, -1, 0)  # workspace query
+        work = np.empty(max(1, n, int(work[0].real)), dtype=np.complex128)
+        if info := routine(*dims, h, m, tau, work, work.size, 0)["info"]:
+            raise np.linalg.LinAlgError(f"{routine.__name__} returned info={info}")
 
 
 class CodedDiffractionEnsemble(MeasurementEnsemble):
@@ -423,11 +443,7 @@ def build_cdp_ensemble(grid, seed: int = 0, n_masks: int = 2) -> CodedDiffractio
 
 
 def complex_to_interleaved(vec: np.ndarray) -> list:
-    vec = np.asarray(vec, dtype=np.complex128).ravel()
-    out = np.empty(2 * vec.size, dtype=np.float64)
-    out[0::2] = vec.real
-    out[1::2] = vec.imag
-    return out.tolist()
+    return np.ascontiguousarray(vec, dtype=np.complex128).ravel().view(np.float64).tolist()
 
 
 def interleaved_to_complex(values) -> np.ndarray:

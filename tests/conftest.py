@@ -51,6 +51,16 @@ def random_complex(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+def placed(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
 class CountingEnsemble(MeasurementEnsemble):
     """Delegates to an ensemble and counts ``apply``/``apply_adjoint`` calls.
 

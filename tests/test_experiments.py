@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -139,6 +142,18 @@ class TestSuccessSweep:
         monkeypatch.setattr(experiments, "run", lambda *args, record_every: run(*args, record_every=1))
         assert [c.outcomes for c in paired_success_cells(**kwargs).cells] == strided
         assert any(o.iterations < 1000 for outcomes in strided for o in outcomes)
+
+    def test_a_paired_cell_loads_no_scipy(self):
+        # a fresh interpreter, so that no other test has loaded scipy yet: the Gaussian builds
+        # orthonormalize through numpy's own LAPACK
+        probe = ("import sys\nfrom saddle_raar.experiments import paired_success_cells\n"
+                 "paired_success_cells(n=16, ratio=4.0, trials=2)\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCdpCases:

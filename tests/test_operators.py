@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saddle_raar.operators as operators
 from saddle_raar import (
     AliasingError,
     CodedDiffractionEnsemble,
     DimensionError,
+    GaussianEnsemble,
     InvalidMaskError,
     build_cdp_ensemble,
     build_gaussian_ensemble,
@@ -16,8 +20,8 @@ from saddle_raar import (
     shepp_logan,
     unit_phase,
 )
-from saddle_raar.operators import random_unit_masks
-from conftest import random_complex
+from saddle_raar.operators import complex_to_interleaved, interleaved_to_complex, random_unit_masks, split_lift
+from conftest import placed, random_complex
 
 
 class TestGaussianEnsemble:
@@ -104,6 +108,33 @@ class TestGaussianEnsemble:
                 assert E._adjoint.shape == q.shape and E._adjoint.flags.c_contiguous
                 assert E._adjoint.tobytes() == q.tobytes()
 
+    def test_non_integer_seed_is_rejected(self):
+        # int() would truncate 3.7 to seed 3 and build that ensemble
+        for seed in (3.7, 3.0):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                GaussianEnsemble(3, 7, seed)
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                ensemble_from_descriptor({"kind": "dense-gaussian", "n": 3, "N": 7, "seed": seed})
+        assert build_gaussian_ensemble(3, 7, np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("n, N", [(1, 1), (1, 9), (2, 2), (5, 5), (33, 34), (37, 101), (16, 64),
+                                      (100, 500), (257, 257)])
+    def test_adjoint_is_the_qr_output_across_lapack_block_sizes(self, n, N):
+        # square and tall shapes on both sides of LAPACK's QR block size, each to the bit
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)))
+            assert build_gaussian_ensemble(n, N, seed)._adjoint.tobytes() == q.tobytes()
+
+    def test_a_lapack_failure_raises(self, monkeypatch):
+        def failing(*args):
+            return {"info": -7}
+
+        failing.__name__ = "zgeqrf"
+        monkeypatch.setattr(operators, "lapack_lite", SimpleNamespace(zgeqrf=failing, zungqr=failing))
+        with pytest.raises(np.linalg.LinAlgError, match="zgeqrf returned info=-7"):
+            GaussianEnsemble(2, 4, 0)
+
 
 class TestCodedDiffractionEnsemble:
     def test_single_pixel(self):
@@ -183,6 +214,71 @@ class TestCodedDiffractionEnsemble:
         rng = np.random.default_rng(0)
         x = random_complex(rng, 5)
         assert np.array_equal(E.apply_adjoint(x), E2.apply_adjoint(x))
+
+
+def _slice_interleaved(vec):
+    """Reference encoder by strided slices: real parts at the even slots, imaginary parts at the odd ones."""
+    vec = np.asarray(vec, dtype=np.complex128).ravel()
+    out = np.empty(2 * vec.size, dtype=np.float64)
+    out[0::2] = vec.real
+    out[1::2] = vec.imag
+    return out.tolist()
+
+
+class TestInterleavedCodec:
+    SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.5]
+
+    def _vectors(self):
+        parts = np.array(self.SPECIAL)
+        grid = np.array([complex(re, im) for re in parts for im in parts])
+        return [grid, grid[::3], grid.reshape(8, 8).T, grid.reshape(8, 8)[::2, 1::3], parts, parts[::-1]]
+
+    def test_matches_the_slice_form_on_signed_zeros_nan_and_inf(self):
+        for vec in self._vectors():
+            got, ref = complex_to_interleaved(vec), _slice_interleaved(vec)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()  # NaN and -0.0 bits included
+            assert interleaved_to_complex(got).tobytes() == np.asarray(vec, dtype=complex).ravel().tobytes()
+
+
+def _out_cases(E, rng):
+    """``(name, call, inputs, count)`` of each public function that takes ``out``, a vector or ``count`` of them."""
+    b = np.abs(random_complex(rng, E.N))
+    b[::5] = 0.0
+    w = random_complex(rng, E.N)
+    w[1::7] = 0.0  # unit_phase's masked branch
+    x = random_complex(rng, E.n)
+    return [
+        ("apply_adjoint", lambda x, out=None: E.apply_adjoint(x, out=out), (x,), 1),
+        ("project_range", lambda w, out=None: E.project_range(w, out=out), (w,), 1),
+        ("unit_phase", unit_phase, (w,), 1),
+        ("project_torus", project_torus, (w, b), 1),
+        ("split_lift", split_lift, (w, b), 2),
+    ]
+
+
+def _ensemble_arrays(E):
+    return {name: v.tobytes() for name, v in vars(E).items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("make", [lambda: build_gaussian_ensemble(100, 400, seed=3),
+                                  lambda: build_cdp_ensemble((16, 16), seed=2)], ids=["gaussian", "cdp"])
+def test_out_gives_the_same_bytes_and_writes_only_out(make):
+    # inputs and NaN-filled outs at each offset in a cache line: the bits of the call without out, in out's memory
+    E = make()
+    held = _ensemble_arrays(E)
+    for name, call, inputs, count in _out_cases(E, np.random.default_rng(12)):
+        ref = call(*inputs)
+        ref = [ref] if count == 1 else list(ref)
+        for offset in (0, 16, 32, 48):
+            args = [placed(v, offset) for v in inputs]
+            outs = [placed(np.full(E.N, np.nan, dtype=complex), offset) for _ in range(count)]
+            got = call(*args, out=outs[0] if count == 1 else tuple(outs))
+            got = [got] if count == 1 else list(got)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in ref], (name, offset)
+            assert all(g.ctypes.data == o.ctypes.data and g.shape == o.shape for g, o in zip(got, outs)), (name, offset)
+            assert all(a.tobytes() == v.tobytes() for a, v in zip(args, inputs)), (name, offset)  # inputs kept
+    assert _ensemble_arrays(E) == held
 
 
 def _per_mask_adjoint(E, x):

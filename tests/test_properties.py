@@ -20,6 +20,8 @@ from saddle_raar import (
     project_torus,
     raar_step,
 )
+from saddle_raar.analysis import dual_gradient
+from saddle_raar.operators import split_lift
 from saddle_raar.solvers import _range_parts
 from conftest import random_complex
 
@@ -137,3 +139,26 @@ def test_exact_range_split_is_the_general_formula(seed, p_exp, carry_exp):
     pl = carry + rho_prev * pz
     for got, ref in zip(_range_parts(p, carry, rho_prev, rho), (pz, pl, pl - rho_p)):
         assert np.array_equal(got, ref)
+
+
+def _dual_step_defect(E, z0, lam0, z1, lam1, beta):
+    """``||(lam1 - lam0) - (g(z0, lam0) + z0 - z1)|| / ||lam1 - lam0||``, ``g`` the dual gradient."""
+    step = lam1 - lam0
+    return np.linalg.norm(step - (dual_gradient(E, z0, lam0, beta) + (z0 - z1))) / np.linalg.norm(step)
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds, beta=st.floats(0.05, 0.95))
+def test_the_dual_step_is_a_unit_ascent_step_plus_the_primal_displacement(kind, data, seed, beta):
+    # lambda_{k+1} - lambda_k = g(z_k, lambda_k) + (z_k - z_{k+1}): admm's update in two lines,
+    # and raar's through the split of each lift, which is admm's pair
+    E = data.draw(ENSEMBLES[kind])
+    rng = np.random.default_rng(seed)
+    b = _magnitudes(rng, E.N)
+    y, z, lam, w = (random_complex(rng, E.N) for _ in range(4))
+    state = AdmmState(y=y, z=project_torus(z, b), lam=lam)
+    nxt = admm_step(E, b, state, beta)
+    assert _dual_step_defect(E, state.z, state.lam, nxt.z, nxt.lam, beta) <= 1e-12
+    (z0, lam0), (z1, lam1) = split_lift(w, b), split_lift(raar_step(E, b, w, beta), b)
+    assert _dual_step_defect(E, z0, lam0, z1, lam1, beta) <= 1e-12

@@ -40,7 +40,7 @@ from saddle_raar.analysis import (
 import saddle_raar.operators as operators
 from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.solvers import drs_fixed_point_residuals, fixed_point_check
-from conftest import CountingEnsemble, contraction_margin, convergence_functional, random_complex
+from conftest import CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex
 
 
 class TestRaarStep:
@@ -690,16 +690,6 @@ def test_run_does_not_hang_on_where_a_star_sits(algo):
         assert _bits(out) == _bits(ref)
 
 
-def _placed(a, offset):
-    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
-    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
-    start = (offset - buf.ctypes.data) % 64
-    out = buf[start:start + a.nbytes].view(a.dtype)
-    out[...] = a
-    assert out.ctypes.data % 64 == offset
-    return out
-
-
 def test_alignment_changes_speed_not_bits():
     # at CDP 32x32 (N = 8192) numpy's SIMD loops peel differently at each offset of a
     # vector in a cache line; a step written into out vectors there, or a row, keeps every bit
@@ -726,7 +716,7 @@ def test_alignment_changes_speed_not_bits():
     ref = bits(lambda v: v, out=False)
     for offset in (0, 16, 32, 48):
         for out in (False, True):
-            assert bits(lambda v: _placed(v, offset), out) == ref, (offset, out)
+            assert bits(lambda v: placed(v, offset), out) == ref, (offset, out)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
