@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operators import (_TINY, DimensionError, InvalidDataError, MeasurementEnsemble, _aligned_empty,
-                        check_magnitudes, check_vector, split_lift, unit_phase)
+from .operators import (_TINY, DimensionError, InvalidDataError, MeasurementEnsemble, check_magnitudes,
+                        check_vector, split_lift, unit_phase)
 
 __all__ = [
     "DENSE_CAP",
@@ -660,11 +660,6 @@ def _norm(v) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _trace_row_work(n: int):
-    """Work vectors of :func:`_trace_row` for ``n`` coordinates, on 64-byte boundaries: four complex, one real."""
-    return (*(_aligned_empty(n) for _ in range(4)), _aligned_empty(n, np.float64))
-
-
 def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work,
                lam_sq=None):
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
@@ -677,13 +672,13 @@ def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: 
     ``1/(1+rho)``).  The ratio's denominator is ``T`` at the zero reference.  The residual's
     norm is that of :func:`_residual_parts`, which the stopping rule reads; every other norm
     is a :func:`_norm`.  A caller that holds ``lam^H lam`` passes its real part as ``lam_sq``,
-    the dot :func:`_norm` would make.  The vector temporaries are written into ``work``, from
-    :func:`_trace_row_work`, whose contents are never read.
+    the dot :func:`_norm` would make.  The temporaries go into ``work``, four complex vectors and one
+    real whose contents are never read; ``work[:2]``, which take ``z - P z`` and ``lam - P lam``, may be ``(pz, pl)``.
     """
     zq, lq, t, u, r = work
     zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
     lam_norm = _norm(lam) if lam_sq is None else math.sqrt(lam_sq)
-    lq_norm, pl_norm = _norm(np.subtract(lam, pl, out=lq)), _norm(pl)  # pl_norm = ||A lam||
+    pl_norm, lq_norm = _norm(pl), _norm(np.subtract(lam, pl, out=lq))  # ||A lam||, read before lq writes
 
     if algo == "drs":
         rho = param
@@ -739,4 +734,5 @@ def diagnostics(
     lam = np.asarray(lam, dtype=np.complex128)
     pz = E.project_range(z)
     pl = E.project_range(lam)
-    return _trace_row(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, 0, algo, _trace_row_work(z.size))
+    work = (*(np.empty_like(z) for _ in range(4)), np.empty(z.shape))
+    return _trace_row(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, 0, algo, work)

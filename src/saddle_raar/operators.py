@@ -169,7 +169,7 @@ class MeasurementEnsemble:
     # -- actions ----------------------------------------------------------
 
     def apply_adjoint(self, x: np.ndarray, out=None) -> np.ndarray:
-        """Lift an object vector: ``x -> A* x``, written into the contiguous N-vector ``out`` when given."""
+        """Lift an object vector: ``x -> A* x``; a given ``out``, a contiguous N-vector, takes it and is returned."""
         raise NotImplementedError
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -370,7 +370,8 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         return np.multiply(self.c0, block, out=block)
 
     def apply_adjoint(self, x, out=None):
-        return self._lift(self._check_object(x).reshape(self.grid), out).reshape(self.N)
+        block = self._lift(self._check_object(x).reshape(self.grid), out)
+        return block.reshape(self.N) if out is None else out
 
     def apply(self, w):
         blocks = self._check_measurement(w).reshape(self.l, *self.padded)

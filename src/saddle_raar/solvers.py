@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (DiagnosticsRecord, SaddleCertificate, _residual_parts, _trace_row, _trace_row_work,
+from .analysis import (DiagnosticsRecord, SaddleCertificate, _residual_parts, _trace_row,
                        certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point)
 from .operators import (InvalidDataError, MeasurementEnsemble, _aligned_empty, check_magnitudes, check_vector,
                         project_torus, split_lift)
@@ -418,11 +418,14 @@ def run(
     The run starts at ``initial_state(E, b, algo, w0)``.  The schedule is
     evaluated at the 1-based iteration index before each step, and the
     iterates are those of the public step functions, bit for bit.  The run
-    allocates its N-vectors once, on 64-byte boundaries, and every step
-    writes into them through the steps' ``out``: two states used in turn
-    with their pairs, the range projection, the record's ``P z``, ``P lambda``
-    and carried projection, one work vector, and the row's work vectors.  It
-    writes into no array it did not allocate, ``w0`` and ``b`` included.  A
+    allocates its N-vectors once, on 64-byte boundaries: two states used in
+    turn with their pairs, the range projection, the record's ``P z``,
+    ``P lambda`` and carried projection and one work vector (eleven complex),
+    and one real vector.  The steps write into them through their ``out``; a
+    row writes ``z - P z`` over ``P z``, ``lambda - P lambda`` over ``P lambda``
+    and its other temporaries over the spent range projection and work vector
+    (the residual-only stop test puts its ``z - P z`` in the range projection,
+    as a row may follow).  It writes into no array it did not allocate, ``w0`` and ``b`` included.  A
     record costs vector norms only: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
@@ -463,7 +466,7 @@ def run(
     slots = [form.slot(*(_aligned_empty(E.N) for _ in range(3)), work) for _ in range(2)]  # step k + 1 writes slot k % 2
     parts = (*(_aligned_empty(E.N) for _ in range(3)), work)  # P z, P lambda, the carried projection
     view = _StepView(E, _aligned_empty(E.N))
-    row_work = _trace_row_work(E.N)  # every row's vector temporaries
+    row_work = (*parts[:2], view.p, work, _aligned_empty(E.N, np.float64))  # a row's temporaries
     t0 = time.perf_counter_ns()
 
     z, lam = form.pair(state, b, out=slots[1][0])  # raar's start pair sits where step 2 writes its pair
@@ -496,7 +499,7 @@ def run(
                 records.append(record(z, lam, lam_sq, pz, pl, param, k, reached))
             break
         if k % record_every == 0 or not stop.fixed_budget and (
-                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, row_work[0])[1] <= stop.residual_tol):
+                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, view.p)[1] <= stop.residual_tol):
             rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
             reason = _stop_reason(stop, rec)
             if k % record_every == 0 or reason:

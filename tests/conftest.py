@@ -61,6 +61,11 @@ def placed(a, offset):
     return out
 
 
+def trace_row_work(n):
+    """Fresh work vectors of a trace row for ``n`` coordinates: four complex, one real."""
+    return (*(np.empty(n, dtype=complex) for _ in range(4)), np.empty(n))
+
+
 class CountingEnsemble(MeasurementEnsemble):
     """Delegates to an ensemble and counts ``apply``/``apply_adjoint`` calls.
 

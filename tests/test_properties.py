@@ -5,6 +5,8 @@ global phase; the vectors come from a numpy generator seeded by the drawn
 seed, so every entry is nonzero and finite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,16 @@ from hypothesis import strategies as st
 from saddle_raar import (
     AdmmState,
     DrsState,
+    ParameterSchedule,
+    StoppingRule,
     admm_step,
     build_cdp_ensemble,
     build_gaussian_ensemble,
     drs_step,
     project_torus,
     raar_step,
+    rho_from_beta,
+    run,
 )
 from saddle_raar.analysis import dual_gradient
 from saddle_raar.operators import split_lift
@@ -162,3 +168,31 @@ def test_the_dual_step_is_a_unit_ascent_step_plus_the_primal_displacement(kind, 
     assert _dual_step_defect(E, state.z, state.lam, nxt.z, nxt.lam, beta) <= 1e-12
     (z0, lam0), (z1, lam1) = split_lift(w, b), split_lift(raar_step(E, b, w, beta), b)
     assert _dual_step_defect(E, z0, lam0, z1, lam1, beta) <= 1e-12
+
+
+def _run_bits(result):
+    """Every output of a run but its rows' wall times, as bytes."""
+    rows = [dataclasses.astuple(dataclasses.replace(rec, wall_ns=0)) for rec in result.records]
+    return (np.array(rows).tobytes(), result.stop_reason, result.z.tobytes(), result.lam.tobytes(),
+            [v.tobytes() for v in vars(result.state).values()])
+
+
+@pytest.mark.parametrize("algo", ["raar", "admm", "drs"])
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds, beta=st.floats(0.05, 0.95), record_every=st.sampled_from([1, 3, 24]),
+       stopped=st.booleans(), deriv_tol=st.sampled_from([0.0, 1e-10]))
+def test_a_repeated_run_gives_the_same_bits(algo, kind, data, seed, beta, record_every, stopped, deriv_tol):
+    # the run's vectors are reused in place, so nothing of one call may reach the next
+    E = data.draw(ENSEMBLES[kind])
+    rng = np.random.default_rng(seed)
+    b = np.abs(E.apply_adjoint(random_complex(rng, E.n)))  # noiseless: the residual falls
+    w0 = random_complex(rng, E.N)
+    schedule = ParameterSchedule.constant(rho_from_beta(beta) if algo == "drs" else beta)
+    stop = StoppingRule(fixed_budget=True)
+    if stopped:  # a residual the run reaches by k = 12, taken from a row built as the stopped run builds it
+        probe = run(E, b, algo, schedule, w0, 24, stop)
+        stop = StoppingRule(residual_tol=probe.records[12].residual, deriv_tol=deriv_tol)
+    first, again = (run(E, b, algo, schedule, w0, 24, stop, record_every) for _ in range(2))
+    assert first.stop_reason in (("residual", "deriv_norm") if stopped else ("max_iters",))
+    assert _run_bits(first) == _run_bits(again)

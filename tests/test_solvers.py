@@ -32,7 +32,6 @@ from saddle_raar import (
 from saddle_raar.analysis import (
     _norm,
     _trace_row,
-    _trace_row_work,
     aligned_error,
     certify_fixed_point,
     fejer_monitor,
@@ -40,7 +39,8 @@ from saddle_raar.analysis import (
 import saddle_raar.operators as operators
 from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.solvers import drs_fixed_point_residuals, fixed_point_check
-from conftest import CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex
+from conftest import (CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex,
+                      trace_row_work)
 
 
 class TestRaarStep:
@@ -937,18 +937,63 @@ def test_row_in_reused_work_vectors_is_bitwise_fresh(request, algo, ensemble):
     param = _PARAM[algo]
     b_norm = float(np.linalg.norm(b))
     steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
-    work = _trace_row_work(E.N)
+    work = trace_row_work(E.N)
     for v in work:
         v[:] = np.nan  # dirty: a row must not read what its work vectors held
     for k in (4, 9):  # two different rows back to back into the same vectors
         _lift, z, lam = steps[k]
         pz, pl = E.project_range(z), E.project_range(lam)
         reused = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, work)
-        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, _trace_row_work(E.N))
+        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
         for name in ("k", "param", "residual", "deriv_norm", "t_ratio", "objective", "wall_ns"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), (k, name)
         plain = _plain_row(b, b_norm, z, lam, pz, pl, param, algo)
         assert np.array_equal((reused.residual, reused.deriv_norm, reused.objective), plain), k
+
+
+@pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_row_over_its_projections_is_bitwise_fresh(request, algo, ensemble):
+    # run's aliasing: z - P z goes over P z and lambda - P lambda over P lambda
+    E, _, b = request.getfixturevalue(ensemble)
+    param = _PARAM[algo]
+    b_norm = float(np.linalg.norm(b))
+    held_b = b.tobytes()
+    steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
+    for k in (4, 9):
+        _lift, z, lam = steps[k]
+        held = z.tobytes(), lam.tobytes()
+        pz, pl = E.project_range(z), E.project_range(lam)
+        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
+        t, u, r = trace_row_work(E.N)[2:]
+        for v in (t, u, r):
+            v[:] = np.nan
+        pz, pl = pz.copy(), pl.copy()
+        aliased = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, (pz, pl, t, u, r))
+        assert np.array(dataclasses.astuple(aliased)).tobytes() == np.array(dataclasses.astuple(fresh)).tobytes(), k
+        assert (z.tobytes(), lam.tobytes()) == held and b.tobytes() == held_b, k
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_allocates_eleven_complex_vectors_and_one_real(monkeypatch, cdp_8x8, algo):
+    # the loop's working set: states, pairs, projections and work vector, with the row writing over them
+    import saddle_raar.analysis as analysis
+    import saddle_raar.solvers as solvers
+
+    E, _, b = cdp_8x8
+    made, aligned_empty = [], operators._aligned_empty
+
+    def counted(shape, dtype=np.complex128):
+        v = aligned_empty(shape, dtype)
+        if v.size == E.N:
+            made.append(v.dtype)
+        return v
+
+    for module in (solvers, analysis, operators):  # every module a run's vectors could come from
+        monkeypatch.setattr(module, "_aligned_empty", counted, raising=False)
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=2), 7, record_every=3)
+    assert result.stop_reason == "max_iters" and len(result.records) == 4
+    assert made.count(np.complex128) <= 11 and made.count(np.float64) <= 1 and len(made) <= 12, made
 
 
 @pytest.mark.parametrize("ensemble", ["dense_wide", "cdp_8x8"])
@@ -963,7 +1008,7 @@ def test_row_norms_agree_with_linalg_norm(request, algo, ensemble):
     steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
     for k, (_lift, z, lam) in enumerate(steps):
         pz, pl = E.project_range(z), E.project_range(lam)
-        row = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, _trace_row_work(E.N))
+        row = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
         assert (row.k, row.param, row.wall_ns) == (k, param, 17)
         assert row.residual.hex() == (np.linalg.norm(z - pz) / b_norm).hex(), k
         _, deriv, obj = _plain_row(b, b_norm, z, lam, pz, pl, param, algo, norm=np.linalg.norm)
@@ -988,7 +1033,7 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     record = solvers._trace_row
 
     def keep_last(b, b_norm, z, lam, pz, pl, *rest):
-        seen[:] = [(z, lam, pz, pl)]
+        seen[:] = [(z, lam, pz.copy(), pl.copy())]  # the row writes over pz and pl
         return record(b, b_norm, z, lam, pz, pl, *rest)
 
     monkeypatch.setattr(solvers, "_trace_row", keep_last)
