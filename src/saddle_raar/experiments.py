@@ -386,8 +386,8 @@ def cdp_case_run(
     quality.  Returns the mid-run snapshot reconstruction (at iterate
     ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and whether the basin indicator is
-    positive on the last 100 rows.  ``on_iterate`` is passed on to ``run``.
-    A negative ``hold_iters`` or ``settle_iters`` raises ``ValueError``.
+    positive on the last 100 rows.  ``on_iterate`` is passed on to ``run``, whose lift is valid during
+    the call (the snapshot copies it).  A negative ``hold_iters`` or ``settle_iters`` raises ``ValueError``.
     """
     for name, value in (("hold_iters", hold_iters), ("settle_iters", settle_iters)):
         if value < 0:
@@ -399,8 +399,8 @@ def cdp_case_run(
 
     def observe(k, w):
         nonlocal w_snap
-        if k <= hold_iters:
-            w_snap = w
+        if k == hold_iters:
+            w_snap = w.copy()  # run's own vector: read-only, valid during the call
         if on_iterate is not None:
             on_iterate(k, w)
 
@@ -414,7 +414,7 @@ def cdp_case_run(
         stop=StoppingRule(fixed_budget=True),
         on_iterate=observe,
     )
-    x_snap = reconstruct(E, *split_lift(w_snap, b))
+    x_snap = reconstruct(E, *split_lift(result.state.w if w_snap is None else w_snap, b))
 
     x_fin = reconstruct(E, result.z, result.lam)
     return CdpPathResult(

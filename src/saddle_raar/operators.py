@@ -373,17 +373,21 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         block = self._lift(self._check_object(x).reshape(self.grid), out)
         return block.reshape(self.N) if out is None else out
 
-    def apply(self, w):
+    def apply(self, w, block=None):
+        """``A w``; the row transforms go into ``block``, a contiguous N-vector (``w`` allowed), the rest in place."""
         blocks = self._check_measurement(w).reshape(self.l, *self.padded)
-        pr, pc = self.padded
-        r, c = self.grid
-        # adjoint of the unnormalized forward DFT is (pr*pc) * ifft2; only the
-        # first c columns and r rows of each block reach the object grid
-        full = np.fft.ifft(np.fft.ifft(blocks, axis=-1)[..., :c], axis=-2) * (pr * pc)
+        (pr, pc), (r, c) = self.padded, self.grid
+        # the adjoint of the unnormalized DFT is (pr*pc) * ifft2; c columns and r rows of a block reach the object
+        cols = np.fft.ifft(blocks, axis=-1, out=None if block is None else block.reshape(blocks.shape))[..., :c]
+        kept = np.fft.ifft(cols, axis=-2, out=cols)[..., :r, :]
+        np.multiply(kept, pr * pc, out=kept)
         acc = np.zeros(self.grid, dtype=np.complex128)
         for j in range(self.l):
-            acc += self._conj_masks[j] * full[j, :r]
+            acc += self._conj_masks[j] * kept[j]
         return (self.c0 * acc).reshape(self.n)
+
+    def project_range(self, w, out=None):
+        return self.apply_adjoint(self.apply(w, out), out=out)  # A's transforms run in out, then A* fills it
 
     def materialize_adjoint(self):
         basis = np.eye(self.n, dtype=np.complex128).reshape(self.n, *self.grid)

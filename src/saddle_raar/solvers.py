@@ -303,6 +303,12 @@ def _state_pair(state, b, out=None):
     return state.z, state.lam
 
 
+def _read_only(v):
+    v = v.view()
+    v.flags.writeable = False
+    return v
+
+
 def _admm_start(w0, b):
     z, lam = split_lift(w0, b)  # the pair of the raar start
     return AdmmState(y=z, z=z, lam=lam)
@@ -325,7 +331,7 @@ class _Form(NamedTuple):
     state: type  # the state's class, which a state file's fields rebuild
     start: Callable  # (w0, b) -> the state lifted from w0
     pair: Callable  # (state, b, out=None) -> (z, lambda), written into out when the form computes them
-    lift: Callable  # state -> the lifted iterate on_iterate sees, an array the caller owns
+    lift: Callable  # state -> the lifted iterate on_iterate sees, read-only
     penalty: Callable  # step parameter -> rho of the step's projection
     advance: Callable  # (E, b, state, step parameter, z of the state's pair, out=None) -> next state
     slot: Callable  # (three N-vectors, work vector) -> (pair's out, step's out) of a state run writes there
@@ -336,11 +342,11 @@ class _Form(NamedTuple):
 # An advance looks its public step up when called, so that a wrapper
 # installed on a step sees every step of a run; raar hands its step the
 # [w]_Z of the iterate's record.  raar's and drs's lifts are run vectors,
-# so on_iterate gets a copy.
+# so on_iterate gets a read-only view of them.
 _FORMS = {
     "raar": _Form(RaarState, lambda w0, b: RaarState(w=w0),
                   lambda state, b, out=None: split_lift(state.w, b, out=out),
-                  lambda state: state.w.copy(), lambda beta: -1.0,
+                  lambda state: _read_only(state.w), lambda beta: -1.0,
                   lambda E, b, state, beta, z, out=None: RaarState(w=raar_step(E, b, state.w, beta, z, out=out)),
                   lambda w, z, lam, work: ((z, lam), (w, work)),
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.w, beta, tol),
@@ -351,7 +357,7 @@ _FORMS = {
                   lambda E, b, state, beta, tol: _reflection_check(E, b, state.lift, beta, tol),
                   lambda E, b, state, beta: certify_cross_section_minimizer(E, *split_lift(state.lift, b), beta=beta)),
     "drs": _Form(DrsState, lambda w0, b: DrsState(y=w0, z=w0, lam=np.zeros_like(w0)),
-                 _state_pair, lambda state: state.z.copy(), lambda rho: rho,
+                 _state_pair, lambda state: _read_only(state.z), lambda rho: rho,
                  lambda E, b, state, rho, z, out=None: drs_step(E, b, state, rho, out=out),
                  lambda y, z, lam, work: ((z, lam), DrsState(y, z, lam)), _splitting_check,
                  lambda E, b, state, rho: certify_drs_cross_section(E, b, state.z, rho)),
@@ -421,11 +427,11 @@ def run(
     allocates its N-vectors once, on 64-byte boundaries: two states used in
     turn with their pairs, the range projection, the record's ``P z``,
     ``P lambda`` and carried projection and one work vector (eleven complex),
-    and one real vector.  The steps write into them through their ``out``; a
-    row writes ``z - P z`` over ``P z``, ``lambda - P lambda`` over ``P lambda``
-    and its other temporaries over the spent range projection and work vector
-    (the residual-only stop test puts its ``z - P z`` in the range projection,
-    as a row may follow).  It writes into no array it did not allocate, ``w0`` and ``b`` included.  A
+    and one real vector.  The steps write into them through their ``out``.  A row is
+    built right after the step that gives its projections, before the next pair: it writes
+    ``z - P z`` over ``P z``, ``lambda - P lambda`` over ``P lambda`` and its other temporaries
+    over the spent range projection and work vector (the residual-only stop test puts its
+    ``z - P z`` there, as a row may follow).  It writes into no array it did not allocate, ``w0`` and ``b`` included.  A
     record costs vector norms only: its ``P z`` and ``P lambda`` come from
     the range projection of the step after it, so each step costs one
     ``A`` and one ``A*`` whatever ``record_every`` and whether or not a
@@ -446,8 +452,8 @@ def run(
     Whatever ends the run, the result holds the final state and its pair ``(z, lambda)``,
     in the run's vectors, which nothing writes after ``run`` returns.
     ``on_iterate(k, w)``, when given, is called with the lifted iterate
-    ``w`` at ``k = 0`` and after each accepted step; ``w`` is the caller's to
-    keep (raar's and drs's lifts are copied out of the run's vectors).  Before any operator
+    ``w`` at ``k = 0`` and after each accepted step.  raar's ``w`` and drs's ``z`` are read-only views of the run's
+    vectors, valid until the call returns (copy to keep); admm's ``z + lambda`` is fresh.  Before any operator
     call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
     ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget or
     a stride below 1 ``ValueError``.
@@ -481,7 +487,6 @@ def run(
     def record(z, lam, lam_sq, pz, pl, param, k, reached):
         return _trace_row(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo, row_work, lam_sq)
 
-    reason = None
     k, reached = 0, t0
 
     while k < max_iters:
@@ -490,22 +495,23 @@ def run(
         nxt = form.advance(view, b, state, next_param, z, step_out)
         rho_prev, rho = rho, form.penalty(next_param)
         pz, pl, carry = _range_parts(view.projection, carry, rho_prev, rho, parts)
+        rec = reason = None  # the row is built while z, lambda and their projections are fresh
+        if k % record_every == 0 or not stop.fixed_budget and (
+                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, view.p)[1] <= stop.residual_tol):
+            rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
+            reason = _stop_reason(stop, rec)
         next_z, next_lam = form.pair(nxt, b, out=pair_out)
         # raar w - z, admm lambda + y - z, drs lambda + rho (z - y); a finite lambda can overflow the dot
         next_lam_sq = np.vdot(next_lam, next_lam).real
         if not math.isfinite(next_lam_sq) and not np.isfinite(next_lam).all():
             reason = "nonfinite"
-            if np.isfinite(pz).all():  # else the step's projection is spoilt too: no record
-                records.append(record(z, lam, lam_sq, pz, pl, param, k, reached))
+            if np.isfinite(pz).all():  # P z, or z - P z once a row is built: else the step's projection is spoilt too
+                records.append(rec or record(z, lam, lam_sq, pz, pl, param, k, reached))
             break
-        if k % record_every == 0 or not stop.fixed_budget and (
-                stop.deriv_tol > 0 or _residual_parts(z, pz, b_norm, view.p)[1] <= stop.residual_tol):
-            rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
-            reason = _stop_reason(stop, rec)
-            if k % record_every == 0 or reason:
-                records.append(rec)
-            if reason:
-                break
+        if k % record_every == 0 or reason:
+            records.append(rec)
+        if reason:
+            break
         state, z, lam, lam_sq, param, k = nxt, next_z, next_lam, next_lam_sq, next_param, k + 1
         reached = time.perf_counter_ns()
         if on_iterate is not None:

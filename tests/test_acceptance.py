@@ -11,6 +11,7 @@ import numpy as np
 import saddle_raar as sr
 from saddle_raar.analysis import fejer_monitor
 from saddle_raar.experiments import cdp_case_run, cdp_case_suite, paired_success_cells
+from saddle_raar.operators import split_lift
 from saddle_raar.solvers import (
     ParameterSchedule,
     StoppingRule,
@@ -220,8 +221,11 @@ def test_criterion_09_fejer_contraction_along_case_a():
     suite, _ = _timed("case_a", _case_a)
     inst = suite.instance
     ws = []
-    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w))
+    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w.copy()))  # w is run's, valid in the call
     E, b = inst.ensemble, inst.b
+    # the kept lifts are the iterates themselves: the one at the hold (k = 300) gives the path's snapshot
+    assert len(ws) == 601
+    assert sr.reconstruct(E, *split_lift(ws[300], b)).tobytes() == path.x_snapshot.tobytes()
     z_star = E.apply_adjoint(inst.phantom.values)
     lam_star = np.zeros_like(z_star)
     betas = [r.param for r in path.records]

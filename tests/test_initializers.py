@@ -92,7 +92,7 @@ class TestMakeInitialState:
         ws = []
         run(
             E, b, "admm", ParameterSchedule.constant(0.85), w0, 25,
-            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w),
+            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w.copy()),
         )
         w = w0.copy()
         for k in range(1, 26):

@@ -333,7 +333,20 @@ class TestBatchedCdpOperator:
             x = random_complex(rng, E.n)
             w = random_complex(rng, E.N)
             assert np.array_equal(E.apply_adjoint(x), _per_mask_adjoint(E, x))
-            assert np.array_equal(E.apply(w), _per_mask_apply(E, w))
+            a = _per_mask_apply(E, w)
+            pw, w_in = E.apply_adjoint(a).tobytes(), w.copy()
+            assert np.array_equal(E.apply(w), a)
+            assert E.project_range(w).tobytes() == pw
+            # A's transforms run in a given block, and P w = A*(A w) in its out, at each cache-line
+            # offset; neither writes w
+            for offset in (0, 16, 32, 48):
+                assert np.array_equal(E.apply(w, placed(np.full(E.N, np.nan, dtype=complex), offset)), a)
+                o = placed(np.full(E.N, np.nan, dtype=complex), offset)
+                assert E.project_range(w, out=o) is o and o.tobytes() == pw
+                assert np.array_equal(w, w_in)
+            # the block, and the out, may be w itself
+            assert np.array_equal(E.apply(w_in, w_in), a)
+            assert E.project_range(w, out=w) is w and w.tobytes() == pw
         dense = E.materialize_adjoint()
         assert dense.flags.c_contiguous
         assert np.array_equal(dense, _column_adjoint(E))

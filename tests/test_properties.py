@@ -6,6 +6,7 @@ seed, so every entry is nonzero and finite.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from saddle_raar import (
     rho_from_beta,
     run,
 )
-from saddle_raar.analysis import dual_gradient
+from saddle_raar.analysis import diagnostics, dual_gradient
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import _range_parts
 from conftest import random_complex
@@ -168,6 +169,26 @@ def test_the_dual_step_is_a_unit_ascent_step_plus_the_primal_displacement(kind, 
     assert _dual_step_defect(E, state.z, state.lam, nxt.z, nxt.lam, beta) <= 1e-12
     (z0, lam0), (z1, lam1) = split_lift(w, b), split_lift(raar_step(E, b, w, beta), b)
     assert _dual_step_defect(E, z0, lam0, z1, lam1, beta) <= 1e-12
+
+
+@ensemble_kinds
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=seeds, rho=st.floats(0.05, 20.0))
+def test_the_splitting_dual_step_is_a_scaled_ascent_step_plus_the_primal_displacement(kind, data, seed, rho):
+    # drs_step's lambda_{k+1} - lambda_k = rho (z_{k+1} - y_{k+1}) with y_{k+1} = P z_k + P lambda_k / rho, so
+    # lambda_{k+1} - lambda_k = rho g(z_k, lambda_k) + rho (z_{k+1} - z_k), where g = Q z - P lambda / rho is the
+    # splitting Lagrangian's gradient in lambda at its range minimizer y; Q z and P lambda are orthogonal, so
+    # ||g|| is a drs row's deriv_norm
+    E = data.draw(ENSEMBLES[kind])
+    rng = np.random.default_rng(seed)
+    b = _magnitudes(rng, E.N)
+    state = DrsState(*(random_complex(rng, E.N) for _ in range(3)))
+    nxt = drs_step(E, b, state, rho)
+    g = E.project_complement(state.z) - E.project_range(state.lam) / rho
+    step = nxt.lam - state.lam
+    assert np.linalg.norm(step - rho * (g + (nxt.z - state.z))) <= 1e-12 * np.linalg.norm(step)
+    assert math.isclose(np.linalg.norm(g), diagnostics(E, b, state.z, state.lam, rho, 0, "drs").deriv_norm,
+                        rel_tol=1e-12)
 
 
 def _run_bits(result):

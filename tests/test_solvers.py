@@ -134,8 +134,8 @@ class TestAdmmEquivalence:
         sched = ParameterSchedule.constant(0.75)
         stop = StoppingRule(fixed_budget=True)
         ws_r, ws_a = [], []
-        run(E, b, "raar", sched, w0, 40, stop, on_iterate=lambda k, w: ws_r.append(w))
-        run(E, b, "admm", sched, w0, 40, stop, on_iterate=lambda k, w: ws_a.append(w))
+        run(E, b, "raar", sched, w0, 40, stop, on_iterate=lambda k, w: ws_r.append(w.copy()))
+        run(E, b, "admm", sched, w0, 40, stop, on_iterate=lambda k, w: ws_a.append(w.copy()))
         assert len(ws_r) == len(ws_a) == 41
         for wr, wa in zip(ws_r, ws_a):
             assert np.linalg.norm(wr - wa) <= 1e-10 * np.linalg.norm(wr)
@@ -306,7 +306,7 @@ class TestFejerContraction:
         ws = []
         run(
             E, b, "raar", ParameterSchedule.constant(beta), w0, 400,
-            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w),
+            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w.copy()),
         )
         mon = fejer_monitor(E, b, ws, [beta] * len(ws), z_star, lam_star)
         margins = mon["margin"]
@@ -327,7 +327,7 @@ class TestFejerContraction:
         w0 = random_lift(E0.N, seed=0)
         ws = []
         run(E0, b, "raar", ParameterSchedule.constant(0.9), w0, 20, StoppingRule(fixed_budget=True),
-            on_iterate=lambda k, w: ws.append(w))
+            on_iterate=lambda k, w: ws.append(w.copy()))
         betas = [0.9 - 0.01 * k for k in range(len(ws))]
         E = CountingEnsemble(E0)
         mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
@@ -489,7 +489,7 @@ def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
     w0 = random_lift(E.N, seed=4)
     seen = []
     run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 60,
-        StoppingRule(fixed_budget=True), on_iterate=lambda k, w: seen.append((k, w)))
+        StoppingRule(fixed_budget=True), on_iterate=lambda k, w: seen.append((k, w.copy())))
     expected = _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 60)
     assert [k for k, _w in seen] == list(range(61))
     for (_k, w), (lift, _z, _lam) in zip(seen, expected):
@@ -497,21 +497,42 @@ def test_run_iterates_are_the_public_steps(cdp_8x8, algo):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-def test_run_leaves_caller_arrays_alone_and_lifts_stay_valid(cdp_8x8, algo):
-    # run writes only into vectors it allocated, and a lift on_iterate keeps is never overwritten
+def test_run_leaves_caller_arrays_alone_and_lends_its_own_lift(monkeypatch, cdp_8x8, algo):
+    # run writes only into vectors it allocated; on_iterate sees raar's w and drs's z as
+    # read-only views of the run's state, valid during the call, and admm's fresh z + lambda
+    import saddle_raar.solvers as solvers
+
     E, _, b = cdp_8x8
     w0 = random_lift(E.N, seed=4)
     w0_bytes, b_bytes = w0.tobytes(), b.tobytes()
-    lifts = []
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 30,
-                 StoppingRule(fixed_budget=True), on_iterate=lambda k, w: lifts.append(w))
-    assert w0.tobytes() == w0_bytes and b.tobytes() == b_bytes
-    assert len({id(w) for w in lifts}) == len(lifts) == 31
-    kept = [result.z, result.lam, *vars(result.state).values()]
-    assert not any(np.shares_memory(w, v) for w in lifts for v in kept + [w0, b])
     expected = _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 30)
-    for w, (lift, _z, _lam) in zip(lifts, expected):
-        np.testing.assert_array_equal(w, lift)
+    step = getattr(solvers, f"{algo}_step")
+    made, seen = [], []  # the state of each step, as the step returned it, and the k of each call
+
+    def spy(*args, **kwargs):
+        made.append(step(*args, **kwargs))
+        return made[-1]
+
+    def check(k, w):
+        seen.append(k)
+        assert len(made) == k
+        np.testing.assert_array_equal(w, expected[k][0])
+        if algo == "admm":
+            assert w.flags.writeable
+            assert not any(np.shares_memory(w, v) for s in made[-1:] for v in vars(s).values())
+            return
+        own = w0 if k == 0 else made[-1] if algo == "raar" else made[-1].z  # the start lifts w0 itself
+        assert np.shares_memory(w, own)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    monkeypatch.setattr(solvers, f"{algo}_step", spy)
+    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 30,
+                 StoppingRule(fixed_budget=True), on_iterate=check)
+    assert w0.tobytes() == w0_bytes and b.tobytes() == b_bytes
+    assert len(made) == 30 and seen == list(range(31))
+    np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected[-1][0])
     np.testing.assert_array_equal(result.z, expected[-1][1])
     np.testing.assert_array_equal(result.lam, expected[-1][2])
 
@@ -594,7 +615,7 @@ def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo,
         ws = []
         with np.errstate(invalid="ignore"):
             result = run(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
-                         on_iterate=lambda k, w: ws.append(w))
+                         on_iterate=lambda k, w: ws.append(w.copy()))
         assert result.stop_reason == "nonfinite", site
         ks = [0, 1, 2] if record_every == 1 else [0]
         assert [r.k for r in result.records] == (ks + [3] if site == "z" else ks), site
