@@ -71,30 +71,35 @@ DENSE_CAP = 4096
 EIG_TOL = 1e-8
 
 
+# each form's step parameter: its name, its range and the test of that range, which NaN fails
+_RANGES = {
+    "raar": ("beta", "(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "admm": ("beta", "(0, 1)", lambda v: 0.0 < v < 1.0),
+    "drs": ("rho", "(0, inf)", lambda v: 0.0 < v < math.inf),
+}
+
+
+def _checked_param(algo: str, value):
+    """``value``, or ``ValueError`` when it lies outside the range of ``algo``'s step parameter."""
+    name, contract, ok = _RANGES[algo]
+    if not ok(value):
+        raise ValueError(f"{name} must lie in {contract}, got {value}")
+    return value
+
+
 def beta_prime(beta: float) -> float:
     """Auxiliary parameter ``beta / (1 - beta)``; inverse penalty weight."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    return beta / (1.0 - beta)
-
-
-def _checked_rho(rho: float) -> float:
-    """``rho``, or the splitting step's ``ValueError`` when it lies outside ``(0, inf)``, as NaN does."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must lie in (0, inf), got {rho}")
-    return rho
+    return beta / (1.0 - _checked_param("admm", beta))
 
 
 def beta_from_rho(rho: float) -> float:
     """Relaxation parameter paired with a splitting penalty: ``1 / (rho + 1)``; ``rho`` lies in ``(0, inf)``."""
-    return 1.0 / (_checked_rho(rho) + 1.0)
+    return 1.0 / (_checked_param("drs", rho) + 1.0)
 
 
 def rho_from_beta(beta: float) -> float:
     """Inverse pairing ``(1 - beta) / beta``; beta = 1 has no finite penalty."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1) for a finite penalty, got {beta}")
-    return (1.0 - beta) / beta
+    return (1.0 - _checked_param("admm", beta)) / beta
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,9 +113,7 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def objective(E: MeasurementEnsemble, z: np.ndarray, lam: np.ndarray, beta: float) -> float:
     """Max-min objective ``(beta/2) ||Q(z - lam)||^2 - ||lam||^2 / 2``."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return diagnostics(E, 1.0, z, lam, beta, 0).objective  # b enters only the residual, not read here
+    return diagnostics(E, 1.0, z, lam, _checked_param("raar", beta), 0).objective  # b is read by the residual alone
 
 
 def dual_gradient(E: MeasurementEnsemble, z, lam, beta: float) -> np.ndarray:
@@ -118,9 +121,9 @@ def dual_gradient(E: MeasurementEnsemble, z, lam, beta: float) -> np.ndarray:
 
     Real-inner-product convention: the derivative of ``F`` along a complex
     direction ``d`` is ``Re(g^H d)`` for the returned ``g``, here
-    ``g = -(beta Q(z - lam) + lam)``.
+    ``g = -(beta Q(z - lam) + lam)``; ``beta`` is checked as :func:`objective` checks it.
     """
-    return -(beta * E.project_complement(np.asarray(z) - np.asarray(lam)) + np.asarray(lam))
+    return -(_checked_param("raar", beta) * E.project_complement(np.asarray(z) - np.asarray(lam)) + np.asarray(lam))
 
 
 def criticality_vector(E: MeasurementEnsemble, z, lam) -> np.ndarray:
@@ -244,10 +247,8 @@ def certify_fixed_point(
     """
     b = check_magnitudes(b, E.N)
     w = check_vector(w, E.N, "lift")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    inv_bp = rho_from_beta(beta)  # checks beta
     u = unit_phase(w)
-    inv_bp = (1.0 - beta) / beta
     c_def = (1.0 - inv_bp) * b + inv_bp * np.abs(w)
 
     lifted = E.project_range(b * u)
@@ -435,8 +436,8 @@ def certify_cross_section_minimizer(
     A ``beta`` outside ``raar_step``'s ``(0, 1]`` raises ``ValueError``, a malformed ``z``
     or ``lam`` ``InvalidDataError``.
     """
-    if beta is not None and not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if beta is not None:
+        _checked_param("raar", beta)
     z = check_vector(z, E.N, "iterate")
     lam = check_vector(lam, E.N, "dual")
     mag = np.abs(z)
@@ -501,7 +502,7 @@ def certify_drs_cross_section(
     ``(0, inf)``, a zero in ``z`` or ``N = 1`` raises ``ValueError``, malformed ``b`` or ``z``
     ``InvalidDataError``.
     """
-    _checked_rho(rho)
+    _checked_param("drs", rho)
     b = check_magnitudes(b, E.N)
     z = check_vector(z, E.N, "iterate")
     mag = np.abs(z)

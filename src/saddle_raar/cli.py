@@ -60,7 +60,7 @@ def _checked(typ, contract, ok):
     return convert
 
 
-_BETA = _checked(float, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_PARAM = {algo: _checked(float, f"lie in {contract}", ok) for algo, (_name, contract, ok) in analysis._RANGES.items()}
 _FRACTION = _checked(float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 _POSITIVE = _checked(float, "lie in (0, inf)", lambda v: 0.0 < v < math.inf)
 _RATIO = _checked(float, "lie in [1, inf)", lambda v: 1.0 <= v < math.inf)
@@ -79,8 +79,8 @@ _OPTIONS = {
     "solve": _COMMON
     + [
         ("algo", ("raar", "admm", "drs"), "raar", "solver: raar | admm | drs"),
-        ("beta", _BETA, 0.9, "relaxation parameter in (0, 1]"),
-        ("rho", _POSITIVE, 0.25, "splitting penalty in (0, inf)"),
+        ("beta", _PARAM["raar"], 0.9, "relaxation parameter in (0, 1]"),
+        ("rho", _PARAM["drs"], 0.25, "splitting penalty in (0, inf)"),
         ("ensemble", ("gaussian", "cdp"), "gaussian", "measurement kind: gaussian | cdp"),
         ("n", _COUNT, 16, "object dimension (gaussian)"),
         ("N", _COUNT, 64, "measurement dimension (gaussian)"),
@@ -100,7 +100,7 @@ _OPTIONS = {
         ("full-grid", bool, False, "run the full ratio/parameter grid"),
         ("n", _COUNT, 100, "object dimension"),
         ("ratio", _RATIO, 4.0, "measurement ratio N/n (paired mode)"),
-        ("beta", _FRACTION, 0.9, "relaxation value (paired mode)"),
+        ("beta", _PARAM["admm"], 0.9, "relaxation value (paired mode)"),
         ("trials", _COUNT, 40, "trials per cell"),
         ("max-iters", _COUNT, 2000, "iteration budget per trial"),
         ("success-threshold", _POSITIVE, 1e-5, "relative residual defining success"),
@@ -226,6 +226,11 @@ def _parse_grid(text: str):
 def _execute_solve(cfg: RunConfig) -> int:
     o = cfg.options
     out = o["out"]
+    algo = o["algo"]
+    param = o["rho"] if algo == "drs" else o["beta"]
+    _name, contract, ok = analysis._RANGES["admm"]
+    if algo == "admm" and not ok(o["beta"]):
+        raise UsageError(f"--beta must lie in {contract} for admm, got {o['beta']}")
     seed = o["seed"]
     seeds = np.random.SeedSequence(seed).generate_state(4)
     if o["ensemble"] == "gaussian":
@@ -240,32 +245,15 @@ def _execute_solve(cfg: RunConfig) -> int:
         x0 = build_rpp(grid, seed=int(seeds[1])).values
     b = np.abs(E.apply_adjoint(x0))
 
-    algo = o["algo"]
-    param = o["rho"] if algo == "drs" else o["beta"]
-    if algo == "admm" and not 0.0 < o["beta"] < 1.0:
-        raise UsageError(f"--beta must lie in (0, 1) for admm, got {o['beta']}")
-
     if o["init"] == "null":
         nv = null_vector(E, b, weak_fraction=o["weak-fraction"], seed=int(seeds[2]))
         w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
     else:
         w0 = random_lift(E.N, int(seeds[2]))
 
-    stop = StoppingRule(
-        residual_tol=o["residual-tol"],
-        deriv_tol=o["deriv-tol"],
-        fixed_budget=o["fixed-budget"],
-    )
-    result = run(
-        E,
-        b,
-        algo,
-        ParameterSchedule.constant(param),
-        w0,
-        max_iters=o["max-iters"],
-        stop=stop,
-        record_every=o["record-every"],
-    )
+    stop = StoppingRule(residual_tol=o["residual-tol"], deriv_tol=o["deriv-tol"], fixed_budget=o["fixed-budget"])
+    result = run(E, b, algo, ParameterSchedule.constant(param), w0, max_iters=o["max-iters"], stop=stop,
+                 record_every=o["record-every"])
     artifacts.write_trace_csv(os.path.join(out, "trace.csv"), result.records)
 
     done = finish(E, b, algo, result, param)

@@ -33,7 +33,7 @@ from .operators import (
     build_rpp,
     split_lift,
 )
-from .solvers import ParameterSchedule, StoppingRule, finish, reconstruct, run
+from .solvers import ParameterSchedule, StoppingRule, _checked_count, finish, reconstruct, run
 
 __all__ = [
     "BETA_GRID",
@@ -387,11 +387,10 @@ def cdp_case_run(
     ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and whether the basin indicator is
     positive on the last 100 rows.  ``on_iterate`` is passed on to ``run``, whose lift is valid during
-    the call (the snapshot copies it).  A negative ``hold_iters`` or ``settle_iters`` raises ``ValueError``.
+    the call (the snapshot copies it).  ``hold_iters`` and ``settle_iters`` are checked as ``run`` checks ``max_iters``.
     """
-    for name, value in (("hold_iters", hold_iters), ("settle_iters", settle_iters)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    _checked_count("hold_iters", hold_iters)
+    _checked_count("settle_iters", settle_iters)
     E, b = instance.ensemble, instance.b
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(((hold_iters, beta_start), (knee, 0.5)))

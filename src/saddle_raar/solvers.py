@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (DiagnosticsRecord, SaddleCertificate, _residual_parts, _trace_row,
+from .analysis import (DiagnosticsRecord, SaddleCertificate, _checked_param, _residual_parts, _trace_row,
                        certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point)
 from .operators import (InvalidDataError, MeasurementEnsemble, _aligned_empty, check_magnitudes, check_vector,
                         project_torus, split_lift)
@@ -104,22 +104,6 @@ class DrsState(_Triple):
 # ---------------------------------------------------------------------------
 # Single steps
 # ---------------------------------------------------------------------------
-
-
-# each form's step parameter: its name, its range and the test of that range, which NaN fails
-_RANGES = {
-    "raar": ("beta", "(0, 1]", lambda v: 0.0 < v <= 1.0),
-    "admm": ("beta", "(0, 1)", lambda v: 0.0 < v < 1.0),
-    "drs": ("rho", "(0, inf)", lambda v: 0.0 < v < np.inf),
-}
-
-
-def _checked_param(algo: str, value):
-    """``value``, or ``ValueError`` when it lies outside the range of ``algo``'s step parameter."""
-    name, contract, ok = _RANGES[algo]
-    if not ok(value):
-        raise ValueError(f"{name} must lie in {contract}, got {value}")
-    return value
 
 
 # Each step is written once, for fresh vectors and for an ``out`` state alike: every
@@ -398,6 +382,14 @@ class _StepView:
         return self.projection
 
 
+def _checked_count(name: str, value, least: int = 0):
+    """``TypeError`` when ``value`` is not an integer, ``ValueError`` when it is below ``least``."""
+    if not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}, got {value}")
+
+
 def _stop_reason(stop: StoppingRule, rec: DiagnosticsRecord):
     if stop.fixed_budget or rec.k == 0:
         return None
@@ -440,7 +432,8 @@ def run(
     the final record of a run that reaches ``max_iters`` (it projects the
     vector the next step would); a stopping rule that fires at iterate
     ``k`` has made step ``k + 1`` for its record and drops that step's
-    iterate.  A step rejects a schedule value outside its range.  Records
+    iterate.  The step parameter ranges are ``analysis``'s: a later schedule
+    value outside them is rejected by its step, mid-run.  Records
     are kept at ``k = 0``, every ``record_every`` steps and at the end;
     between them a stopping rule tests the residual alone (one norm) and
     builds a record only when that fires or when ``deriv_tol > 0``.  A
@@ -455,15 +448,12 @@ def run(
     ``w`` at ``k = 0`` and after each accepted step.  raar's ``w`` and drs's ``z`` are read-only views of the run's
     vectors, valid until the call returns (copy to keep); admm's ``z + lambda`` is fresh.  Before any operator
     call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
-    ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget or
-    a stride below 1 ``ValueError``.
+    ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget, a
+    stride below 1 or a first schedule value outside the form's range ``ValueError``.
     """
     form = _form(algo)
-    for name, value, least in (("max_iters", max_iters, 0), ("record_every", record_every, 1)):
-        if not isinstance(value, Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    _checked_count("max_iters", max_iters)
+    _checked_count("record_every", record_every, 1)
     state = initial_state(E, b, algo, w0)
     b = np.asarray(b, dtype=np.float64)  # checked by initial_state; not copied
     b_norm = float(np.linalg.norm(b))
@@ -477,7 +467,7 @@ def run(
 
     z, lam = form.pair(state, b, out=slots[1][0])  # raar's start pair sits where step 2 writes its pair
     lam_sq = np.vdot(lam, lam).real
-    param = schedule.value_at(1)
+    param = _checked_param(algo, schedule.value_at(1))
     rho = form.penalty(param)
     carry = E.project_range(np.subtract(lam, np.multiply(rho, z, out=work), out=work), out=parts[2])
     records = []

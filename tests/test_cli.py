@@ -8,10 +8,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import saddle_raar
+from saddle_raar.analysis import _RANGES, _checked_param
 from saddle_raar.artifacts import load_solver_state
 from saddle_raar.cli import _OPTIONS, RunConfig, UsageError, execute, main, parse_config
 
@@ -223,6 +224,38 @@ def test_config_file_resolves_like_the_flags(sub, data):
     assert again == from_flags and again.to_json() == from_flags.to_json()
 
 
+# (subcommand, flag, form whose step parameter the flag sets); sweep's beta is paired with a penalty
+_PARAM_FLAGS = [("solve", "--beta", "raar"), ("sweep", "--beta", "admm"), ("solve", "--rho", "drs")]
+
+
+@pytest.mark.parametrize("sub, flag, algo", _PARAM_FLAGS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(value=st.floats())
+@example(value=0.0)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=math.nextafter(1.0, 0.0))
+@example(value=1.0)
+@example(value=math.nextafter(1.0, 2.0))
+@example(value=sys.float_info.max)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=math.nan)
+def test_a_step_parameter_flag_accepts_exactly_its_forms_range(sub, flag, algo, value):
+    try:
+        _checked_param(algo, value)
+        accepted = True
+    except ValueError:
+        accepted = False
+    try:
+        parsed = parse_config([sub, f"{flag}={value!r}"]).options[flag[2:]]
+    except UsageError as exc:
+        assert not accepted
+        assert str(exc) == f"argument {flag}: must lie in {_RANGES[algo][1]}, got {value}"
+    else:
+        assert accepted and parsed == value
+
+
 class TestSolveCommand:
     def test_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -262,6 +295,13 @@ class TestSolveCommand:
     def test_admm_rejects_unit_beta(self, tmp_path, capsys):
         assert main(["solve", "--algo", "admm", "--beta", "1", "--out", str(tmp_path / "s")]) == 1
         assert "--beta must lie in (0, 1) for admm" in capsys.readouterr().err
+
+    def test_admm_rejects_unit_beta_before_building_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        import saddle_raar.cli as cli
+
+        monkeypatch.setattr(cli, "build_gaussian_ensemble", lambda *a, **kw: pytest.fail("ensemble built"))
+        assert main(["solve", "--algo", "admm", "--beta", "1", "--out", str(tmp_path / "s")]) == 1
+        assert "error: --beta must lie in (0, 1) for admm, got 1.0" in capsys.readouterr().err
 
     def test_drs_solve(self, tmp_path):
         out = tmp_path / "drs"

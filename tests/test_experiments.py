@@ -234,6 +234,13 @@ class TestCdpCases:
         with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -1"):
             cdp_case_run(cdp_instance("b", (16, 16), 1), 0.9, total_iters=20, **{name: -1})
 
+    @pytest.mark.parametrize("name", ["hold_iters", "settle_iters"])
+    def test_fractional_path_lengths_are_rejected_before_the_run(self, monkeypatch, name):
+        # 2.5 once ran: the schedule truncated it to 2, and k == 2.5 never held for the snapshot
+        monkeypatch.setattr(experiments, "run", lambda *a, **kw: pytest.fail("run started"))
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 2.5"):
+            cdp_case_run(cdp_instance("b", (16, 16), 1), 0.9, total_iters=20, **{name: 2.5})
+
     @pytest.mark.parametrize("case, calls", [("a", 1), ("b", 0)])
     def test_suite_computes_the_null_vector_once(self, monkeypatch, case, calls):
         import saddle_raar.experiments as experiments

@@ -33,12 +33,17 @@ from saddle_raar.analysis import (
     _norm,
     _trace_row,
     aligned_error,
+    certify_cross_section_minimizer,
+    certify_drs_cross_section,
     certify_fixed_point,
+    dual_gradient,
     fejer_monitor,
+    objective,
 )
 import saddle_raar.operators as operators
 from saddle_raar.artifacts import load_solver_state, save_solver_state
-from saddle_raar.solvers import drs_fixed_point_residuals, fixed_point_check
+from saddle_raar.operators import split_lift
+from saddle_raar.solvers import curvature, drs_fixed_point_residuals, fixed_point_check
 from conftest import (CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex,
                       trace_row_work)
 
@@ -832,6 +837,48 @@ def test_malformed_input_is_rejected_before_any_operator_call(dense_small, case)
             with pytest.raises(error):
                 initial_state(E, bad_b, algo, bad_w0)
         assert (E.applies, E.adjoints) == (0, 0), algo
+
+
+# Each form's step parameter range as its message words it, and values outside it: NaN, +-inf, 0, a
+# negative value and one above the range (+inf for the penalty, 1 for the multiplier form).
+_RANGE_MESSAGES = {"raar": "beta must lie in (0, 1]", "admm": "beta must lie in (0, 1)",
+                   "drs": "rho must lie in (0, inf)"}
+_OUTSIDE = {"raar": (math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5),
+            "admm": (math.nan, math.inf, -math.inf, 0.0, -0.5, 1.0),
+            "drs": (math.nan, math.inf, -math.inf, 0.0, -0.5)}
+# (name, form whose range applies, call given the ensemble, magnitudes, a lift and the parameter)
+_PARAM_ENTRY_POINTS = [
+    *((f"run[{algo}, max_iters={k}]", algo,
+       lambda E, b, w0, v, algo=algo, k=k: run(E, b, algo, ParameterSchedule.constant(v), w0, k))
+      for algo in ALGOS for k in (0, 5)),
+    ("raar_step", "raar", lambda E, b, w0, v: raar_step(E, b, w0, v)),
+    ("admm_step", "admm", lambda E, b, w0, v: admm_step(E, b, initial_state(E, b, "admm", w0), v)),
+    ("drs_step", "drs", lambda E, b, w0, v: drs_step(E, b, initial_state(E, b, "drs", w0), v)),
+    *((f"{check.__name__}[{algo}]", algo,
+       lambda E, b, w0, v, algo=algo, check=check: check(E, b, algo, initial_state(E, b, algo, w0), v))
+      for algo in ALGOS for check in (fixed_point_check, curvature)),
+    ("beta_from_rho", "drs", lambda E, b, w0, v: beta_from_rho(v)),
+    ("rho_from_beta", "admm", lambda E, b, w0, v: rho_from_beta(v)),
+    ("beta_prime", "admm", lambda E, b, w0, v: beta_prime(v)),
+    ("objective", "raar", lambda E, b, w0, v: objective(E, *split_lift(w0, b), v)),
+    ("dual_gradient", "raar", lambda E, b, w0, v: dual_gradient(E, *split_lift(w0, b), v)),
+    ("certify_fixed_point", "admm", lambda E, b, w0, v: certify_fixed_point(E, b, w0, v)),
+    ("certify_cross_section_minimizer", "raar",
+     lambda E, b, w0, v: certify_cross_section_minimizer(E, *split_lift(w0, b), beta=v)),
+    ("certify_drs_cross_section", "drs", lambda E, b, w0, v: certify_drs_cross_section(E, b, w0, v)),
+]
+
+
+@pytest.mark.parametrize("name, algo, call", _PARAM_ENTRY_POINTS, ids=[e[0] for e in _PARAM_ENTRY_POINTS])
+def test_a_step_parameter_outside_its_range_is_rejected_before_any_operator_call(dense_small, name, algo, call):
+    E0, _, b = dense_small
+    w0 = random_lift(E0.N, seed=2)
+    for value in _OUTSIDE[algo]:
+        E = CountingEnsemble(E0)
+        with pytest.raises(ValueError) as info:
+            call(E, b, w0, value)
+        assert str(info.value) == f"{_RANGE_MESSAGES[algo]}, got {value}", name
+        assert (E.applies, E.adjoints) == (0, 0), (name, value)
 
 
 def _readout_by_hand(E, b, algo, result, param, tol):
