@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, artifacts, experiments
-from .initializers import null_vector, random_lift
-from .operators import build_cdp_ensemble, build_gaussian_ensemble, build_rpp
+from .operators import build_cdp_ensemble, build_rpp
 from .solvers import ParameterSchedule, StoppingRule, curvature, finish, fixed_point_check, run
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "execute", "main"]
@@ -223,6 +222,12 @@ def _parse_grid(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _write_images(out, stem, x, x0, grid):
+    """``<stem>_magnitude.pgm`` and ``<stem>_aligned_real.pgm`` of ``x`` (aligned to ``x0``) on ``grid``."""
+    artifacts.write_pgm(os.path.join(out, f"{stem}_magnitude.pgm"), artifacts.magnitude_image(x, grid))
+    artifacts.write_pgm(os.path.join(out, f"{stem}_aligned_real.pgm"), artifacts.aligned_real_image(x, x0, grid))
+
+
 def _execute_solve(cfg: RunConfig) -> int:
     o = cfg.options
     out = o["out"]
@@ -231,25 +236,17 @@ def _execute_solve(cfg: RunConfig) -> int:
     _name, contract, ok = analysis._RANGES["admm"]
     if algo == "admm" and not ok(o["beta"]):
         raise UsageError(f"--beta must lie in {contract} for admm, got {o['beta']}")
-    seed = o["seed"]
-    seeds = np.random.SeedSequence(seed).generate_state(4)
+    seeds = experiments._child_seeds(o["seed"])
     if o["ensemble"] == "gaussian":
         if o["N"] < o["n"]:
             raise UsageError(f"need N >= n, got n={o['n']}, N={o['N']}")
-        E = build_gaussian_ensemble(o["n"], o["N"], seed=int(seeds[0]))
-        rng = np.random.default_rng(int(seeds[1]))
-        x0 = rng.standard_normal(E.n) + 1j * rng.standard_normal(E.n)
+        E, x0, b = experiments._gaussian_instance(o["n"], o["N"], seeds)
     else:
         grid = _parse_grid(o["grid"])
         E = build_cdp_ensemble(grid, seed=int(seeds[0]), n_masks=o["masks"])
         x0 = build_rpp(grid, seed=int(seeds[1])).values
-    b = np.abs(E.apply_adjoint(x0))
-
-    if o["init"] == "null":
-        nv = null_vector(E, b, weak_fraction=o["weak-fraction"], seed=int(seeds[2]))
-        w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
-    else:
-        w0 = random_lift(E.N, int(seeds[2]))
+        b = np.abs(E.apply_adjoint(x0))
+    _, w0 = experiments._start(E, b, o["init"] == "null", o["weak-fraction"], int(seeds[2]))
 
     stop = StoppingRule(residual_tol=o["residual-tol"], deriv_tol=o["deriv-tol"], fixed_budget=o["fixed-budget"])
     result = run(E, b, algo, ParameterSchedule.constant(param), w0, max_iters=o["max-iters"], stop=stop,
@@ -277,15 +274,7 @@ def _execute_solve(cfg: RunConfig) -> int:
         os.path.join(out, "state.json"), E, b, result.state, algo, param, result.final_record.k
     )
     if o["ensemble"] == "cdp":
-        grid = _parse_grid(o["grid"])
-        artifacts.write_pgm(
-            os.path.join(out, "reconstruction_magnitude.pgm"),
-            artifacts.magnitude_image(done.x, grid),
-        )
-        artifacts.write_pgm(
-            os.path.join(out, "reconstruction_aligned_real.pgm"),
-            artifacts.aligned_real_image(done.x, x0, grid),
-        )
+        _write_images(out, "reconstruction", done.x, x0, grid)
     if o["strict"] and not converged:
         return 2
     return 0
@@ -294,24 +283,11 @@ def _execute_solve(cfg: RunConfig) -> int:
 def _execute_sweep(cfg: RunConfig) -> int:
     o = cfg.options
     out = o["out"]
+    args = {name.replace("-", "_"): o[name] for name in ("n", "trials", "seed", "max-iters", "success-threshold")}
     if o["full-grid"]:
-        sweep = experiments.gaussian_success_sweep(
-            n=o["n"],
-            trials=o["trials"],
-            seed=o["seed"],
-            max_iters=o["max-iters"],
-            success_threshold=o["success-threshold"],
-        )
+        sweep = experiments.gaussian_success_sweep(**args)
     else:
-        sweep = experiments.paired_success_cells(
-            n=o["n"],
-            ratio=o["ratio"],
-            beta=o["beta"],
-            trials=o["trials"],
-            seed=o["seed"],
-            max_iters=o["max-iters"],
-            success_threshold=o["success-threshold"],
-        )
+        sweep = experiments.paired_success_cells(ratio=o["ratio"], beta=o["beta"], **args)
     artifacts.write_csv(
         os.path.join(out, "sweep.csv"),
         ("ratio", "param", "algo", "success_rate"),
@@ -342,15 +318,7 @@ def _execute_cdp(cfg: RunConfig) -> int:
     )
     nv = suite.instance.null_init
     if nv is not None:
-        # the spectral initializer the paths start from, for inspection
-        artifacts.write_pgm(
-            os.path.join(out, "init_magnitude.pgm"),
-            artifacts.magnitude_image(nv.x, grid),
-        )
-        artifacts.write_pgm(
-            os.path.join(out, "init_aligned_real.pgm"),
-            artifacts.aligned_real_image(nv.x, x0, grid),
-        )
+        _write_images(out, "init", nv.x, x0, grid)  # the spectral initializer the paths start from, for inspection
     for p in suite.paths:
         tag = f"{p.beta_start:.2f}".replace(".", "p")
         artifacts.write_trace_csv(os.path.join(out, f"trace_beta{tag}.csv"), p.records)

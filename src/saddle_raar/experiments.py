@@ -78,6 +78,24 @@ def _child_seeds(*key) -> np.ndarray:
     return np.random.SeedSequence(list(key)).generate_state(4)
 
 
+def _gaussian_instance(n: int, N: int, seeds):
+    """``(E, x0, b)``: the ensemble from ``seeds[0]``, the object ``random_lift(n, seeds[1])``, ``b = |A* x0|``."""
+    E = build_gaussian_ensemble(n, N, seed=int(seeds[0]))
+    x0 = random_lift(n, int(seeds[1]))
+    return E, x0, np.abs(E.apply_adjoint(x0))
+
+
+def _start(E: MeasurementEnsemble, b, null: bool, weak_fraction: float, seed: int):
+    """``(null vector or None, w0)``: the null vector at ``weak_fraction`` lifted at ``||b||`` if ``null``.
+
+    Otherwise ``(None, random_lift(E.N, seed))``.
+    """
+    if not null:
+        return None, random_lift(E.N, seed)
+    nv = null_vector(E, b, weak_fraction=weak_fraction, seed=seed)
+    return nv, E.apply_adjoint(nv.x * np.linalg.norm(b))  # scale to the data's energy; direction is what matters
+
+
 # ---------------------------------------------------------------------------
 # Poisson counting noise
 # ---------------------------------------------------------------------------
@@ -131,9 +149,8 @@ def poisson_data(
     # noise level scales like 1/sqrt(kappa); start from the analytic guess
     kappa = E.N / (4.0 * (target_level * norm_clean) ** 2)
     lo = hi = None
-    probe = 0
-    b, level = realize(kappa, probe)
-    for _ in range(NOISE_MAX_PROBES):
+    for probe in range(NOISE_MAX_PROBES):
+        b, level = realize(kappa, probe)
         if abs(level - target_level) <= NOISE_REL_WINDOW * target_level:
             return PoissonData(b=b, kappa=kappa, realized_level=level, target_level=target_level)
         if level > target_level:
@@ -142,8 +159,6 @@ def poisson_data(
         else:
             hi = kappa
             kappa = kappa / 4.0 if lo is None else math.sqrt(kappa * lo)
-        probe += 1
-        b, level = realize(kappa, probe)
     raise InvalidDataError(
         f"could not reach noise level {target_level} within {NOISE_MAX_PROBES} probes (last {level})"
     )
@@ -220,11 +235,8 @@ def _run_success_trial(
     N = int(round(ratio * n))
     ialgo = 0 if algo == "raar" else 1
     seeds = _child_seeds(seed, int(round(ratio * 10)), ialgo, param_idx, trial)
-    E = build_gaussian_ensemble(n, N, seed=int(seeds[0]))
-    rng_obj = np.random.default_rng(int(seeds[1]))
-    x0 = rng_obj.standard_normal(n) + 1j * rng_obj.standard_normal(n)
-    b = np.abs(E.apply_adjoint(x0))
-    w0 = random_lift(N, int(seeds[2]))
+    E, x0, b = _gaussian_instance(n, N, seeds)
+    _, w0 = _start(E, b, False, None, int(seeds[2]))
 
     # stop well below the success threshold so converged iterates sit comfortably
     # inside the fixed-point certificate tolerance; a trial reads only its final record
@@ -276,27 +288,13 @@ def gaussian_success_sweep(
     return sweep
 
 
-def paired_success_cells(
-    n: int = 100,
-    ratio: float = 4.0,
-    beta: float = 0.9,
-    trials: int = 40,
-    seed: int = 0,
-    max_iters: int = 2000,
-    success_threshold: float = 1e-5,
-) -> SweepResult:
-    """The two paired cells (one relaxation value, its penalty partner)."""
-    rho = analysis.rho_from_beta(beta)
-    return gaussian_success_sweep(
-        n=n,
-        ratios=(ratio,),
-        betas=(beta,),
-        rhos=(rho,),
-        trials=trials,
-        seed=seed,
-        max_iters=max_iters,
-        success_threshold=success_threshold,
-    )
+def paired_success_cells(*, ratio: float = 4.0, beta: float = 0.9, **sweep) -> SweepResult:
+    """The two paired cells (one relaxation value, its penalty partner).
+
+    ``sweep`` holds ``gaussian_success_sweep``'s ``n``, ``trials``, ``seed``,
+    ``max_iters`` and ``success_threshold``, with its defaults.
+    """
+    return gaussian_success_sweep(ratios=(ratio,), betas=(beta,), rhos=(analysis.rho_from_beta(beta),), **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +335,7 @@ def cdp_instance(
         noise = poisson_data(phantom, E, noise_target, seed=int(seeds[2]))
         b = noise.b
     init_seed = int(seeds[3])
-    if case in ("a", "c"):
-        nv = null_vector(E, b, weak_fraction=weak_fraction, seed=init_seed)
-        # scale to the data's energy; direction is what matters
-        w0 = E.apply_adjoint(nv.x * np.linalg.norm(b))
-    else:
-        nv, w0 = None, random_lift(E.N, init_seed)
+    nv, w0 = _start(E, b, case in ("a", "c"), weak_fraction, init_seed)
     return CdpInstance(
         ensemble=E, phantom=phantom, b=b, noise=noise, init_seed=init_seed, null_init=nv, w0=w0
     )

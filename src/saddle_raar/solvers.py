@@ -432,8 +432,8 @@ def run(
     the final record of a run that reaches ``max_iters`` (it projects the
     vector the next step would); a stopping rule that fires at iterate
     ``k`` has made step ``k + 1`` for its record and drops that step's
-    iterate.  The step parameter ranges are ``analysis``'s: a later schedule
-    value outside them is rejected by its step, mid-run.  Records
+    iterate.  The step parameter ranges are ``analysis``'s: every schedule
+    value the run would use is checked against them before any operator call.  Records
     are kept at ``k = 0``, every ``record_every`` steps and at the end;
     between them a stopping rule tests the residual alone (one norm) and
     builds a record only when that fires or when ``deriv_tol > 0``.  A
@@ -449,7 +449,8 @@ def run(
     vectors, valid until the call returns (copy to keep); admm's ``z + lambda`` is fresh.  Before any operator
     call, malformed ``b`` or ``w0`` raises ``InvalidDataError``, a non-integer
     ``max_iters`` or ``record_every`` ``TypeError``, and a negative budget, a
-    stride below 1 or a first schedule value outside the form's range ``ValueError``.
+    stride below 1 or a schedule value outside the form's range at any ``k`` in ``1..max(max_iters, 1)``
+    ``ValueError``.
     """
     form = _form(algo)
     _checked_count("max_iters", max_iters)
@@ -467,7 +468,10 @@ def run(
 
     z, lam = form.pair(state, b, out=slots[1][0])  # raar's start pair sits where step 2 writes its pair
     lam_sq = np.vdot(lam, lam).real
-    param = _checked_param(algo, schedule.value_at(1))
+    last = max(max_iters, 1)  # value_at is monotone between breakpoints: its extremes on 1..last sit at these k
+    for k in sorted({1, last, *(j for kb, _v in schedule.breakpoints for j in (kb, kb + 1) if 1 <= j <= last)}):
+        _checked_param(algo, schedule.value_at(k))
+    param = schedule.value_at(1)
     rho = form.penalty(param)
     carry = E.project_range(np.subtract(lam, np.multiply(rho, z, out=work), out=work), out=parts[2])
     records = []

@@ -297,9 +297,9 @@ class TestSolveCommand:
         assert "--beta must lie in (0, 1) for admm" in capsys.readouterr().err
 
     def test_admm_rejects_unit_beta_before_building_the_ensemble(self, tmp_path, capsys, monkeypatch):
-        import saddle_raar.cli as cli
+        import saddle_raar.experiments as experiments
 
-        monkeypatch.setattr(cli, "build_gaussian_ensemble", lambda *a, **kw: pytest.fail("ensemble built"))
+        monkeypatch.setattr(experiments, "build_gaussian_ensemble", lambda *a, **kw: pytest.fail("ensemble built"))
         assert main(["solve", "--algo", "admm", "--beta", "1", "--out", str(tmp_path / "s")]) == 1
         assert "error: --beta must lie in (0, 1) for admm, got 1.0" in capsys.readouterr().err
 

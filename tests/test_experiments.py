@@ -62,6 +62,24 @@ class TestPoissonData:
             np.linalg.norm(data.b - clean) / np.linalg.norm(data.b)
         )
 
+    def test_a_failed_calibration_tests_each_probe_it_draws(self, rpp_cdp, monkeypatch):
+        phantom, E = rpp_cdp
+        clean = np.abs(E.apply_adjoint(phantom.values))
+        levels = []
+
+        def sampled(*args):
+            b = _sample_magnitudes(*args)
+            levels.append(float(np.linalg.norm(b - clean) / np.linalg.norm(b)))
+            return b
+
+        monkeypatch.setattr(experiments, "NOISE_MAX_PROBES", 3)
+        monkeypatch.setattr(experiments, "NOISE_REL_WINDOW", -1.0)  # a window no probe meets
+        monkeypatch.setattr(experiments, "_sample_magnitudes", sampled)
+        with pytest.raises(InvalidDataError) as info:
+            poisson_data(phantom, E, 0.18, seed=5)
+        assert len(levels) == 3
+        assert str(info.value) == f"could not reach noise level 0.18 within 3 probes (last {levels[-1]})"
+
     def test_unreachable_levels_rejected(self, rpp_cdp):
         phantom, E = rpp_cdp
         with pytest.raises(InvalidDataError):
@@ -257,8 +275,7 @@ class TestCdpCases:
         import saddle_raar.experiments as experiments
 
         seen = []
-        for module in (cli, experiments):
-            monkeypatch.setattr(module, "null_vector", lambda *a, **kw: seen.append(1) or null_vector(*a, **kw))
+        monkeypatch.setattr(experiments, "null_vector", lambda *a, **kw: seen.append(1) or null_vector(*a, **kw))
         code = cli.main(["cdp", "--case", "a", "--grid", "16x16", "--seed", "1", "--total-iters", "6",
                          "--hold-iters", "3", "--settle-iters", "1", "--out", str(tmp_path / "cdp")])
         assert code == 0 and len(seen) == 1

@@ -2,11 +2,14 @@
 
 Hypothesis draws the ensemble sizes, seeds, relaxation parameters and the
 global phase; the vectors come from a numpy generator seeded by the drawn
-seed, so every entry is nonzero and finite.
+seed, so every entry is nonzero and finite.  The module also holds the
+repeat clause of the entry points (a repeated call gives the same bits)
+and ``run``'s check of the whole parameter schedule.
 """
 
 import dataclasses
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -16,21 +19,29 @@ from hypothesis import strategies as st
 from saddle_raar import (
     AdmmState,
     DrsState,
+    MeasurementEnsemble,
     ParameterSchedule,
     StoppingRule,
     admm_step,
     build_cdp_ensemble,
     build_gaussian_ensemble,
+    build_rpp,
+    cdp_instance,
     drs_step,
+    fixed_point_check,
+    initial_state,
+    null_vector,
+    poisson_data,
     project_torus,
     raar_step,
     rho_from_beta,
     run,
 )
-from saddle_raar.analysis import diagnostics, dual_gradient
+from saddle_raar.analysis import _RANGES, diagnostics, dual_gradient
+from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import _range_parts
-from conftest import random_complex
+from conftest import CountingEnsemble, random_complex
 
 # few, small, reproducible examples: the suite's wall time is a budget
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -217,3 +228,80 @@ def test_a_repeated_run_gives_the_same_bits(algo, kind, data, seed, beta, record
     first, again = (run(E, b, algo, schedule, w0, 24, stop, record_every) for _ in range(2))
     assert first.stop_reason in (("residual", "deriv_norm") if stopped else ("max_iters",))
     assert _run_bits(first) == _run_bits(again)
+
+
+def _bits(value):
+    """Arrays as bytes, scalars as ``repr``, an ensemble as its dense ``A*``, containers and dataclasses item by item."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, MeasurementEnsemble):
+        return _bits(value.materialize_adjoint())
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(vars(value))
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+_PARAMS = {"raar": 0.9, "admm": 0.9, "drs": 0.25}
+# (name, call given the ensemble, magnitudes, a lift and a saved drs state file)
+_REPEATED_ENTRY_POINTS = [
+    *((f"initial_state[{algo}]", lambda E, b, w0, path, algo=algo: initial_state(E, b, algo, w0))
+      for algo in _PARAMS),
+    *((f"cdp_instance[{case}]", lambda E, b, w0, path, case=case: attrgetter("b", "w0")(
+        cdp_instance(case, (16, 16), 1))) for case in "ac"),
+    ("null_vector", lambda E, b, w0, path: null_vector(E, b, seed=3)),
+    ("poisson_data", lambda E, b, w0, path: poisson_data(
+        build_rpp((16, 16), seed=4), build_cdp_ensemble((16, 16), seed=5), 0.18, seed=3)),
+    *((f"fixed_point_check[{algo}]", lambda E, b, w0, path, algo=algo: fixed_point_check(
+        E, b, algo, initial_state(E, b, algo, w0), _PARAMS[algo])) for algo in _PARAMS),
+    ("load_solver_state", lambda E, b, w0, path: load_solver_state(path)),
+]
+
+
+@pytest.mark.parametrize("name, call", _REPEATED_ENTRY_POINTS, ids=[e[0] for e in _REPEATED_ENTRY_POINTS])
+def test_a_repeated_call_gives_the_same_bits(dense_small, tmp_path, name, call):
+    E, _, b = dense_small
+    w0 = random_complex(np.random.default_rng(2), E.N)
+    path = tmp_path / "state.json"
+    save_solver_state(path, E, b, initial_state(E, b, "drs", w0), "drs", 0.25, 0)
+    assert _bits(call(E, b, w0, path)) == _bits(call(E, b, w0, path)), name
+
+
+class _Reached(Exception):
+    """The first operator call of a run whose schedule passed its checks."""
+
+
+class _FirstApplyRaises(CountingEnsemble):
+    """Counts calls as ``CountingEnsemble`` does; ``apply`` raises ``_Reached``, so no step runs."""
+
+    def apply(self, w):
+        self.applies += 1
+        raise _Reached
+
+
+# values in and at the edges of the three ranges, and past them
+schedule_values = st.one_of(
+    st.floats(0.0, 1.2),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, math.nan, math.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(algo=st.sampled_from(sorted(_RANGES)), max_iters=st.integers(0, 60),
+       points=st.lists(st.tuples(st.integers(-5, 60), schedule_values), min_size=1, max_size=4))
+def test_run_checks_every_schedule_value_it_would_use_before_any_operator_call(algo, max_iters, points):
+    # value_at rounds, so the scan is over every index the run would read, not over the breakpoint values
+    schedule = ParameterSchedule(tuple(sorted(points, key=lambda p: p[0])))
+    name, contract, ok = _RANGES[algo]
+    bad = not all(ok(schedule.value_at(k)) for k in range(1, max(max_iters, 1) + 1))
+    E = _FirstApplyRaises(build_gaussian_ensemble(2, 6, seed=1))
+    rng = np.random.default_rng(0)
+    b, w0 = np.abs(random_complex(rng, E.N)), random_complex(rng, E.N)
+    with pytest.raises(ValueError if bad else _Reached) as info:
+        run(E, b, algo, schedule, w0, max_iters)
+    if bad:
+        assert str(info.value).startswith(f"{name} must lie in {contract}, got ")
+        assert (E.applies, E.adjoints) == (0, 0)

@@ -881,6 +881,18 @@ def test_a_step_parameter_outside_its_range_is_rejected_before_any_operator_call
         assert (E.applies, E.adjoints) == (0, 0), (name, value)
 
 
+@pytest.mark.parametrize("breakpoints, named", [(((1, 0.9), (100, 1.5)), 1.5), (((1, 1.0), (10, 1e-300)), 0.0)])
+def test_a_later_schedule_value_outside_its_range_is_rejected_before_any_operator_call(dense_small, breakpoints, named):
+    # the first leaves the range at k = 19; both values of the second lie in (0, 1],
+    # but value_at(10) = 1.0 + (1e-300 - 1.0) rounds to 0.0
+    E0, _, b = dense_small
+    E = CountingEnsemble(E0)
+    with pytest.raises(ValueError) as info:
+        run(E, b, "raar", ParameterSchedule(breakpoints), random_lift(E0.N, seed=2), 200)
+    assert str(info.value) == f"{_RANGE_MESSAGES['raar']}, got {named}"
+    assert (E.applies, E.adjoints) == (0, 0)
+
+
 def _readout_by_hand(E, b, algo, result, param, tol):
     """``(x, saved state fields, pass flag, certificate)`` per form, as callers read a run out without ``finish``."""
     if algo == "raar":
