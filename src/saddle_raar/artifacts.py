@@ -1,16 +1,19 @@
 """On-disk artifacts: CSV traces, JSON summaries, PGM images, solver states.
 
 All writes are atomic (write to a temp file in the target directory, then
-rename).  CSV files have a header row, stable column order, UTF-8 text
-and LF line endings.  A state file keeps each field of a solver state,
-which its form's check and curvature read back.
+rename); every file gets mode ``0o666`` less the umask.  CSV files have a
+header row, stable column order, UTF-8 text and LF line endings.  A trace
+is written as its rows come, in batches, through ``trace_writer``.  A state
+file keeps each field of a solver state, which its form's check and
+curvature read back.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -20,26 +23,29 @@ from .operators import complex_to_interleaved, ensemble_from_descriptor, interle
 from .solvers import _form
 
 __all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "write_json",
-    "write_csv",
-    "write_trace_csv",
-    "write_pgm",
-    "magnitude_image",
-    "aligned_real_image",
-    "save_solver_state",
-    "load_solver_state",
+    "TRACE_BUFFER_ROWS", "atomic_write_bytes", "atomic_write_text", "write_json", "write_csv", "append_csv",
+    "trace_writer", "write_pgm", "magnitude_image", "aligned_real_image", "save_solver_state", "load_solver_state",
 ]
+
+# Rows a trace writer holds before it appends them to its file: about 1.2 MB of
+# records, which holds a default ``solve`` trace (2,001 rows) whole.
+TRACE_BUFFER_ROWS = 4096
+
+
+def _temp_file(path):
+    """``(binary file, name)``: a new ``.tmp-*~`` file beside ``path``, made with mode ``0o666`` less the umask."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        with contextlib.suppress(FileExistsError):
+            return open(tmp, "xb"), tmp
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fh, tmp = _temp_file(path)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -67,15 +73,54 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, cls=_ArrayEncoder) + "\n")
 
 
+def _csv_bytes(rows) -> bytes:
+    return "".join(",".join(str(v) for v in row) + "\n" for row in rows).encode("utf-8")
+
+
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_bytes(path, _csv_bytes(itertools.chain((header,), rows)))
 
 
-def write_trace_csv(path, records: list[DiagnosticsRecord]) -> None:
-    write_csv(path, DiagnosticsRecord.csv_header, (r.csv_row() for r in records))
+def append_csv(fh, rows) -> None:
+    """Format ``rows`` as CSV lines and append them to the binary file ``fh`` in one write."""
+    fh.write(_csv_bytes(rows))
+
+
+@contextlib.contextmanager
+def trace_writer(path):
+    """A trace CSV written as its rows come; the context gives the sink that takes each record.
+
+    The sink holds up to ``TRACE_BUFFER_ROWS`` records, then appends them to a temp file
+    beside ``path`` through ``append_csv``; a clean exit appends the rest and renames the
+    file to ``path``, whose bytes are those of ``write_csv(path, DiagnosticsRecord.csv_header,
+    rows)``.  The temp file is made at the first append, so an exit before any row on an
+    exception makes nothing.  An exception drops the held rows and the temp file and propagates.
+    """
+    rows, fh, tmp = [], None, None
+
+    def flush():
+        nonlocal fh, tmp
+        if fh is None:
+            fh, tmp = _temp_file(path)
+            append_csv(fh, (DiagnosticsRecord.csv_header,))
+        append_csv(fh, (r.csv_row() for r in rows))
+        rows.clear()
+
+    def keep(record):
+        rows.append(record)
+        if len(rows) >= TRACE_BUFFER_ROWS:
+            flush()
+
+    try:
+        yield keep
+        flush()
+        fh.close()
+        os.replace(tmp, path)
+        fh = None
+    finally:
+        if fh is not None:
+            fh.close()
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

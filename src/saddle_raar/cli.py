@@ -249,9 +249,9 @@ def _execute_solve(cfg: RunConfig) -> int:
     _, w0 = experiments._start(E, b, o["init"] == "null", o["weak-fraction"], int(seeds[2]))
 
     stop = StoppingRule(residual_tol=o["residual-tol"], deriv_tol=o["deriv-tol"], fixed_budget=o["fixed-budget"])
-    result = run(E, b, algo, ParameterSchedule.constant(param), w0, max_iters=o["max-iters"], stop=stop,
-                 record_every=o["record-every"])
-    artifacts.write_trace_csv(os.path.join(out, "trace.csv"), result.records)
+    with artifacts.trace_writer(os.path.join(out, "trace.csv")) as keep:
+        result = run(E, b, algo, ParameterSchedule.constant(param), w0, max_iters=o["max-iters"], stop=stop,
+                     record_every=o["record-every"], on_record=keep)
 
     done = finish(E, b, algo, result, param)
 
@@ -301,16 +301,14 @@ def _execute_cdp(cfg: RunConfig) -> int:
     o = cfg.options
     out = o["out"]
     grid = _parse_grid(o["grid"])
-    suite = experiments.cdp_case_suite(
-        o["case"],
-        grid=grid,
-        seed=o["seed"],
-        total_iters=o["total-iters"],
-        hold_iters=o["hold-iters"],
-        settle_iters=o["settle-iters"],
-        noise_target=o["noise-level"],
-        weak_fraction=o["weak-fraction"],
-    )
+
+    def tag(beta):
+        return f"{beta:.2f}".replace(".", "p")
+
+    suite = experiments.cdp_case_suite(  # each path's trace lands as the path ends
+        o["case"], grid=grid, seed=o["seed"], total_iters=o["total-iters"], hold_iters=o["hold-iters"],
+        settle_iters=o["settle-iters"], noise_target=o["noise-level"], weak_fraction=o["weak-fraction"],
+        trace=lambda beta: artifacts.trace_writer(os.path.join(out, f"trace_beta{tag(beta)}.csv")))
     x0 = suite.instance.phantom.values
     artifacts.write_pgm(
         os.path.join(out, "phantom_magnitude.pgm"),
@@ -320,9 +318,8 @@ def _execute_cdp(cfg: RunConfig) -> int:
     if nv is not None:
         _write_images(out, "init", nv.x, x0, grid)  # the spectral initializer the paths start from, for inspection
     for p in suite.paths:
-        tag = f"{p.beta_start:.2f}".replace(".", "p")
-        artifacts.write_trace_csv(os.path.join(out, f"trace_beta{tag}.csv"), p.records)
-        for stem, x in ((f"snapshot_beta{tag}", p.x_snapshot), (f"final_beta{tag}", p.x_final)):
+        beta = tag(p.beta_start)
+        for stem, x in ((f"snapshot_beta{beta}", p.x_snapshot), (f"final_beta{beta}", p.x_final)):
             artifacts.write_pgm(os.path.join(out, f"{stem}.pgm"), artifacts.aligned_real_image(x, x0, grid))
             artifacts.write_pgm(os.path.join(out, f"{stem}_magnitude.pgm"), artifacts.magnitude_image(x, grid))
     noise = suite.instance.noise

@@ -18,6 +18,8 @@ by counter-based keys, so results are reproducible and order-independent.
 from __future__ import annotations
 
 import math
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -343,10 +345,9 @@ def cdp_instance(
 
 @dataclass
 class CdpPathResult:
-    """One relaxation path's trace and reconstructions."""
+    """One relaxation path's final metrics and reconstructions; its trace went to ``cdp_case_run``'s ``on_record``."""
 
     beta_start: float
-    records: list
     x_final: np.ndarray
     x_snapshot: np.ndarray
     final_residual: float
@@ -355,31 +356,26 @@ class CdpPathResult:
     tail_t_ratio_positive: bool  # the basin indicator is positive on the last 100 rows
 
     def summary(self) -> dict:
-        """Every field but the trace and the two reconstructions."""
-        arrays = ("records", "x_final", "x_snapshot")
+        """Every field but the two reconstructions."""
+        arrays = ("x_final", "x_snapshot")
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in arrays}
 
 
-def cdp_case_run(
-    instance: CdpInstance,
-    beta_start: float,
-    total_iters: int = 600,
-    hold_iters: int = 300,
-    settle_iters: int = TERMINAL_SETTLE_ITERS,
-    on_iterate=None,
-) -> CdpPathResult:
+def cdp_case_run(instance: CdpInstance, beta_start: float, total_iters: int = 600, hold_iters: int = 300,
+                 settle_iters: int = TERMINAL_SETTLE_ITERS, on_iterate=None, on_record=None) -> CdpPathResult:
     """Run one relaxation path on a phantom instance.
 
     The path holds ``beta_start`` for ``hold_iters`` iterations, then
     decreases piecewise linearly to 0.5 within the remaining budget
-    (fixed budget, full trace).  The decline completes ``settle_iters``
+    (fixed budget, a row at every iteration).  The decline completes ``settle_iters``
     before the end: the dual maximizer moves with the parameter, so the
     dual gradient at the final iterate would otherwise measure one
     parameter step's worth of target motion rather than convergence
     quality.  Returns the mid-run snapshot reconstruction (at iterate
     ``hold_iters``, or the last one if the run is shorter), the final
     reconstruction ``A(z - lambda)``, and whether the basin indicator is
-    positive on the last 100 rows.  ``on_iterate`` is passed on to ``run``, whose lift is valid during
+    positive on the last 100 rows (the path keeps only their ``t_ratio`` values).
+    ``on_iterate`` and ``on_record`` are passed on to ``run``, whose lift is valid during
     the call (the snapshot copies it).  ``hold_iters`` and ``settle_iters`` are checked as ``run`` checks ``max_iters``.
     """
     _checked_count("hold_iters", hold_iters)
@@ -388,6 +384,12 @@ def cdp_case_run(
     knee = max(hold_iters + 1, total_iters - settle_iters)
     schedule = ParameterSchedule(((hold_iters, beta_start), (knee, 0.5)))
     w_snap = None
+    tail = deque(maxlen=100)  # t_ratio of the last 100 rows
+
+    def keep(rec):
+        tail.append(rec.t_ratio)
+        if on_record is not None:
+            on_record(rec)
 
     def observe(k, w):
         nonlocal w_snap
@@ -396,28 +398,19 @@ def cdp_case_run(
         if on_iterate is not None:
             on_iterate(k, w)
 
-    result = run(
-        E,
-        b,
-        "raar",
-        schedule,
-        instance.w0,
-        max_iters=total_iters,
-        stop=StoppingRule(fixed_budget=True),
-        on_iterate=observe,
-    )
+    result = run(E, b, "raar", schedule, instance.w0, max_iters=total_iters, stop=StoppingRule(fixed_budget=True),
+                 on_iterate=observe, on_record=keep)
     x_snap = reconstruct(E, *split_lift(result.state.w if w_snap is None else w_snap, b))
 
     x_fin = reconstruct(E, result.z, result.lam)
     return CdpPathResult(
         beta_start=beta_start,
-        records=result.records,
         x_final=x_fin,
         x_snapshot=x_snap,
         final_residual=result.final_record.residual,
         final_deriv_norm=result.final_record.deriv_norm,
         aligned_error=analysis.aligned_error(x_fin, instance.phantom.values),
-        tail_t_ratio_positive=all(r.t_ratio > 0 for r in result.records[-100:]),
+        tail_t_ratio_positive=all(t > 0 for t in tail),
     )
 
 
@@ -435,28 +428,20 @@ class CdpCaseResult:
         return float(off.min()) if off.size else 1.0
 
 
-def cdp_case_suite(
-    case: str,
-    grid=(32, 32),
-    seed: int = 0,
-    total_iters: int = 600,
-    hold_iters: int = 300,
-    settle_iters: int = TERMINAL_SETTLE_ITERS,
-    noise_target: float = 0.18,
-    weak_fraction: float = 0.5,
-) -> CdpCaseResult:
-    """Run the paths from each of ``BETA_PATH_STARTS`` on one shared instance of a case."""
+def cdp_case_suite(case: str, grid=(32, 32), seed: int = 0, total_iters: int = 600, hold_iters: int = 300,
+                   settle_iters: int = TERMINAL_SETTLE_ITERS, noise_target: float = 0.18, weak_fraction: float = 0.5,
+                   trace=None) -> CdpCaseResult:
+    """Run the paths from each of ``BETA_PATH_STARTS`` on one shared instance of a case.
+
+    ``trace``, when given, maps a path's ``beta_start`` to a context whose value takes each
+    row of that path (``cdp_case_run``'s ``on_record``); the context is entered just before
+    the path's run and left just after it, so at most one path's sink is open.
+    """
     inst = cdp_instance(case, grid, seed, noise_target, weak_fraction)
-    paths = [
-        cdp_case_run(
-            inst,
-            start,
-            total_iters=total_iters,
-            hold_iters=hold_iters,
-            settle_iters=settle_iters,
-        )
-        for start in BETA_PATH_STARTS
-    ]
+    paths = []
+    for start in BETA_PATH_STARTS:
+        with nullcontext() if trace is None else trace(start) as keep:
+            paths.append(cdp_case_run(inst, start, total_iters, hold_iters, settle_iters, on_record=keep))
 
     k = len(paths)
     corr = np.eye(k)

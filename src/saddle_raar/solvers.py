@@ -243,17 +243,17 @@ class StoppingRule:
 
 @dataclass
 class RunResult:
-    """Trace, final state and stop reason of a run; ``z`` and ``lam`` are the state's pair."""
+    """Final row, final state and stop reason of a run; ``z`` and ``lam`` are the state's pair.
 
-    records: list
+    ``final_record`` is the last row the run kept, or ``None`` when it kept none; every kept
+    row went to ``run``'s ``on_record`` as it was made.
+    """
+
+    final_record: DiagnosticsRecord | None
     state: object
     stop_reason: str
     z: np.ndarray
     lam: np.ndarray
-
-    @property
-    def final_record(self) -> DiagnosticsRecord:
-        return self.records[-1]
 
 
 # ``run`` takes a record's ``P z`` and ``P lambda`` from the one range
@@ -410,6 +410,7 @@ def run(
     stop: StoppingRule | None = None,
     record_every: int = 1,
     on_iterate: Callable[[int, np.ndarray], None] | None = None,
+    on_record: Callable[[DiagnosticsRecord], None] | None = None,
 ) -> RunResult:
     """Drive one solver from the lift ``w0`` with a parameter schedule and record diagnostics.
 
@@ -436,7 +437,10 @@ def run(
     value the run would use is checked against them before any operator call.  Records
     are kept at ``k = 0``, every ``record_every`` steps and at the end;
     between them a stopping rule tests the residual alone (one norm) and
-    builds a record only when that fires or when ``deriv_tol > 0``.  A
+    builds a record only when that fires or when ``deriv_tol > 0``.  Each kept
+    record goes to ``on_record``, when given, as it is made, in order, the final one
+    included; the run holds only the last (``final_record``), so its memory does not grow
+    with ``max_iters``.  A
     non-finite iterate ends the run with ``stop_reason="nonfinite"``: the
     state is then the last finite iterate, and the trace ends with its
     record when the projection made at it is finite; ``lambda`` alone is
@@ -474,7 +478,8 @@ def run(
     param = schedule.value_at(1)
     rho = form.penalty(param)
     carry = E.project_range(np.subtract(lam, np.multiply(rho, z, out=work), out=work), out=parts[2])
-    records = []
+    keep = (lambda rec: None) if on_record is None else on_record
+    final = None  # the last kept row
     if on_iterate is not None:
         on_iterate(0, form.lift(state))
 
@@ -500,10 +505,10 @@ def run(
         if not math.isfinite(next_lam_sq) and not np.isfinite(next_lam).all():
             reason = "nonfinite"
             if np.isfinite(pz).all():  # P z, or z - P z once a row is built: else the step's projection is spoilt too
-                records.append(rec or record(z, lam, lam_sq, pz, pl, param, k, reached))
+                keep(final := rec or record(z, lam, lam_sq, pz, pl, param, k, reached))
             break
         if k % record_every == 0 or reason:
-            records.append(rec)
+            keep(final := rec)
         if reason:
             break
         state, z, lam, lam_sq, param, k = nxt, next_z, next_lam, next_lam_sq, next_param, k + 1
@@ -515,9 +520,9 @@ def run(
         pz, pl, _ = _range_parts(E.project_range(x, out=view.p), carry, rho, rho, parts)
         rec = record(z, lam, lam_sq, pz, pl, param, k, reached)
         reason = _stop_reason(stop, rec) or "max_iters"
-        records.append(rec)
+        keep(final := rec)
 
-    return RunResult(records=records, state=state, stop_reason=reason, z=z, lam=lam)
+    return RunResult(final_record=final, state=state, stop_reason=reason, z=z, lam=lam)
 
 
 def fixed_point_check(E: MeasurementEnsemble, b, algo: str, state, param: float, tol: float = 1e-8):

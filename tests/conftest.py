@@ -13,8 +13,15 @@ from saddle_raar import (  # noqa: E402
     build_cdp_ensemble,
     build_gaussian_ensemble,
     diagnostics,
+    run,
 )
 from saddle_raar.analysis import _functional_and_margin, _phase_factor, _reflect  # noqa: E402
+
+
+def run_rows(*args, **kwargs):
+    """``(result, rows)`` of ``run(*args, **kwargs)``, its kept rows collected through a list sink."""
+    rows = []
+    return run(*args, on_record=rows.append, **kwargs), rows
 
 
 @pytest.fixture(scope="session")

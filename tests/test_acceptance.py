@@ -220,15 +220,16 @@ def test_criterion_09_fejer_contraction_along_case_a():
     t0 = time.perf_counter()
     suite, _ = _timed("case_a", _case_a)
     inst = suite.instance
-    ws = []
-    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w.copy()))  # w is run's, valid in the call
+    ws, rows = [], []
+    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w.copy()),  # w is run's, valid in the call
+                        on_record=rows.append)
     E, b = inst.ensemble, inst.b
     # the kept lifts are the iterates themselves: the one at the hold (k = 300) gives the path's snapshot
     assert len(ws) == 601
     assert sr.reconstruct(E, *split_lift(ws[300], b)).tobytes() == path.x_snapshot.tobytes()
     z_star = E.apply_adjoint(inst.phantom.values)
     lam_star = np.zeros_like(z_star)
-    betas = [r.param for r in path.records]
+    betas = [r.param for r in rows]
     mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
     nonpos = np.where(mon["margin"] <= 0)[0]
     k0 = int(nonpos[-1]) + 2 if nonpos.size else 1

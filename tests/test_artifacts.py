@@ -1,18 +1,21 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from saddle_raar import build_gaussian_ensemble, diagnostics, initial_state, project_torus
+from saddle_raar import (ParameterSchedule, StoppingRule, artifacts, build_gaussian_ensemble, diagnostics,
+                         initial_state, project_torus, random_lift, run)
+from saddle_raar.analysis import DiagnosticsRecord
 from saddle_raar.artifacts import (
     aligned_real_image,
     load_solver_state,
     magnitude_image,
     save_solver_state,
+    trace_writer,
     write_csv,
     write_json,
     write_pgm,
-    write_trace_csv,
 )
 from saddle_raar.operators import complex_to_interleaved, interleaved_to_complex
 from conftest import random_complex
@@ -52,10 +55,55 @@ def test_trace_csv_header(tmp_path, dense_small):
     lam = random_complex(rng, E.N)
     rec = diagnostics(E, b, z, lam, 0.9, k=0)
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, [rec])
+    with trace_writer(path) as keep:
+        keep(rec)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,beta_or_rho,residual,deriv_norm,t_ratio,objective_F,wall_ns"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 9, 17])
+def test_trace_writer_gives_the_bytes_of_one_csv_write(tmp_path, monkeypatch, count):
+    # a buffer of 8 rows: these counts write nothing but the header, part of a batch,
+    # exactly one batch, and one or two batches and a part
+    monkeypatch.setattr(artifacts, "TRACE_BUFFER_ROWS", 8)
+    appends = []
+    append_csv = artifacts.append_csv
+    monkeypatch.setattr(artifacts, "append_csv", lambda fh, rows: appends.append(1) or append_csv(fh, rows))
+    records = [DiagnosticsRecord(k, 0.9 - k / 64, 1 / (k + 3), -0.0 if k % 2 else 1e-300, float(k) ** 3.5, -k / 7.0,
+                                 10**k) for k in range(count)]
+    with trace_writer(tmp_path / "trace.csv") as keep:
+        for rec in records:
+            keep(rec)
+    write_csv(tmp_path / "ref.csv", DiagnosticsRecord.csv_header, [r.csv_row() for r in records])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(appends) == 2 + count // 8  # the header, each full batch and the rest at the close
+    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "trace.csv"]
+
+
+def test_trace_writer_leaves_nothing_when_the_run_raises(tmp_path, monkeypatch, dense_small):
+    monkeypatch.setattr(artifacts, "TRACE_BUFFER_ROWS", 8)
+    E, _, b = dense_small
+    seen = []
+
+    def interrupt(k, w):
+        if k == 12:  # rows 0..7 went to the temp file, 8..11 are held
+            seen.extend(os.listdir(tmp_path))
+            raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with trace_writer(tmp_path / "trace.csv") as keep:
+            run(E, b, "raar", ParameterSchedule.constant(0.9), random_lift(E.N, seed=2), 50,
+                StoppingRule(fixed_budget=True), on_iterate=interrupt, on_record=keep)
+    assert len(seen) == 1 and seen[0].startswith(".tmp-") and seen[0].endswith("~")
+    assert os.listdir(tmp_path) == []
+
+
+def test_trace_writer_makes_nothing_before_its_first_row(tmp_path):
+    with pytest.raises(ValueError):
+        with trace_writer(tmp_path / "out" / "trace.csv"):
+            raise ValueError("rejected")
+    assert os.listdir(tmp_path) == []
 
 
 def test_json_is_stable(tmp_path):

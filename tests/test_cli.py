@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -558,6 +559,22 @@ def test_rejected_run_creates_nothing(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_outputs_take_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for name, argv in (("solve", ["solve", "--n", "8", "--N", "32", "--max-iters", "50"]),
+                           ("solve-cdp", ["solve", "--ensemble", "cdp", "--grid", "16x16", "--max-iters", "20"]),
+                           ("cdp", ["cdp", "--case", "a", "--grid", "16x16", "--total-iters", "6", "--hold-iters", "3",
+                                    "--settle-iters", "1"])):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    finally:
+        os.umask(old)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.name for p in files} >= {"trace.csv", "summary.json", "state.json", "reconstruction_magnitude.pgm",
+                                        "trace_beta0p95.csv", "final_beta0p60.pgm", "init_aligned_real.pgm"}
+    assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {p.name: "0o644" for p in files}
 
 
 def test_runconfig_json_shape():

@@ -10,13 +10,17 @@ import pytest
 
 from saddle_raar import (
     ParameterSchedule,
+    StoppingRule,
     build_cdp_ensemble,
+    build_gaussian_ensemble,
     build_rpp,
     null_vector,
     poisson_data,
     project_torus,
     raar_step,
+    random_lift,
     reconstruct,
+    run,
 )
 from saddle_raar import experiments
 from saddle_raar.experiments import (
@@ -209,21 +213,25 @@ class TestCdpCases:
 
     def test_snapshot_and_trace_shape(self):
         inst = cdp_instance("a", (16, 16), 1)
+        rows = []
         p = cdp_case_run(inst, 0.9, total_iters=60, hold_iters=30,
-                         settle_iters=10)
-        assert len(p.records) == 61
-        assert p.records[-1].k == 60
+                         settle_iters=10, on_record=rows.append)
+        assert len(rows) == 61
+        assert rows[-1].k == 60
         assert p.x_snapshot.shape == (inst.ensemble.n,)
-        assert p.records[35].param < 0.9
+        assert rows[35].param < 0.9
+        assert p.tail_t_ratio_positive == all(r.t_ratio > 0 for r in rows[-100:])
+        assert (p.final_residual, p.final_deriv_norm) == (rows[-1].residual, rows[-1].deriv_norm)
         schedule = ParameterSchedule(((1, 0.9), (30, 0.9), (50, 0.5), (60, 0.5)))
         np.testing.assert_array_equal(p.x_snapshot, self._reconstruction_at(inst, schedule, 30))
 
     def test_snapshot_is_the_last_iterate_when_the_hold_outlasts_the_run(self):
         inst = cdp_instance("a", (16, 16), 1)
         for hold in (40, 55):
+            rows = []
             p = cdp_case_run(inst, 0.9, total_iters=40, hold_iters=hold,
-                             settle_iters=10)
-            assert [r.param for r in p.records] == [0.9] * 41
+                             settle_iters=10, on_record=rows.append)
+            assert [r.param for r in rows] == [0.9] * 41
             np.testing.assert_array_equal(p.x_snapshot, p.x_final)
             expected = self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 40)
             np.testing.assert_array_equal(p.x_snapshot, expected)
@@ -231,7 +239,7 @@ class TestCdpCases:
     def test_path_and_noise_summaries_hold_every_scalar_field(self):
         inst = cdp_instance("c", (16, 16), 1)
         p = cdp_case_run(inst, 0.9, total_iters=6, hold_iters=3, settle_iters=1)
-        for result, arrays in ((p, {"records", "x_final", "x_snapshot"}), (inst.noise, {"b"})):
+        for result, arrays in ((p, {"x_final", "x_snapshot"}), (inst.noise, {"b"})):
             summary = result.summary()
             names = {f.name for f in dataclasses.fields(result)}
             assert set(summary) == names - arrays
@@ -240,10 +248,11 @@ class TestCdpCases:
 
     def test_a_path_without_a_hold_declines_from_the_start(self):
         inst = cdp_instance("a", (16, 16), 1)
-        p = cdp_case_run(inst, 0.9, total_iters=20, hold_iters=0, settle_iters=5)
-        assert len(p.records) == 21
-        assert p.records[0].param < 0.9  # the first step's value
-        assert p.records[-1].param == 0.5
+        rows = []
+        p = cdp_case_run(inst, 0.9, total_iters=20, hold_iters=0, settle_iters=5, on_record=rows.append)
+        assert len(rows) == 21
+        assert rows[0].param < 0.9  # the first step's value
+        assert rows[-1].param == 0.5
         np.testing.assert_array_equal(p.x_snapshot, self._reconstruction_at(inst, ParameterSchedule.constant(0.9), 0))
 
     @pytest.mark.parametrize("name", ["hold_iters", "settle_iters"])
@@ -311,3 +320,16 @@ class TestCdpCases:
             peaks[total] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[120] <= 1.2 * peaks[60], peaks
+
+
+def test_run_memory_does_not_grow_with_iterations():
+    # a stride-1 run without a sink holds its final row only, whatever its budget
+    E = build_gaussian_ensemble(4, 16, seed=1)
+    b = np.abs(E.apply_adjoint(random_lift(4, 2)))
+    peaks = {}
+    for iters in (2000, 20000):
+        tracemalloc.start()
+        run(E, b, "raar", ParameterSchedule.constant(0.9), random_lift(16, 3), iters, StoppingRule(fixed_budget=True))
+        peaks[iters] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[20000] <= 1.2 * peaks[2000], peaks

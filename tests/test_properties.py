@@ -41,7 +41,7 @@ from saddle_raar.analysis import _RANGES, diagnostics, dual_gradient
 from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import _range_parts
-from conftest import CountingEnsemble, random_complex
+from conftest import CountingEnsemble, random_complex, run_rows
 
 # few, small, reproducible examples: the suite's wall time is a budget
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -202,9 +202,10 @@ def test_the_splitting_dual_step_is_a_scaled_ascent_step_plus_the_primal_displac
                         rel_tol=1e-12)
 
 
-def _run_bits(result):
+def _run_bits(run_and_rows):
     """Every output of a run but its rows' wall times, as bytes."""
-    rows = [dataclasses.astuple(dataclasses.replace(rec, wall_ns=0)) for rec in result.records]
+    result, kept = run_and_rows
+    rows = [dataclasses.astuple(dataclasses.replace(rec, wall_ns=0)) for rec in kept]
     return (np.array(rows).tobytes(), result.stop_reason, result.z.tobytes(), result.lam.tobytes(),
             [v.tobytes() for v in vars(result.state).values()])
 
@@ -223,10 +224,10 @@ def test_a_repeated_run_gives_the_same_bits(algo, kind, data, seed, beta, record
     schedule = ParameterSchedule.constant(rho_from_beta(beta) if algo == "drs" else beta)
     stop = StoppingRule(fixed_budget=True)
     if stopped:  # a residual the run reaches by k = 12, taken from a row built as the stopped run builds it
-        probe = run(E, b, algo, schedule, w0, 24, stop)
-        stop = StoppingRule(residual_tol=probe.records[12].residual, deriv_tol=deriv_tol)
-    first, again = (run(E, b, algo, schedule, w0, 24, stop, record_every) for _ in range(2))
-    assert first.stop_reason in (("residual", "deriv_norm") if stopped else ("max_iters",))
+        probe = run_rows(E, b, algo, schedule, w0, 24, stop)[1]
+        stop = StoppingRule(residual_tol=probe[12].residual, deriv_tol=deriv_tol)
+    first, again = (run_rows(E, b, algo, schedule, w0, 24, stop, record_every) for _ in range(2))
+    assert first[0].stop_reason in (("residual", "deriv_norm") if stopped else ("max_iters",))
     assert _run_bits(first) == _run_bits(again)
 
 

@@ -44,7 +44,7 @@ import saddle_raar.operators as operators
 from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import curvature, drs_fixed_point_residuals, fixed_point_check
-from conftest import (CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex,
+from conftest import (CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex, run_rows,
                       trace_row_work)
 
 
@@ -245,18 +245,19 @@ class TestRunLoop:
     def test_zero_budget_gives_initial_record(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=2)
-        result = run(E, b, "raar", ParameterSchedule.constant(0.9), w0, 0)
-        assert len(result.records) == 1
-        assert result.records[0].k == 0
+        result, rows = run_rows(E, b, "raar", ParameterSchedule.constant(0.9), w0, 0)
+        assert len(rows) == 1
+        assert rows[0].k == 0 and result.final_record is rows[0]
 
     def test_record_stride_and_final(self, dense_small):
         E, _, b = dense_small
         w0 = random_lift(E.N, seed=2)
-        result = run(
+        result, rows = run_rows(
             E, b, "raar", ParameterSchedule.constant(0.9), w0, 25,
             StoppingRule(fixed_budget=True), record_every=10,
         )
-        assert [r.k for r in result.records] == [0, 10, 20, 25]
+        assert [r.k for r in rows] == [0, 10, 20, 25]
+        assert result.final_record is rows[-1]
 
     def test_stopping_on_residual(self, dense_wide):
         E, _, b = dense_wide
@@ -467,9 +468,9 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
 
     def go(every):
         w0 = random_lift(E.N, seed=5)
-        return run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 400, stop, record_every=every)
+        return run_rows(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 400, stop, record_every=every)
 
-    full = go(1)
+    full, full_rows = go(1)
     assert full.stop_reason == "residual" and full.final_record.k % 7 != 0
     ks = []
     record = solvers._trace_row
@@ -479,11 +480,11 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
         return record(b, b_norm, z, lam, pz, pl, param, k, *rest)
 
     monkeypatch.setattr(solvers, "_trace_row", counted_record)
-    strided = go(record_every)
+    strided, strided_rows = go(record_every)
     assert _bits(strided) == _bits(full)
-    kept = [r for r in full.records[:-1] if r.k % record_every == 0] + [full.final_record]
-    assert [_row(r) for r in strided.records] == [_row(r) for r in kept]
-    assert ks == [r.k for r in strided.records]  # a row is built only when it is kept
+    kept = [r for r in full_rows[:-1] if r.k % record_every == 0] + [full.final_record]
+    assert [_row(r) for r in strided_rows] == [_row(r) for r in kept]
+    assert ks == [r.k for r in strided_rows]  # a row is built only when it is kept
     if record_every == 400:
         assert ks == [0, full.final_record.k]  # the start's row and the stopping row
 
@@ -602,7 +603,7 @@ def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo,
     E0, _, b = dense_small
     w0 = random_lift(E0.N, seed=2)
     schedule, budget = ParameterSchedule.constant(_PARAM[algo]), StoppingRule(fixed_budget=True)
-    rows = {r.k: _row(r) for r in run(E0, b, algo, schedule, w0, 50, budget).records}
+    rows = {r.k: _row(r) for r in run_rows(E0, b, algo, schedule, w0, 50, budget)[1]}
     expected = _public_steps(algo, E0, b, initial_state(E0, b, algo, w0), _PARAM[algo], 3)[-1][0]
     torus = solvers.project_torus
     for site, bad in (("all of P", np.nan), ("P", np.inf), ("P", np.nan), ("z", np.inf), ("z", np.nan)):
@@ -619,13 +620,14 @@ def test_nonfinite_iterate_stops_and_keeps_trace(monkeypatch, dense_small, algo,
             monkeypatch.setattr(module, "project_torus", lambda w, b, out=None: spoil(torus(w, b, out=out), "z"))
         ws = []
         with np.errstate(invalid="ignore"):
-            result = run(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
-                         on_iterate=lambda k, w: ws.append(w.copy()))
+            result, kept = run_rows(E, b, algo, schedule, w0, 50, budget, record_every=record_every,
+                                    on_iterate=lambda k, w: ws.append(w.copy()))
         assert result.stop_reason == "nonfinite", site
         ks = [0, 1, 2] if record_every == 1 else [0]
-        assert [r.k for r in result.records] == (ks + [3] if site == "z" else ks), site
-        assert [_row(r) for r in result.records] == [rows[r.k] for r in result.records], site
-        assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in result.records)
+        assert [r.k for r in kept] == (ks + [3] if site == "z" else ks), site
+        assert result.final_record is kept[-1], site
+        assert [_row(r) for r in kept] == [rows[r.k] for r in kept], site
+        assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio, r.objective]).all() for r in kept)
         assert len(ws) == 4
         assert all(np.isfinite(w).all() for w in ws)
         np.testing.assert_array_equal(ws[-1], expected)
@@ -687,11 +689,11 @@ def test_a_finite_lambda_that_overflows_the_dot_runs_on(monkeypatch, dense_small
         lams = [lam for _, _, lam in _public_steps(algo, E, b, initial_state(E, b, algo, w0), _PARAM[algo], 50)]
         assert any(not math.isfinite(np.vdot(lam, lam).real) for lam in lams)
         assert all(np.isfinite(lam).all() for lam in lams)
-        result = run(*args)
+        result, rows = run_rows(*args)
         monkeypatch.setattr(solvers, "math", types.SimpleNamespace(isfinite=lambda x: False))  # the sweep alone
-        swept = run(*args)
-    assert result.stop_reason == "max_iters" and len(result.records) == 51
-    assert repr([_row(r) for r in result.records]) == repr([_row(r) for r in swept.records])
+        swept, swept_rows = run_rows(*args)
+    assert result.stop_reason == "max_iters" and len(rows) == 51
+    assert repr([_row(r) for r in rows]) == repr([_row(r) for r in swept_rows])
     assert repr(_bits(result)) == repr(_bits(swept))
 
 
@@ -702,7 +704,7 @@ def test_run_does_not_hang_on_where_a_star_sits(algo):
     b = np.abs(E.apply_adjoint(random_complex(np.random.default_rng(4), 100)))
     args = (b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=5), 50,
             StoppingRule(fixed_budget=True))
-    ref = run(E, *args)
+    ref, ref_rows = run_rows(E, *args)
     size = E._adjoint.nbytes
     for offset in (16, 32, 48):
         moved = copy.copy(E)
@@ -711,8 +713,8 @@ def test_run_does_not_hang_on_where_a_star_sits(algo):
         moved._adjoint = buf[start:start + size].view(np.complex128).reshape(E._adjoint.shape)
         moved._adjoint[...] = E._adjoint
         assert moved._adjoint.ctypes.data % 64 == offset
-        out = run(moved, *args)
-        assert [_row(r) for r in out.records] == [_row(r) for r in ref.records]
+        out, rows = run_rows(moved, *args)
+        assert [_row(r) for r in rows] == [_row(r) for r in ref_rows]
         assert _bits(out) == _bits(ref)
 
 
@@ -759,11 +761,11 @@ def test_nonfinite_magnitudes_stop_after_the_last_finite_record(dense_small, alg
 
     w0 = random_lift(E0.N, seed=2)
     with np.errstate(invalid="ignore"):
-        result = run(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50,
-                     StoppingRule(residual_tol=0.0, deriv_tol=0.0))
+        result, rows = run_rows(SpoilsMagnitudes(E0), b, algo, ParameterSchedule.constant(_PARAM[algo]), w0, 50,
+                                StoppingRule(residual_tol=0.0, deriv_tol=0.0))
     assert result.stop_reason == "nonfinite"
-    assert [r.k for r in result.records] == [0, 1, 2, 3]
-    assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio]).all() for r in result.records)
+    assert [r.k for r in rows] == [0, 1, 2, 3]
+    assert all(np.isfinite([r.residual, r.deriv_norm, r.t_ratio]).all() for r in rows)
     expected = _public_steps(algo, E0, b0, initial_state(E0, b0, algo, w0), _PARAM[algo], 3)[-1][0]
     np.testing.assert_array_equal(getattr(result.state, _LIFT[algo]), expected)
 
@@ -967,17 +969,17 @@ def test_run_records_match_direct_formulas(request, algo, ensemble):
     param = _PARAM[algo]
     w0 = random_lift(E.N, seed=11)
     steps = 150
-    result = run(E, b, algo, ParameterSchedule.constant(param), w0, steps,
-                 StoppingRule(fixed_budget=True))
+    _, rows = run_rows(E, b, algo, ParameterSchedule.constant(param), w0, steps,
+                       StoppingRule(fixed_budget=True))
     start = initial_state(E, b, algo, w0)
     pairs = [(z, lam) for _lift, z, lam in _public_steps(algo, E, b, start, param, steps)]
-    assert len(result.records) == len(pairs) == steps + 1
+    assert len(rows) == len(pairs) == steps + 1
 
     def close(a, ref, rel):
         return abs(a - ref) <= rel * abs(ref)
 
     checked = 0
-    for rec, (z, lam) in zip(result.records, pairs):
+    for rec, (z, lam) in zip(rows, pairs):
         assert np.sign(rec.t_ratio) == np.sign(diagnostics(E, b, z, lam, param, rec.k, algo=algo).t_ratio), rec.k
         residual, deriv, obj, t_ratio = _direct_record(E, b, z, lam, param, algo)
         if residual >= 1e-4:
@@ -1071,8 +1073,9 @@ def test_run_allocates_eleven_complex_vectors_and_one_real(monkeypatch, cdp_8x8,
 
     for module in (solvers, analysis, operators):  # every module a run's vectors could come from
         monkeypatch.setattr(module, "_aligned_empty", counted, raising=False)
-    result = run(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=2), 7, record_every=3)
-    assert result.stop_reason == "max_iters" and len(result.records) == 4
+    result, rows = run_rows(E, b, algo, ParameterSchedule.constant(_PARAM[algo]), random_lift(E.N, seed=2), 7,
+                            record_every=3)
+    assert result.stop_reason == "max_iters" and len(rows) == 4
     assert made.count(np.complex128) <= 11 and made.count(np.float64) <= 1 and len(made) <= 12, made
 
 

@@ -33,6 +33,9 @@ RUNS = [
     ("solve-admm", ["solve", "--algo", "admm", "--beta", "0.8", *GAUSS]),
     ("solve-drs", ["solve", "--algo", "drs", *GAUSS]),
     ("solve-null", ["solve", "--init", "null", *GAUSS]),
+    # 5,001 rows, more than a trace writer holds before it appends to its file, and a stride
+    ("solve-long", ["solve", "--fixed-budget", "--max-iters", "5000", *GAUSS]),
+    ("solve-stride", ["solve", "--record-every", "7", *GAUSS]),
     ("solve-cdp-random", ["solve", *CDP]),
     ("solve-cdp-null", ["solve", *CDP, "--init", "null"]),
     ("solve-bad-dims", ["solve", "--n", "16", "--N", "8"]),
