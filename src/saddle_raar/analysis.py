@@ -19,10 +19,11 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
   indicator ``t_ratio``.
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
-from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T`` and compute only the
-extreme eigenvalues they need.  A tangent form is written once, on its lower triangle, into one
-Fortran-ordered ``(N-1)^2`` buffer by a ``dsyr2k`` and a ``dsyrk``, and solved in that buffer; its
-residual comes from the form's action through one projection, the Lanczos branch's matvec.
+from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T``, built once per call
+and reflected in its own buffer, and compute only the extreme eigenvalues they need.  A tangent
+form is written once, on its lower triangle, into one Fortran-ordered ``(N-1)^2`` buffer by a
+``dsyr2k`` and a ``dsyrk``, and solved alone in that buffer unless a pencil still reads the factor;
+its residual comes from the form's action through one projection, the Lanczos branch's matvec.
 ``lambda2^2`` is the largest eigenvalue of the reflected factor's ``2n x 2n`` tangent Gram.  Beyond
 the cap, one matrix-free tangent Lanczos solve with a convergence flag, which also gives ``lambda2``
 from the tangent curvature ``1 - lambda2^2`` at the solution; both take ``sigma_top = ||A w0|| / ||w0||``.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -297,13 +299,12 @@ def _householder(b: np.ndarray):
     return v, 2.0 / (v @ v)
 
 
-def _reflect(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``H x`` for the reflector of :func:`_householder`; ``x`` a vector or a matrix."""
-    v, c = _householder(b)
+def _reflect(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """``H x`` for the reflector ``(v, c)`` of :func:`_householder`; ``x`` a vector or a matrix, left as it is."""
     return x - np.multiply.outer(c * v, v @ x)
 
 
-def _tangent_form(f: np.ndarray, b: np.ndarray, d: np.ndarray, scale: float) -> np.ndarray:
+def _tangent_form(f: np.ndarray, v: np.ndarray, c: float, d: np.ndarray, scale: float) -> np.ndarray:
     """``scale K_perp - diag(d)`` on the tangent subspace, in the basis ``B = H[:, 1:]``: lower triangle only,
     one Fortran-ordered ``(N-1)^2`` buffer that LAPACK can overwrite, from the reflected factor ``f = (H F)[1:]``.
 
@@ -312,20 +313,26 @@ def _tangent_form(f: np.ndarray, b: np.ndarray, d: np.ndarray, scale: float) -> 
     ``scale - d[1:]``, the rank-2 part one ``dsyr2k`` (O(N^2)) and ``-scale f f^T`` one ``dsyrk`` (O(N^2 n)).
     """
     from scipy.linalg.blas import dsyr2k, dsyrk
-    v, c = _householder(b)
     p = c * d * v - (0.5 * c * c * (v @ (d * v))) * v
-    h = np.zeros((b.size - 1, b.size - 1), order="F")  # zeroed: eigh's finiteness check reads the upper triangle
+    h = np.zeros((v.size - 1, v.size - 1), order="F")  # zeroed: eigh's finiteness check reads the upper triangle
     dsyr2k(1.0, v[1:, None], p[1:, None], c=h, lower=1, overwrite_c=1)
-    h.reshape(-1, order="F")[:: b.size] += scale - d[1:]
+    h.reshape(-1, order="F")[:: v.size] += scale - d[1:]
     dsyrk(-scale, f.T, beta=1.0, c=h, trans=1, lower=1, overwrite_c=1)  # f.T is Fortran-ordered: no copy
     return h
 
 
-def _phase_factor(E: MeasurementEnsemble, u: np.ndarray) -> np.ndarray:
-    """Rows ``u != 0`` of ``F = [Re B*, Im B*]``, ``B* = diag(conj(u)) A*``: ``F F^T = Re(diag(conj(u)) P diag(u))``."""
+def _phase_factor(E: MeasurementEnsemble, u: np.ndarray, v=None, c=None) -> np.ndarray:
+    """Rows ``u != 0`` of ``F = [Re B*, Im B*]``, ``B* = diag(conj(u)) A*``: ``F F^T = Re(diag(conj(u)) P diag(u))``.
+
+    ``B*`` is formed in ``materialize_adjoint``'s array and written once into ``F``'s own buffer, which a reflector
+    ``(v, c)`` of :func:`_householder`, when given, turns into ``H F`` in place.
+    """
     s = u != 0
-    bstar = np.conj(u[s])[:, None] * E.materialize_adjoint()[s]
-    return np.concatenate([bstar.real, bstar.imag], axis=1)
+    bstar = E.materialize_adjoint() if s.all() else E.materialize_adjoint()[s]
+    np.multiply(np.conj(u[s])[:, None], bstar, out=bstar)
+    f = np.concatenate([bstar.real, bstar.imag], axis=1)
+    del bstar  # dead before the reflection
+    return f if v is None else np.subtract(f, np.multiply.outer(c * v, v @ f), out=f)
 
 
 def _min_eig_lanczos(matvec, n_dim: int, seed: int):
@@ -347,17 +354,19 @@ def _min_eig_lanczos(matvec, n_dim: int, seed: int):
     return lam, resid, True
 
 
-def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float, seed: int = 0):
+def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float, seed: int = 0,
+                     keep_factor: bool = False):
     """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
 
-    ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and
-    ``Xi`` live on the support of ``z``.  Returns ``(eigenvalue, residual, converged, method, f)``.
-    The form acts in the basis ``H[:, 1:]`` of the reflector ``H`` through one projection; the
-    residual is taken from that action.  Up to ``DENSE_CAP`` support dimensions, ``f = (H F)[1:]``
-    is the phase factor reflected once (O(N n)), and the form's lower triangle is built from it in
-    place (:func:`_tangent_form`) for one dense subset eigen-solve that overwrites it.  Beyond that
-    Lanczos on the same action from the start ``seed`` draws, and ``f`` is None.  A non-finite ``d``
-    (an iterate entry too small for its quotient) raises ``InvalidDataError`` before any operator call.
+    ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and ``Xi`` live on the
+    support of ``z``.  Returns ``(eigenvalue, residual, converged, method, forms)``.  The form acts in the basis
+    ``H[:, 1:]`` of the reflector ``H``, computed once, through one projection; the residual is taken from that action.
+    Up to ``DENSE_CAP`` support dimensions, the form's lower triangle is built in place (:func:`_tangent_form`) from
+    ``f = (H F)[1:]``, the phase factor built and reflected in its own buffer, for one dense subset eigen-solve that
+    overwrites it; ``f`` is dropped before that solve unless ``keep_factor``, when ``forms(d, scale)`` builds further
+    forms from it.  Beyond the cap Lanczos on the same action from the start ``seed`` draws.  ``forms`` is None but
+    for a kept factor.  A non-finite ``d`` (an iterate entry too small for its quotient) raises ``InvalidDataError``
+    before any operator call.
     """
     if not np.isfinite(d).all():
         raise InvalidDataError("iterate has an entry too small for a finite tangent curvature")
@@ -365,22 +374,25 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
     s = mag > 0
     b = mag[s]
     u = unit_phase(z)
+    v, c = _householder(b)
 
     def matvec(xi):
         x = np.zeros(b.size)
         x[1:] = xi
-        x = _reflect(x, b)
+        x = _reflect(x, v, c)
         full = np.zeros(E.N)
         full[s] = x
-        return _reflect(scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * x, b)[1:]
+        return _reflect(scale * np.real(np.conj(u) * E.project_complement(u * full))[s] - d * x, v, c)[1:]
 
     if b.size <= DENSE_CAP:
         import scipy.linalg
-        f = _reflect(_phase_factor(E, u * s), b)[1:]
-        vals, vecs = scipy.linalg.eigh(_tangent_form(f, b, d, scale), lower=True, subset_by_index=[0, 0],
-                                       overwrite_a=True)
+        forms = partial(_tangent_form, _phase_factor(E, u * s, v, c)[1:], v, c)
+        h = forms(d, scale)
+        if not keep_factor:
+            forms = None  # drops f: the solve holds the form alone
+        vals, vecs = scipy.linalg.eigh(h, lower=True, subset_by_index=[0, 0], overwrite_a=True)
         lam, y = float(vals[0]), vecs[:, 0]
-        return lam, float(np.linalg.norm(matvec(y) - lam * y)), True, "dense", f
+        return lam, float(np.linalg.norm(matvec(y) - lam * y)), True, "dense", forms
 
     return *_min_eig_lanczos(matvec, b.size - 1, seed), "lanczos", None
 
@@ -450,7 +462,7 @@ def certify_cross_section_minimizer(
     with np.errstate(over="ignore"):  # q can overflow at a tiny normal entry, which the tangent solve rejects
         q_full = criticality_vector(E, z, lam)
     q = q_full[s]
-    min_eig, eig_resid, converged, method, f = _tangent_min_eig(E, z, np.real(q), 1.0)
+    min_eig, eig_resid, converged, method, forms = _tangent_min_eig(E, z, np.real(q), 1.0, keep_factor=beta is not None)
     b2 = b * b
     # multiplier fitted by the b^2-weighted mean, matching the constraint
     # <theta, b^2> = 0 that defines the cross section
@@ -458,13 +470,13 @@ def certify_cross_section_minimizer(
     first_order_defect = float(np.linalg.norm(np.imag(q) - rho))
 
     beta_saddle = beta_contraction = beta_bound = None
-    if beta is not None and f is not None:
+    if forms is not None:
         import scipy.linalg
         # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
         q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
         top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
         try:
-            nu_max = float(scipy.linalg.eigh(_tangent_form(f, b, -q0, 0.0), _tangent_form(f, b, np.zeros(b.size), 1.0),
+            nu_max = float(scipy.linalg.eigh(forms(-q0, 0.0), forms(np.zeros(b.size), 1.0),
                                              lower=True, subset_by_index=top, eigvals_only=True,
                                              overwrite_a=True, overwrite_b=True)[0])
             beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
@@ -474,21 +486,10 @@ def certify_cross_section_minimizer(
             pass
 
     beta_ok = None if beta_bound is None else bool(beta < beta_bound)
-    return SaddleCertificate(
-        q=q_full,
-        rho=rho,
-        first_order_defect=first_order_defect,
-        hessian_min_eig=min_eig,
-        eig_residual=eig_resid,
-        strict=bool(converged and min_eig > 0.0),
-        method=method,
-        converged=converged,
-        beta=beta,
-        beta_ok=beta_ok,
-        beta_bound_saddle=beta_saddle,
-        beta_bound_contraction=beta_contraction,
-        beta_bound=beta_bound,
-    )
+    return SaddleCertificate(q=q_full, rho=rho, first_order_defect=first_order_defect, hessian_min_eig=min_eig,
+                             eig_residual=eig_resid, strict=bool(converged and min_eig > 0.0), method=method,
+                             converged=converged, beta=beta, beta_ok=beta_ok, beta_bound_saddle=beta_saddle,
+                             beta_bound_contraction=beta_contraction, beta_bound=beta_bound)
 
 
 def certify_drs_cross_section(
@@ -513,16 +514,9 @@ def certify_drs_cross_section(
     with np.errstate(over="ignore"):  # b / |z| can overflow at a tiny normal entry, which the tangent solve rejects
         d = b / mag - 1.0
     min_eig, eig_resid, converged, method, _ = _tangent_min_eig(E, z, d, rho)
-    return SaddleCertificate(
-        q=np.zeros_like(z),
-        rho=rho,
-        first_order_defect=float("nan"),
-        hessian_min_eig=min_eig,
-        eig_residual=eig_resid,
-        strict=bool(converged and min_eig > 0.0),
-        method=method,
-        converged=converged,
-    )
+    return SaddleCertificate(q=np.zeros_like(z), rho=rho, first_order_defect=float("nan"), hessian_min_eig=min_eig,
+                             eig_residual=eig_resid, strict=bool(converged and min_eig > 0.0), method=method,
+                             converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +574,7 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
         notes.append("masks deterministic or too few patterns")
 
     if E.N <= DENSE_CAP:
-        f = _reflect(_phase_factor(E, w0 / b), b)[1:]
+        f = _phase_factor(E, w0 / b, *_householder(b))[1:]
         lam2 = math.sqrt(max(float(np.linalg.eigvalsh(f.T @ f)[-1]), 0.0))
         method, converged = "dense", True
     else:

@@ -230,7 +230,7 @@ class MeasurementEnsemble:
         return worst
 
     def materialize_adjoint(self) -> np.ndarray:
-        """Dense ``N x n`` matrix of ``A*`` (columns are lifted basis vectors)."""
+        """Dense ``N x n`` matrix of ``A*`` (columns are lifted basis vectors), a fresh array the caller owns."""
         cols = np.empty((self.N, self.n), dtype=np.complex128)
         e = np.zeros(self.n, dtype=np.complex128)
         for j in range(self.n):
@@ -282,6 +282,10 @@ class GaussianEnsemble(MeasurementEnsemble):
     def apply(self, w):
         # (A*)^H w without materializing the conjugate transpose
         return np.conj(np.conj(self._check_measurement(w)) @ self._adjoint)
+
+    def project_range(self, w, out=None):
+        # apply's operations, with conj(w) taken in out, which A* overwrites once A w is formed
+        return self.apply_adjoint(np.conj(np.conj(self._check_measurement(w), out=out) @ self._adjoint), out=out)
 
     def materialize_adjoint(self):
         return self._adjoint.copy()

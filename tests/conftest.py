@@ -15,7 +15,7 @@ from saddle_raar import (  # noqa: E402
     diagnostics,
     run,
 )
-from saddle_raar.analysis import _functional_and_margin, _phase_factor, _reflect  # noqa: E402
+from saddle_raar.analysis import _functional_and_margin, _householder, _phase_factor, _reflect  # noqa: E402
 
 
 def run_rows(*args, **kwargs):
@@ -131,7 +131,7 @@ def contraction_margin(E, z, lam, z_star, lam_star, beta):
 
 def tangent_basis(b):
     """Orthonormal basis (columns) of ``Xi = { xi real : <xi, b> = 0 }``: ``H[:, 1:]``."""
-    return _reflect(np.eye(len(b)), b)[:, 1:]
+    return _reflect(np.eye(len(b)), *_householder(b))[:, 1:]
 
 
 def assemble_complement_form(E, u):

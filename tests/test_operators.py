@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -279,6 +280,21 @@ def test_out_gives_the_same_bytes_and_writes_only_out(make):
             assert all(g is o for g, o in zip(got, outs)), (name, offset)
             assert all(a.tobytes() == v.tobytes() for a, v in zip(args, inputs)), (name, offset)  # inputs kept
     assert _ensemble_arrays(E) == held
+
+
+def test_gaussian_projection_takes_its_conjugate_in_out():
+    # conj(w) goes into out, which A* overwrites once A w is formed: only n-vectors are allocated
+    E = build_gaussian_ensemble(100, 400, seed=3)
+    w, out = random_complex(np.random.default_rng(5), E.N), np.empty(E.N, dtype=complex)
+    E.project_range(w, out=out)
+    tracemalloc.start()
+    try:
+        E.project_range(w, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E.N * 16
+    assert E.project_range(w, out=w) is w and w.tobytes() == out.tobytes()  # out may be w
 
 
 def _per_mask_adjoint(E, x):

@@ -11,7 +11,7 @@ stdout and stderr, drops the ``wall_ns`` column of the trace CSVs (it is a
 clock reading) and compares the two output trees file by file.  It prints
 every file that differs or exists on one side only, and exits 0 only when
 there is none.  Standard library only; a full comparison takes about
-ten seconds on two cores.
+fifteen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ RUNS = [
     ("sweep-full-grid", ["sweep", "--full-grid", "--n", "12", "--trials", "1", "--max-iters", "100"]),
     *((f"cdp-{case}", ["cdp", "--case", case, "--grid", "16x16"]) for case in "abc"),
     ("certify-raar", ["certify", "--cross-section", "--state", "{solve-raar}/state.json"]),
+    # the dense CDP certificate with its relaxation pencil (N = 2048), and the dense spectral gap
+    ("certify-cdp", ["certify", "--cross-section", "--state", "{solve-cdp-random}/state.json"]),
+    ("gap", ["gap", "--grid", "8x8", "--seeds", "3"]),
 ]
 
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
