@@ -22,8 +22,9 @@ All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions bui
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T``, built once per call
 and reflected in its own buffer, and compute only the extreme eigenvalues they need.  A tangent
 form is written once, on its lower triangle, into one Fortran-ordered ``(N-1)^2`` buffer by a
-``dsyr2k`` and a ``dsyrk``, and solved alone in that buffer unless a pencil still reads the factor;
-its residual comes from the form's action through one projection, the Lanczos branch's matvec.
+``dsyr2k`` and a ``dsyrk``, and solved alone in that buffer unless the same solve goes on to answer
+a pencil from the factor, which never leaves it (its tuple ends in the pencil's ``nu_max``); the
+residual comes from the form's action through one projection, the Lanczos branch's matvec.
 ``lambda2^2`` is the largest eigenvalue of the reflected factor's ``2n x 2n`` tangent Gram.  Beyond
 the cap, one matrix-free tangent Lanczos solve with a convergence flag, which also gives ``lambda2``
 from the tangent curvature ``1 - lambda2^2`` at the solution; both take ``sigma_top = ||A w0|| / ||w0||``.
@@ -32,9 +33,9 @@ scipy is imported by those eigen-solves alone, when they run; everything else ne
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -354,19 +355,18 @@ def _min_eig_lanczos(matvec, n_dim: int, seed: int):
     return lam, resid, True
 
 
-def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float, seed: int = 0,
-                     keep_factor: bool = False):
+def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale: float, seed: int = 0, q0=None):
     """Smallest eigenvalue of ``scale K_perp - diag(d)`` on the tangent subspace of ``z``.
 
     ``K_perp = Re(diag(conj(u)) Q diag(u))`` with ``u`` the phase of ``z``; ``d``, ``K_perp`` and ``Xi`` live on the
-    support of ``z``.  Returns ``(eigenvalue, residual, converged, method, forms)``.  The form acts in the basis
+    support of ``z``.  Returns ``(eigenvalue, residual, converged, method, nu_max)``.  The form acts in the basis
     ``H[:, 1:]`` of the reflector ``H``, computed once, through one projection; the residual is taken from that action.
     Up to ``DENSE_CAP`` support dimensions, the form's lower triangle is built in place (:func:`_tangent_form`) from
     ``f = (H F)[1:]``, the phase factor built and reflected in its own buffer, for one dense subset eigen-solve that
-    overwrites it; ``f`` is dropped before that solve unless ``keep_factor``, when ``forms(d, scale)`` builds further
-    forms from it.  Beyond the cap Lanczos on the same action from the start ``seed`` draws.  ``forms`` is None but
-    for a kept factor.  A non-finite ``d`` (an iterate entry too small for its quotient) raises ``InvalidDataError``
-    before any operator call.
+    overwrites it; ``f`` is dropped before that solve unless ``q0`` is given, when the same ``f`` then gives ``nu_max``,
+    the top eigenvalue of the pencil ``(diag q0, K_perp)`` on ``Xi``; ``f`` never leaves this function.  Beyond the cap
+    Lanczos on the same action from the start ``seed`` draws.  ``nu_max`` is None but for a solved pencil.  A non-finite
+    ``d`` (an iterate entry too small for its quotient) raises ``InvalidDataError`` before any operator call.
     """
     if not np.isfinite(d).all():
         raise InvalidDataError("iterate has an entry too small for a finite tangent curvature")
@@ -386,13 +386,20 @@ def _tangent_min_eig(E: MeasurementEnsemble, z: np.ndarray, d: np.ndarray, scale
 
     if b.size <= DENSE_CAP:
         import scipy.linalg
-        forms = partial(_tangent_form, _phase_factor(E, u * s, v, c)[1:], v, c)
-        h = forms(d, scale)
-        if not keep_factor:
-            forms = None  # drops f: the solve holds the form alone
+        f = _phase_factor(E, u * s, v, c)[1:]
+        h = _tangent_form(f, v, c, d, scale)
+        if q0 is None:
+            del f  # the solve holds the form alone
         vals, vecs = scipy.linalg.eigh(h, lower=True, subset_by_index=[0, 0], overwrite_a=True)
-        lam, y = float(vals[0]), vecs[:, 0]
-        return lam, float(np.linalg.norm(matvec(y) - lam * y)), True, "dense", forms
+        del h
+        lam, y, nu_max = float(vals[0]), vecs[:, 0], None
+        if q0 is not None:  # the largest of the pencil's b.size - 1 eigenvalues on Xi, from the same f
+            with contextlib.suppress(scipy.linalg.LinAlgError):
+                nu_max = float(scipy.linalg.eigh(_tangent_form(f, v, c, -q0, 0.0),
+                                                 _tangent_form(f, v, c, np.zeros(b.size), 1.0),
+                                                 lower=True, subset_by_index=[b.size - 2] * 2, eigvals_only=True,
+                                                 overwrite_a=True, overwrite_b=True)[0])
+        return lam, float(np.linalg.norm(matvec(y) - lam * y)), True, "dense", nu_max
 
     return *_min_eig_lanczos(matvec, b.size - 1, seed), "lanczos", None
 
@@ -462,7 +469,9 @@ def certify_cross_section_minimizer(
     with np.errstate(over="ignore"):  # q can overflow at a tiny normal entry, which the tangent solve rejects
         q_full = criticality_vector(E, z, lam)
     q = q_full[s]
-    min_eig, eig_resid, converged, method, forms = _tangent_min_eig(E, z, np.real(q), 1.0, keep_factor=beta is not None)
+    # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
+    q0 = None if beta is None else np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
+    min_eig, eig_resid, converged, method, nu_max = _tangent_min_eig(E, z, np.real(q), 1.0, q0=q0)
     b2 = b * b
     # multiplier fitted by the b^2-weighted mean, matching the constraint
     # <theta, b^2> = 0 that defines the cross section
@@ -470,20 +479,10 @@ def certify_cross_section_minimizer(
     first_order_defect = float(np.linalg.norm(np.imag(q) - rho))
 
     beta_saddle = beta_contraction = beta_bound = None
-    if forms is not None:
-        import scipy.linalg
-        # beta bounds from nu_max of (diag q0, K_perp); (K_perp - diag q0, K_perp) has 1 - nu
-        q0 = np.real(criticality_vector(E, z, np.zeros_like(z)))[s]
-        top = [b.size - 2, b.size - 2]  # the largest of b.size - 1 on Xi
-        try:
-            nu_max = float(scipy.linalg.eigh(forms(-q0, 0.0), forms(np.zeros(b.size), 1.0),
-                                             lower=True, subset_by_index=top, eigvals_only=True,
-                                             overwrite_a=True, overwrite_b=True)[0])
-            beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
-            beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
-            beta_bound = min(beta_saddle, beta_contraction)
-        except scipy.linalg.LinAlgError:
-            pass
+    if nu_max is not None:
+        beta_saddle = float(min(max(1.0 - nu_max, 0.0), 1.0))
+        beta_contraction = float(min(max(1.0 - 2.0 * nu_max, 0.0), 1.0))
+        beta_bound = min(beta_saddle, beta_contraction)
 
     beta_ok = None if beta_bound is None else bool(beta < beta_bound)
     return SaddleCertificate(q=q_full, rho=rho, first_order_defect=first_order_defect, hessian_min_eig=min_eig,

@@ -23,7 +23,7 @@ from .operators import complex_to_interleaved, ensemble_from_descriptor, interle
 from .solvers import _form
 
 __all__ = [
-    "TRACE_BUFFER_ROWS", "atomic_write_bytes", "atomic_write_text", "write_json", "write_csv", "append_csv",
+    "TRACE_BUFFER_ROWS", "atomic_write_bytes", "write_json", "write_csv", "append_csv",
     "trace_writer", "write_pgm", "magnitude_image", "aligned_real_image", "save_solver_state", "load_solver_state",
 ]
 
@@ -54,10 +54,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 class _ArrayEncoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, np.ndarray):
@@ -70,7 +66,7 @@ class _ArrayEncoder(json.JSONEncoder):
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, cls=_ArrayEncoder) + "\n")
+    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True, cls=_ArrayEncoder) + "\n").encode("utf-8"))
 
 
 def _csv_bytes(rows) -> bytes:

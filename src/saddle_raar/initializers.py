@@ -62,8 +62,7 @@ def null_vector(E: MeasurementEnsemble, b, weak_fraction: float = 0.5, seed: int
     def apply_op(x):
         return x - E.apply(weak * E.apply_adjoint(x))
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(E.n) + 1j * rng.standard_normal(E.n)
+    x = random_lift(E.n, seed)
     x /= np.linalg.norm(x)
     mu = 0.0
     resid = np.inf

@@ -329,9 +329,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
             raise InvalidMaskError("need at least 2 masks")
         if np.max(np.abs(np.abs(masks) - 1.0)) > 1e-12:
             raise InvalidMaskError("mask entries must have unit modulus")
-        if padded is None:
-            padded = (2 * r, 2 * c)
-        self.padded = (int(padded[0]), int(padded[1]))
+        self.padded = _checked_grid((2 * r, 2 * c) if padded is None else padded, "padded")
         if self.padded[0] < 2 * r - 1 or self.padded[1] < 2 * c - 1:
             raise AliasingError(
                 f"padded grid {self.padded} undersamples a {r}x{c} object; "
@@ -347,14 +345,8 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         # Isometry scale for the unnormalized DFT: exact for unit-modulus
         # masks, so a probe that disagrees is a defect, never a calibration.
         self.c0 = 1.0 / math.sqrt(self.N)
-        ratio = self._probe_scale()
-        if abs(ratio - 1.0) > 1e-8:
-            raise RuntimeError(f"analytic isometry scale is off: probe ratio {ratio!r}")
-
-    def _probe_scale(self) -> float:
-        rng = np.random.default_rng(0xC0DED)
-        x = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        return float(np.linalg.norm(self.apply_adjoint(x)) / np.linalg.norm(x))
+        if (defect := self.isometry_defect(probes=1, seed=0xC0DED)) > 1e-8:
+            raise RuntimeError(f"analytic isometry scale is off: probe defect {defect!r}")
 
     def _lift(self, x2, out=None):
         """``A*`` of a stack ``(..., r, c)`` of object grids, as ``(..., l, pr, pc)``, in ``out`` when given.
@@ -409,11 +401,13 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         }
 
 
-def _checked_grid(grid) -> tuple:
-    """``grid`` as ``(rows, cols)`` once both sides are positive."""
+def _checked_grid(grid, name: str = "grid") -> tuple:
+    """``grid`` as ``(rows, cols)`` once it holds two entries and both sides are positive."""
+    if len(grid) != 2:
+        raise DimensionError(f"{name} must hold two entries, got {len(grid)}")
     rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
-        raise DimensionError(f"grid {rows}x{cols} must have positive sides")
+        raise DimensionError(f"{name} {rows}x{cols} must have positive sides")
     return rows, cols
 
 
@@ -460,7 +454,9 @@ def interleaved_to_complex(values) -> np.ndarray:
 
 
 def ensemble_from_descriptor(d: dict) -> MeasurementEnsemble:
-    """Rebuild an ensemble from its JSON-friendly descriptor."""
+    """Rebuild an ensemble from its JSON-friendly descriptor; ``ValueError`` for one that is not a dict."""
+    if not isinstance(d, dict):
+        raise ValueError(f"ensemble descriptor must be an object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == GaussianEnsemble.kind:
         return GaussianEnsemble(d["n"], d["N"], d["seed"])

@@ -427,7 +427,8 @@ class TestDenseCertificateOracle:
 
     def test_dense_certificate_memory_is_a_few_forms(self, cdp_8x8):
         # the forms are built from the N x 2n phase factor: one certificate
-        # holds a few (N-1)^2 forms at once, not the N x N products of each
+        # holds a few (N-1)^2 forms at once, not the N x N products of each;
+        # with a beta, the pencil's two forms beside the reflected factor once the tangent form is dropped
         E, x0, _ = cdp_8x8
         z_star = E.apply_adjoint(x0)
         certify_cross_section_minimizer(E, z_star, np.zeros_like(z_star), beta=0.9)  # scipy loaded before tracing
@@ -438,7 +439,9 @@ class TestDenseCertificateOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * E.N**2 * 8
+        form, factor = (E.N - 1) ** 2 * 8, (E.N - 1) * 2 * E.n * 8
+        # 1.07x measured (4.80 MiB at 8x8); the tangent form kept alive beside the pencil's two reads 1.5x
+        assert peak <= 1.15 * (factor + 2 * form)
 
     def test_bare_dense_certificate_solves_its_form_alone(self, cdp_8x8):
         # without a beta: one (N-1)^2 form, built in place from the reflected (N-1) x 2n factor

@@ -17,6 +17,8 @@ from saddle_raar.analysis import _RANGES, _checked_param
 from saddle_raar.artifacts import load_solver_state
 from saddle_raar.cli import _OPTIONS, RunConfig, UsageError, execute, main, parse_config
 
+_MISSING = object()  # a state-file field the test deletes
+
 
 class TestParsing:
     def test_solve_flags(self):
@@ -357,23 +359,25 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("field, value", [
         ("n", 4.0), ("param", "0.9"), ("algo", "gd"),
         pytest.param("w_re_im", None, id="old-w_re_im-file"),
-        pytest.param("w", None, id="missing-state-field"),
+        pytest.param("w", _MISSING, id="missing-state-field"),
         pytest.param("w", [0.0] * 30, id="state-field-of-wrong-length"),
         pytest.param("w", 1.0, id="state-field-not-a-list"),
         pytest.param("w", "0.0", id="state-field-a-string"),
+        pytest.param("ensemble", None, id="ensemble-null"),
+        pytest.param("padded", [32], id="cdp-padded-of-one-entry"),
     ])
     def test_state_with_a_bad_field_is_usage_error(self, tmp_path, capsys, field, value):
-        from saddle_raar import RaarState, build_gaussian_ensemble, random_lift
+        from saddle_raar import RaarState, build_cdp_ensemble, build_gaussian_ensemble, random_lift
         from saddle_raar.artifacts import save_solver_state
 
-        E = build_gaussian_ensemble(4, 16, seed=0)
+        E = build_cdp_ensemble((4, 4), seed=0) if field == "padded" else build_gaussian_ensemble(4, 16, seed=0)
         path = tmp_path / "state.json"
         save_solver_state(path, E, [1.0] * E.N, RaarState(w=random_lift(E.N, 0)), "raar", 0.9, 0)
         doc = json.loads(path.read_text())
-        target = {"n": doc["ensemble"], "w": doc["state"]}.get(field, doc)
+        target = {"n": doc["ensemble"], "padded": doc["ensemble"], "w": doc["state"]}.get(field, doc)
         if field == "w_re_im":  # the layout that kept one lift instead of the state's fields
             doc["w_re_im"] = doc.pop("state")["w"]
-        elif value is None:
+        elif value is _MISSING:
             del target[field]
         else:
             target[field] = value

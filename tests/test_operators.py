@@ -179,7 +179,7 @@ class TestCodedDiffractionEnsemble:
     def test_scale_probe_disagreement_raises(self, monkeypatch):
         # the analytic scale is exact, so a disagreeing probe is a defect
         # to report, never a calibration to absorb into c0
-        monkeypatch.setattr(CodedDiffractionEnsemble, "_probe_scale", lambda self: 1.0 + 1e-6)
+        monkeypatch.setattr(CodedDiffractionEnsemble, "isometry_defect", lambda self, probes, seed: 1e-6)
         with pytest.raises(RuntimeError, match="isometry scale"):
             build_cdp_ensemble((4, 4), seed=0)
 

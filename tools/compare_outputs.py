@@ -11,7 +11,7 @@ stdout and stderr, drops the ``wall_ns`` column of the trace CSVs (it is a
 clock reading) and compares the two output trees file by file.  It prints
 every file that differs or exists on one side only, and exits 0 only when
 there is none.  Standard library only; a full comparison takes about
-fifteen seconds on two cores.
+twenty seconds on two cores.
 """
 
 from __future__ import annotations
@@ -41,8 +41,12 @@ RUNS = [
     ("solve-bad-dims", ["solve", "--n", "16", "--N", "8"]),
     ("sweep-paired", ["sweep", "--n", "12", "--trials", "3", "--max-iters", "200", "--seed", "1"]),
     ("sweep-full-grid", ["sweep", "--full-grid", "--n", "12", "--trials", "1", "--max-iters", "100"]),
-    *((f"cdp-{case}", ["cdp", "--case", case, "--grid", "16x16"]) for case in "abc"),
+    # case d is the noisy random-start case
+    *((f"cdp-{case}", ["cdp", "--case", case, "--grid", "16x16"]) for case in "abcd"),
     ("certify-raar", ["certify", "--cross-section", "--state", "{solve-raar}/state.json"]),
+    # admm certifies its lift; drs takes the tangent solve with no pencil
+    ("certify-admm", ["certify", "--cross-section", "--state", "{solve-admm}/state.json"]),
+    ("certify-drs", ["certify", "--cross-section", "--state", "{solve-drs}/state.json"]),
     # the dense CDP certificate with its relaxation pencil (N = 2048), and the dense spectral gap
     ("certify-cdp", ["certify", "--cross-section", "--state", "{solve-cdp-random}/state.json"]),
     ("gap", ["gap", "--grid", "8x8", "--seeds", "3"]),
