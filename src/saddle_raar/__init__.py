@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .initializers import null_vector, random_lift
 from .operators import (
-    AliasingError,
     CodedDiffractionEnsemble,
     DimensionError,
     GaussianEnsemble,

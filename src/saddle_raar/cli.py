@@ -238,8 +238,6 @@ def _execute_solve(cfg: RunConfig) -> int:
         raise UsageError(f"--beta must lie in {contract} for admm, got {o['beta']}")
     seeds = experiments._child_seeds(o["seed"])
     if o["ensemble"] == "gaussian":
-        if o["N"] < o["n"]:
-            raise UsageError(f"need N >= n, got n={o['n']}, N={o['N']}")
         E, x0, b = experiments._gaussian_instance(o["n"], o["N"], seeds)
     else:
         grid = _parse_grid(o["grid"])

@@ -29,7 +29,6 @@ from numpy.linalg import lapack_lite
 __all__ = [
     "DimensionError",
     "InvalidMaskError",
-    "AliasingError",
     "InvalidDataError",
     "MeasurementEnsemble",
     "GaussianEnsemble",
@@ -53,10 +52,6 @@ class DimensionError(ValueError):
 
 class InvalidMaskError(ValueError):
     """A diffraction mask has entries off the unit circle."""
-
-
-class AliasingError(ValueError):
-    """Padded grid too small to oversample the object."""
 
 
 class InvalidDataError(ValueError):
@@ -283,10 +278,6 @@ class GaussianEnsemble(MeasurementEnsemble):
         # (A*)^H w without materializing the conjugate transpose
         return np.conj(np.conj(self._check_measurement(w)) @ self._adjoint)
 
-    def project_range(self, w, out=None):
-        # apply's operations, with conj(w) taken in out, which A* overwrites once A w is formed
-        return self.apply_adjoint(np.conj(np.conj(self._check_measurement(w), out=out) @ self._adjoint), out=out)
-
     def materialize_adjoint(self):
         return self._adjoint.copy()
 
@@ -312,14 +303,14 @@ def _qr_in_place(h: np.ndarray) -> None:
 class CodedDiffractionEnsemble(MeasurementEnsemble):
     """Masked oversampled 2-D DFT ensemble.
 
-    For each unit-modulus mask ``mu_j`` on the object grid, a measurement
-    block is the unnormalized 2-D DFT of the zero-padded product
-    ``mu_j * x``, scaled by a common constant so that ``A A* = I``.
+    For each unit-modulus mask ``mu_j`` on the ``r x c`` grid, a measurement
+    block is the unnormalized DFT of ``mu_j * x`` zero-padded to ``(2r, 2c)``,
+    scaled by a common constant so that ``A A* = I``.
     """
 
     kind = "masked-dft"
 
-    def __init__(self, grid, masks, padded=None, seed=None, random_mask_count=0):
+    def __init__(self, grid, masks, seed=None, random_mask_count=0):
         self.grid = _checked_grid(grid)
         r, c = self.grid
         masks = np.asarray(masks, dtype=np.complex128)
@@ -329,12 +320,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
             raise InvalidMaskError("need at least 2 masks")
         if np.max(np.abs(np.abs(masks) - 1.0)) > 1e-12:
             raise InvalidMaskError("mask entries must have unit modulus")
-        self.padded = _checked_grid((2 * r, 2 * c) if padded is None else padded, "padded")
-        if self.padded[0] < 2 * r - 1 or self.padded[1] < 2 * c - 1:
-            raise AliasingError(
-                f"padded grid {self.padded} undersamples a {r}x{c} object; "
-                f"need at least ({2 * r - 1}, {2 * c - 1})"
-            )
+        self.padded = (2 * r, 2 * c)
         self.masks = masks
         self._conj_masks = masks.conj()
         self.seed = seed
@@ -401,13 +387,15 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         }
 
 
-def _checked_grid(grid, name: str = "grid") -> tuple:
-    """``grid`` as ``(rows, cols)`` once it holds two entries and both sides are positive."""
+def _checked_grid(grid) -> tuple:
+    """``grid`` as ``(rows, cols)`` once it holds two integer entries and both sides are positive."""
     if len(grid) != 2:
-        raise DimensionError(f"{name} must hold two entries, got {len(grid)}")
+        raise DimensionError(f"grid must hold two entries, got {len(grid)}")
+    if not all(isinstance(side, Integral) for side in grid):
+        raise DimensionError(f"grid sides must be integers, got {tuple(grid)!r}")
     rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
-        raise DimensionError(f"{name} {rows}x{cols} must have positive sides")
+        raise DimensionError(f"grid {rows}x{cols} must have positive sides")
     return rows, cols
 
 
@@ -435,8 +423,8 @@ def build_cdp_ensemble(grid, seed: int = 0, n_masks: int = 2) -> CodedDiffractio
 
     Uses ``n_masks`` masks with the first uncoded (all ones) and the rest
     i.i.d. uniform on the unit circle, the "one coded and one uncoded
-    pattern" setup when ``n_masks=2``.  Explicit masks or another padding
-    go to :class:`CodedDiffractionEnsemble` directly.
+    pattern" setup when ``n_masks=2``.  Explicit masks go to
+    :class:`CodedDiffractionEnsemble` directly.
     """
     grid = _checked_grid(grid)
     if n_masks < 2:
@@ -463,13 +451,15 @@ def ensemble_from_descriptor(d: dict) -> MeasurementEnsemble:
     if kind == CodedDiffractionEnsemble.kind:
         grid = tuple(d["grid"])
         masks = interleaved_to_complex(d["masks_re_im"]).reshape(d["n_masks"], *grid)
-        return CodedDiffractionEnsemble(
+        E = CodedDiffractionEnsemble(
             grid,
             masks,
-            padded=tuple(d["padded"]),
             seed=d.get("seed"),
             random_mask_count=d.get("random_mask_count", 0),
         )
+        if d["padded"] != list(E.padded):
+            raise ValueError(f"padded must be twice the grid, {list(E.padded)}, got {d['padded']!r}")
+        return E
     raise ValueError(f"unknown ensemble kind: {kind!r}")
 
 
@@ -514,10 +504,6 @@ class PhantomObject:
 
     values: np.ndarray  # flat complex vector, length rows*cols
     grid: tuple
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values.reshape(self.grid))
 
 
 def build_rpp(grid, seed: int) -> PhantomObject:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import saddle_raar
+from saddle_raar import DimensionError
 from saddle_raar.analysis import _RANGES, _checked_param
 from saddle_raar.artifacts import load_solver_state
 from saddle_raar.cli import _OPTIONS, RunConfig, UsageError, execute, main, parse_config
@@ -365,12 +366,14 @@ class TestCertifyCommand:
         pytest.param("w", "0.0", id="state-field-a-string"),
         pytest.param("ensemble", None, id="ensemble-null"),
         pytest.param("padded", [32], id="cdp-padded-of-one-entry"),
+        pytest.param("padded", [32.9, 32], id="cdp-padded-not-whole"),
+        pytest.param("padded", [31, 31], id="cdp-padded-not-twice-the-grid"),
     ])
     def test_state_with_a_bad_field_is_usage_error(self, tmp_path, capsys, field, value):
         from saddle_raar import RaarState, build_cdp_ensemble, build_gaussian_ensemble, random_lift
         from saddle_raar.artifacts import save_solver_state
 
-        E = build_cdp_ensemble((4, 4), seed=0) if field == "padded" else build_gaussian_ensemble(4, 16, seed=0)
+        E = build_cdp_ensemble((16, 16), seed=0) if field == "padded" else build_gaussian_ensemble(4, 16, seed=0)
         path = tmp_path / "state.json"
         save_solver_state(path, E, [1.0] * E.N, RaarState(w=random_lift(E.N, 0)), "raar", 0.9, 0)
         doc = json.loads(path.read_text())
@@ -550,7 +553,7 @@ class TestCdpCommand:
 
 def test_execute_rejects_bad_dims():
     cfg = parse_config(["solve", "--n", "16", "--N", "8"])
-    with pytest.raises(UsageError):
+    with pytest.raises(DimensionError, match="need N >= n"):
         execute(cfg)
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 import saddle_raar.operators as operators
 from saddle_raar import (
-    AliasingError,
     CodedDiffractionEnsemble,
     DimensionError,
     GaussianEnsemble,
@@ -139,12 +137,12 @@ class TestGaussianEnsemble:
 
 class TestCodedDiffractionEnsemble:
     def test_single_pixel(self):
-        # 1x1 object, two masks, minimal padding: N=2, both magnitudes |x|/sqrt(2)
-        E = CodedDiffractionEnsemble((1, 1), random_unit_masks((1, 1), 2, 0), padded=(1, 1))
-        assert E.N == 2
+        # 1x1 object, two masks, padded to 2x2: N=8, every magnitude |x|/sqrt(8)
+        E = CodedDiffractionEnsemble((1, 1), random_unit_masks((1, 1), 2, 0))
+        assert E.padded == (2, 2) and E.N == 8
         x = np.array([3.0 - 4.0j])
         w = E.apply_adjoint(x)
-        assert np.allclose(np.abs(w), abs(x[0]) / np.sqrt(2.0), atol=1e-12)
+        assert np.allclose(np.abs(w), abs(x[0]) / np.sqrt(8.0), atol=1e-12)
 
     @pytest.mark.parametrize("grid", [(0, 0), (0, 4), (4, 0), (-1, 4)])
     def test_empty_or_negative_grid_rejected(self, grid):
@@ -154,6 +152,15 @@ class TestCodedDiffractionEnsemble:
         with pytest.raises(DimensionError, match=f"grid {rows}x{cols}"):
             CodedDiffractionEnsemble(grid, np.ones((2, 0, 0)))
 
+    def test_non_integer_grid_rejected(self):
+        # a side is never truncated: 16.5 does not build a 16x16 ensemble
+        with pytest.raises(DimensionError, match="grid sides must be integers"):
+            build_cdp_ensemble((16.5, 16))
+        with pytest.raises(DimensionError, match="grid sides must be integers"):
+            CodedDiffractionEnsemble((4, 4.0), random_unit_masks((4, 4), 2, 0))
+        E = build_cdp_ensemble((np.int64(4), np.int32(3)))  # numpy integers are integers
+        assert E.grid == (4, 3) and E.padded == (8, 6)
+
     def test_isometry_8x8(self):
         E = build_cdp_ensemble((8, 8), seed=1)
         assert E.N == 2 * 16 * 16
@@ -162,10 +169,11 @@ class TestCodedDiffractionEnsemble:
 
     def test_matches_dense_dft_matrix(self):
         # independent oracle: explicitly built padded-DFT matrix per mask
-        grid, padded = (4, 3), (8, 6)
-        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, 2, 9), padded=padded)
+        grid = (4, 3)
+        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, 2, 9))
         r, c = grid
-        pr, pc = padded
+        pr, pc = E.padded
+        assert E.padded == (8, 6)
         rows = []
         for mask in E.masks:
             f1 = np.exp(-2j * np.pi * np.outer(np.arange(pr), np.arange(r)) / pr)
@@ -194,20 +202,18 @@ class TestCodedDiffractionEnsemble:
         with pytest.raises(DimensionError, match=r"masks must have shape \(l, 4, 4\)"):
             CodedDiffractionEnsemble((4, 4), np.ones((4, 4)))
 
-    def test_aliasing_guard(self):
-        masks = random_unit_masks((4, 4), 2, 0)
-        with pytest.raises(AliasingError):
-            CodedDiffractionEnsemble((4, 4), masks, padded=(6, 6))
-        # minimal oversampling (2r-1, 2c-1) is allowed
-        E = CodedDiffractionEnsemble((4, 4), masks, padded=(7, 7))
-        assert E.isometry_defect(probes=10, seed=0) <= 1e-10
-
     def test_descriptor_roundtrip(self):
         E = build_cdp_ensemble((4, 4), seed=2)
         E2 = ensemble_from_descriptor(E.descriptor())
         rng = np.random.default_rng(0)
         x = random_complex(rng, E.n)
         assert np.allclose(E.apply_adjoint(x), E2.apply_adjoint(x), atol=1e-14)
+
+    @pytest.mark.parametrize("padded", [[8.9, 8], [7, 7], [8], [16, 16]])
+    def test_descriptor_padding_not_twice_the_grid_is_rejected(self, padded):
+        d = build_cdp_ensemble((4, 4), seed=2).descriptor() | {"padded": padded}
+        with pytest.raises(ValueError, match=r"padded must be twice the grid, \[8, 8\]"):
+            ensemble_from_descriptor(d)
 
     def test_gaussian_descriptor_roundtrip(self):
         E = build_gaussian_ensemble(5, 12, seed=6)
@@ -282,19 +288,12 @@ def test_out_gives_the_same_bytes_and_writes_only_out(make):
     assert _ensemble_arrays(E) == held
 
 
-def test_gaussian_projection_takes_its_conjugate_in_out():
-    # conj(w) goes into out, which A* overwrites once A w is formed: only n-vectors are allocated
+def test_gaussian_projection_may_write_into_its_input():
+    # A w is formed before A* writes out, so out may be w itself
     E = build_gaussian_ensemble(100, 400, seed=3)
     w, out = random_complex(np.random.default_rng(5), E.N), np.empty(E.N, dtype=complex)
     E.project_range(w, out=out)
-    tracemalloc.start()
-    try:
-        E.project_range(w, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < E.N * 16
-    assert E.project_range(w, out=w) is w and w.tobytes() == out.tobytes()  # out may be w
+    assert E.project_range(w, out=w) is w and w.tobytes() == out.tobytes()
 
 
 def _per_mask_adjoint(E, x):
@@ -338,12 +337,12 @@ class TestBatchedCdpOperator:
     """
 
     @pytest.mark.parametrize(
-        "grid, n_masks, padded",
-        [((8, 8), 2, None), ((8, 8), 3, None), ((8, 8), 4, None), ((5, 7), 2, None),
-         ((6, 4), 3, (11, 7)), ((16, 16), 2, (31, 31))],
+        "grid, n_masks",
+        # (5, 7) pads to (10, 14); the odd, non-square grids pad to sides that are not powers of two
+        [((8, 8), 2), ((8, 8), 3), ((8, 8), 4), ((5, 7), 2), ((3, 5), 3), ((7, 9), 2), ((15, 11), 2)],
     )
-    def test_matches_per_mask_loop_bitwise(self, grid, n_masks, padded):
-        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, n_masks, 4), padded=padded)
+    def test_matches_per_mask_loop_bitwise(self, grid, n_masks):
+        E = CodedDiffractionEnsemble(grid, random_unit_masks(grid, n_masks, 4))
         rng = np.random.default_rng(30)
         for _ in range(3):
             x = random_complex(rng, E.n)
@@ -368,12 +367,9 @@ class TestBatchedCdpOperator:
         assert np.array_equal(dense, _column_adjoint(E))
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(r=st.integers(1, 9), c=st.integers(1, 9), n_masks=st.integers(2, 4),
-           extra=st.tuples(st.integers(0, 4), st.integers(0, 4)), seed=st.integers(0, 2**32 - 1))
-    def test_lift_is_the_per_mask_loop_and_holds_no_buffer(self, r, c, n_masks, extra, seed):
-        # paddings from the smallest unaliased (2r - 1, 2c - 1) up, odd and even
-        padded = (2 * r - 1 + extra[0], 2 * c - 1 + extra[1])
-        E = CodedDiffractionEnsemble((r, c), random_unit_masks((r, c), n_masks, seed), padded=padded)
+    @given(r=st.integers(1, 9), c=st.integers(1, 9), n_masks=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_lift_is_the_per_mask_loop_and_holds_no_buffer(self, r, c, n_masks, seed):
+        E = CodedDiffractionEnsemble((r, c), random_unit_masks((r, c), n_masks, seed))
         x = random_complex(np.random.default_rng(seed), E.n)
         x_in = x.copy()
         # back-to-back calls give the same bits in their own memory: no block is kept between calls
@@ -499,7 +495,7 @@ class TestPhantom:
         margin = 4  # ceil(32/8)
         p = np.zeros((32, 32))
         p[margin:-margin, margin:-margin] = shepp_logan((24, 24))
-        assert np.allclose(ph.magnitude, p, atol=1e-15)
+        assert np.allclose(np.abs(ph.values.reshape(ph.grid)), p, atol=1e-15)
 
     def test_rpp_rank(self):
         ph = build_rpp((32, 32), seed=2)

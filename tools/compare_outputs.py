@@ -11,7 +11,7 @@ stdout and stderr, drops the ``wall_ns`` column of the trace CSVs (it is a
 clock reading) and compares the two output trees file by file.  It prints
 every file that differs or exists on one side only, and exits 0 only when
 there is none.  Standard library only; a full comparison takes about
-twenty seconds on two cores.
+thirty seconds on two cores.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ RUNS = [
     ("solve-stride", ["solve", "--record-every", "7", *GAUSS]),
     ("solve-cdp-random", ["solve", *CDP]),
     ("solve-cdp-null", ["solve", *CDP, "--init", "null"]),
+    ("solve-cdp-20x28", ["solve", "--ensemble", "cdp", "--grid", "20x28", "--max-iters", "300"]),
     ("solve-bad-dims", ["solve", "--n", "16", "--N", "8"]),
     ("sweep-paired", ["sweep", "--n", "12", "--trials", "3", "--max-iters", "200", "--seed", "1"]),
     ("sweep-full-grid", ["sweep", "--full-grid", "--n", "12", "--trials", "1", "--max-iters", "100"]),
@@ -50,6 +51,10 @@ RUNS = [
     # the dense CDP certificate with its relaxation pencil (N = 2048), and the dense spectral gap
     ("certify-cdp", ["certify", "--cross-section", "--state", "{solve-cdp-random}/state.json"]),
     ("gap", ["gap", "--grid", "8x8", "--seeds", "3"]),
+    # paddings (twice the grid) whose sides are not powers of two: 40x56, N = 4,480 past the
+    # dense cap, takes the Lanczos path, and the dense gap pads 6x10 to 12x20
+    ("certify-cdp-20x28", ["certify", "--cross-section", "--state", "{solve-cdp-20x28}/state.json"]),
+    ("gap-6x10", ["gap", "--grid", "6x10", "--seeds", "2"]),
 ]
 
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
