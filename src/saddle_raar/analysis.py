@@ -16,7 +16,8 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
   minimality of the true solution;
 * the convergence functional ``T`` along a run (``fejer_monitor``) and
   its self-referenced inequality ratio, the trace's basin-of-attraction
-  indicator ``t_ratio``.
+  indicator ``t_ratio``, in the trace row ``diagnostics`` builds from a
+  pair's range projections, as ``run`` builds every row it keeps.
 
 All evaluators are pure.  Dense paths up to ``DENSE_CAP`` ambient dimensions build their forms
 from the real ``N x 2n`` phase factor ``F = [Re B*, Im B*]`` of ``K = F F^T``, built once per call
@@ -116,7 +117,7 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def objective(E: MeasurementEnsemble, z: np.ndarray, lam: np.ndarray, beta: float) -> float:
     """Max-min objective ``(beta/2) ||Q(z - lam)||^2 - ||lam||^2 / 2``."""
-    return diagnostics(E, 1.0, z, lam, _checked_param("raar", beta), 0).objective  # b is read by the residual alone
+    return _projected_row(E, 1.0, z, lam, _checked_param("raar", beta), 0).objective  # b is read by the residual alone
 
 
 def dual_gradient(E: MeasurementEnsemble, z, lam, beta: float) -> np.ndarray:
@@ -654,24 +655,25 @@ def _norm(v) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: int, algo: str, work,
-               lam_sq=None):
+def diagnostics(b, b_norm: float, z, lam, lam_sq: float, pz, pl, param: float, k: int, wall_ns: int, algo: str,
+                work) -> DiagnosticsRecord:
     """Evaluate the trace metrics at a primal/dual pair from its range projections.
 
+    The one builder of a trace row; ``run`` builds every row it keeps through it.
     ``pz = P z`` and ``pl = P lam``; no operator is applied, and every norm of a complement
     part is taken as ``||v - P v||``.  ``b`` enters only the splitting objective, ``b_norm``
-    only the residual.  For the relaxed-reflection and multiplier forms ``param`` is the
+    only the residual, and ``lam_sq`` is ``Re(lam^H lam)``, the dot :func:`_norm` makes.
+    For the relaxed-reflection and multiplier forms ``param`` is the
     relaxation parameter; for the splitting competitor it is the penalty ``rho`` and the
     derivative norm / objective are the splitting Lagrangian's (the ratio uses the corresponding
     ``1/(1+rho)``).  The ratio's denominator is ``T`` at the zero reference.  The residual's
     norm is that of :func:`_residual_parts`, which the stopping rule reads; every other norm
-    is a :func:`_norm`.  A caller that holds ``lam^H lam`` passes its real part as ``lam_sq``,
-    the dot :func:`_norm` would make.  The temporaries go into ``work``, four complex vectors and one
+    is a :func:`_norm`.  The temporaries go into ``work``, four complex vectors and one
     real whose contents are never read; ``work[:2]``, which take ``z - P z`` and ``lam - P lam``, may be ``(pz, pl)``.
     """
     zq, lq, t, u, r = work
     zq_norm, residual = _residual_parts(z, pz, b_norm, zq)
-    lam_norm = _norm(lam) if lam_sq is None else math.sqrt(lam_sq)
+    lam_norm = math.sqrt(lam_sq)
     pl_norm, lq_norm = _norm(pl), _norm(np.subtract(lam, pl, out=lq))  # ||A lam||, read before lq writes
 
     if algo == "drs":
@@ -707,26 +709,10 @@ def _trace_row(b, b_norm: float, z, lam, pz, pl, param: float, k: int, wall_ns: 
     )
 
 
-def diagnostics(
-    E: MeasurementEnsemble,
-    b,
-    z,
-    lam,
-    param: float,
-    k: int,
-    algo: str = "raar",
-) -> DiagnosticsRecord:
-    """Evaluate the trace metrics at a primal/dual pair by direct projection.
-
-    The reference form of a trace row, which tests compare ``run``
-    against: projects ``z`` and ``lam`` once each and evaluates
-    :func:`_trace_row` with fresh work vectors, where ``run`` builds the
-    row from the projections its steps make instead.
-    """
+def _projected_row(E: MeasurementEnsemble, b, z, lam, param: float, k: int, algo: str = "raar") -> DiagnosticsRecord:
+    """The :func:`diagnostics` row of ``(z, lam)`` from one projection of each and fresh work vectors."""
     b = np.asarray(b, dtype=np.float64)
-    z = np.asarray(z, dtype=np.complex128)
-    lam = np.asarray(lam, dtype=np.complex128)
-    pz = E.project_range(z)
-    pl = E.project_range(lam)
+    z, lam = np.asarray(z, dtype=np.complex128), np.asarray(lam, dtype=np.complex128)
     work = (*(np.empty_like(z) for _ in range(4)), np.empty(z.shape))
-    return _trace_row(b, float(np.linalg.norm(b)), z, lam, pz, pl, param, k, 0, algo, work)
+    return diagnostics(b, float(np.linalg.norm(b)), z, lam, np.vdot(lam, lam).real, E.project_range(z),
+                       E.project_range(lam), param, k, 0, algo, work)

@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (DiagnosticsRecord, SaddleCertificate, _checked_param, _residual_parts, _trace_row,
-                       certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point)
+from .analysis import (DiagnosticsRecord, SaddleCertificate, _checked_param, _residual_parts,
+                       certify_cross_section_minimizer, certify_drs_cross_section, certify_fixed_point, diagnostics)
 from .operators import (InvalidDataError, MeasurementEnsemble, _aligned_empty, check_magnitudes, check_vector,
                         project_torus, split_lift)
 
@@ -175,11 +175,18 @@ def reconstruct(E: MeasurementEnsemble, z, lam, rho: float = -1.0) -> np.ndarray
 
 
 def drs_fixed_point_residuals(E: MeasurementEnsemble, b, state: DrsState, rho: float):
-    """The three splitting fixed-point defects ``(||P mu||, ||Q z||, ||z + rho mu - [z]_Z||)``, ``mu = lambda/rho``."""
-    mu = state.lam / rho
+    """The three splitting fixed-point defects ``(||P mu||, ||Q z||, ||z + rho mu - [z]_Z||)``, ``mu = lambda/rho``.
+
+    Before any operator call, a ``rho`` outside ``(0, inf)`` raises ``ValueError``, and
+    malformed ``b``, ``z`` or ``lambda`` ``InvalidDataError``.
+    """
+    _checked_param("drs", rho)
+    b = check_magnitudes(b, E.N)
+    z, lam = check_vector(state.z, E.N, "iterate"), check_vector(state.lam, E.N, "dual")
+    mu = lam / rho
     p_mu = float(np.linalg.norm(E.project_range(mu)))
-    q_z = float(np.linalg.norm(E.project_complement(state.z)))
-    torus_gap = float(np.linalg.norm(state.z + rho * mu - project_torus(state.z, b)))
+    q_z = float(np.linalg.norm(E.project_complement(z)))
+    torus_gap = float(np.linalg.norm(z + rho * mu - project_torus(z, b)))
     return p_mu, q_z, torus_gap
 
 
@@ -421,7 +428,7 @@ def run(
     turn with their pairs, the range projection, the record's ``P z``,
     ``P lambda`` and carried projection and one work vector (eleven complex),
     and one real vector.  The steps write into them through their ``out``.  A row is
-    built right after the step that gives its projections, before the next pair: it writes
+    built by ``analysis.diagnostics`` right after the step that gives its projections, before the next pair: it writes
     ``z - P z`` over ``P z``, ``lambda - P lambda`` over ``P lambda`` and its other temporaries
     over the spent range projection and work vector (the residual-only stop test puts its
     ``z - P z`` there, as a row may follow).  It writes into no array it did not allocate, ``w0`` and ``b`` included.  A
@@ -484,7 +491,7 @@ def run(
         on_iterate(0, form.lift(state))
 
     def record(z, lam, lam_sq, pz, pl, param, k, reached):
-        return _trace_row(b, b_norm, z, lam, pz, pl, param, k, reached - t0, algo, row_work, lam_sq)
+        return diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, reached - t0, algo, row_work)
 
     k, reached = 0, t0
 

@@ -12,10 +12,10 @@ from saddle_raar import (  # noqa: E402
     beta_prime,
     build_cdp_ensemble,
     build_gaussian_ensemble,
-    diagnostics,
     run,
 )
-from saddle_raar.analysis import _functional_and_margin, _householder, _phase_factor, _reflect  # noqa: E402
+from saddle_raar.analysis import (_functional_and_margin, _householder, _phase_factor, _projected_row,  # noqa: E402
+                                  _reflect)
 
 
 def run_rows(*args, **kwargs):
@@ -105,9 +105,12 @@ def optimal_dual(E, z, beta):
     return -bp * E.project_complement(z)
 
 
-def dual_gradient_norm(E, z, lam, beta):
-    """Norm of ``dual_gradient``, ``(||Q((1-beta)lam + beta z)||^2 + ||A lam||^2)^{1/2}``, as a trace row has it."""
-    return diagnostics(E, 1.0, z, lam, beta, 0).deriv_norm  # b enters only the residual, not read here
+def dual_gradient_norm(E, z, lam, param, algo="raar"):
+    """Norm of ``dual_gradient``, ``(||Q((1-beta)lam + beta z)||^2 + ||A lam||^2)^{1/2}``, as a trace row has it.
+
+    With ``algo="drs"`` and ``param = rho``, the splitting row's ``(||Q z||^2 + ||P lam||^2 / rho^2)^{1/2}``.
+    """
+    return _projected_row(E, 1.0, z, lam, param, 0, algo).deriv_norm  # b is not read by the derivative norm
 
 
 def inequality_ratio(E, z, lam, beta):
@@ -116,7 +119,7 @@ def inequality_ratio(E, z, lam, beta):
     The ``+inf`` marker stands for the 0/0 limit at a solution, where the
     quotient's sign would be pure roundoff.
     """
-    return diagnostics(E, 1.0, z, lam, beta, 0).t_ratio  # b enters only the residual, not read here
+    return _projected_row(E, 1.0, z, lam, beta, 0).t_ratio  # b enters only the residual, not read here
 
 
 def convergence_functional(E, z, lam, z_star, lam_star, beta):

@@ -20,7 +20,6 @@ from saddle_raar import (
     certify_fixed_point,
     correlation,
     criticality_vector,
-    diagnostics,
     dual_gradient,
     global_phase,
     objective,
@@ -28,7 +27,7 @@ from saddle_raar import (
     random_lift,
     spectral_gap,
 )
-from saddle_raar.analysis import _householder, _reflect, _tangent_form, beta_max_from_threshold
+from saddle_raar.analysis import _householder, _projected_row, _reflect, _tangent_form, beta_max_from_threshold
 from saddle_raar.solvers import ParameterSchedule, StoppingRule, run
 from conftest import (
     CountingEnsemble,
@@ -717,7 +716,7 @@ class TestDiagnostics:
         E, _, b = dense_small
         rng = np.random.default_rng(18)
         _, z, lam = _random_torus_pair(E, rng, b=b)
-        rec = diagnostics(E, b, z, lam, 0.8, k=3)
+        rec = _projected_row(E, b, z, lam, 0.8, k=3)
         assert rec.k == 3
         assert np.isfinite(rec.objective)
         assert rec.residual >= 0
@@ -728,7 +727,7 @@ class TestDiagnostics:
         E, _, b = dense_small
         rng = np.random.default_rng(19)
         _, z, lam = _random_torus_pair(E, rng, b=b)
-        rec = diagnostics(E, b, z, lam, 0.25, k=1, algo="drs")
+        rec = _projected_row(E, b, z, lam, 0.25, k=1, algo="drs")
         mu = lam / 0.25
         expected = np.hypot(
             np.linalg.norm(E.project_complement(z)),

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from saddle_raar import (ParameterSchedule, StoppingRule, artifacts, build_gaussian_ensemble, diagnostics,
-                         initial_state, project_torus, random_lift, run)
-from saddle_raar.analysis import DiagnosticsRecord
+from saddle_raar import (ParameterSchedule, StoppingRule, artifacts, build_gaussian_ensemble, initial_state,
+                         project_torus, random_lift, run)
+from saddle_raar.analysis import DiagnosticsRecord, _projected_row
 from saddle_raar.artifacts import (
     aligned_real_image,
     load_solver_state,
@@ -53,7 +53,7 @@ def test_trace_csv_header(tmp_path, dense_small):
     rng = np.random.default_rng(1)
     z = project_torus(random_complex(rng, E.N), b)
     lam = random_complex(rng, E.N)
-    rec = diagnostics(E, b, z, lam, 0.9, k=0)
+    rec = _projected_row(E, b, z, lam, 0.9, k=0)
     path = tmp_path / "trace.csv"
     with trace_writer(path) as keep:
         keep(rec)

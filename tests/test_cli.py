@@ -415,6 +415,32 @@ class TestCertifyCommand:
             assert capsys.readouterr().err == f"error: {contract}, got {param}\n"
             assert not (tmp_path / "cert").exists()
 
+    @pytest.mark.parametrize("field, at, value, message", [
+        pytest.param("b", 0, -1.0, "magnitude data must be nonnegative", id="negative-b"),
+        pytest.param("b", 0, math.nan, "magnitude data must be finite", id="nan-b"),
+        pytest.param("lam", 0, math.nan, "dual must be finite", id="nan-lam"),
+        pytest.param("b", None, None, "magnitude data has length 63, expected 64", id="short-b"),
+    ])
+    def test_drs_state_with_bad_data_is_rejected(self, tmp_path, capsys, field, at, value, message):
+        # the splitting form's check validates b and its state, as the reflection forms' certificate does
+        from saddle_raar import build_gaussian_ensemble, initial_state, random_lift
+        from saddle_raar.artifacts import save_solver_state
+
+        E = build_gaussian_ensemble(16, 64, seed=0)
+        b = [1.0] * E.N
+        path = tmp_path / "state.json"
+        save_solver_state(path, E, b, initial_state(E, b, "drs", random_lift(E.N, 0)), "drs", 0.25, 0)
+        doc = json.loads(path.read_text())
+        target = doc["b"] if field == "b" else doc["state"][field]
+        if at is None:
+            target.pop()
+        else:
+            target[at] = value
+        path.write_text(json.dumps(doc))
+        assert main(["certify", "--state", str(path), "--out", str(tmp_path / "cert")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "cert" / "summary.json").exists()
+
     @pytest.mark.parametrize("algo", ["raar", "admm", "drs"])
     def test_certify_reads_a_state_through_the_form_that_wrote_it(self, tmp_path, algo):
         from saddle_raar.artifacts import _ArrayEncoder

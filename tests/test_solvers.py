@@ -31,7 +31,7 @@ from saddle_raar import (
 )
 from saddle_raar.analysis import (
     _norm,
-    _trace_row,
+    _projected_row,
     aligned_error,
     certify_cross_section_minimizer,
     certify_drs_cross_section,
@@ -473,13 +473,13 @@ def test_stopped_run_is_stride_invariant(monkeypatch, dense_wide, algo, record_e
     full, full_rows = go(1)
     assert full.stop_reason == "residual" and full.final_record.k % 7 != 0
     ks = []
-    record = solvers._trace_row
+    record = solvers.diagnostics
 
-    def counted_record(b, b_norm, z, lam, pz, pl, param, k, *rest):
+    def counted_record(b, b_norm, z, lam, lam_sq, pz, pl, param, k, *rest):
         ks.append(k)
-        return record(b, b_norm, z, lam, pz, pl, param, k, *rest)
+        return record(b, b_norm, z, lam, lam_sq, pz, pl, param, k, *rest)
 
-    monkeypatch.setattr(solvers, "_trace_row", counted_record)
+    monkeypatch.setattr(solvers, "diagnostics", counted_record)
     strided, strided_rows = go(record_every)
     assert _bits(strided) == _bits(full)
     kept = [r for r in full_rows[:-1] if r.k % record_every == 0] + [full.final_record]
@@ -736,7 +736,8 @@ def test_alignment_changes_speed_not_bits():
             state = step(E, pb, cls(py, pz_, plam), param, out=cls(fresh(), fresh(), fresh()) if out else None)
             got += [state.y, state.z, state.lam]
         work = (*(place(np.empty(E.N, dtype=complex)) for _ in range(4)), place(np.empty(E.N)))
-        rows = [_trace_row(pb, float(np.linalg.norm(b)), pz_, plam, ppz, ppl, param, 3, 0, algo, work)
+        rows = [diagnostics(pb, float(np.linalg.norm(b)), pz_, plam, np.vdot(plam, plam).real, ppz, ppl, param, 3, 0,
+                            algo, work)
                 for algo, param in (("raar", 0.9), ("drs", 0.25))]
         assert all(v.tobytes() == w.tobytes() for v, w in zip(vectors, (b, y, z, lam, pz, pl)))  # inputs kept
         return [v.tobytes() for v in got], [repr(_row(r)) for r in rows]
@@ -839,6 +840,23 @@ def test_malformed_input_is_rejected_before_any_operator_call(dense_small, case)
             with pytest.raises(error):
                 initial_state(E, bad_b, algo, bad_w0)
         assert (E.applies, E.adjoints) == (0, 0), algo
+
+
+@pytest.mark.parametrize("case", ["negative_b", "zero_b", "short_b", "nan_b", "nan_state"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fixed_point_check_rejects_malformed_data_before_any_operator_call(dense_small, algo, case):
+    # a saved state is outside input: every form's check validates b and the state it reads
+    E0, _, b = dense_small
+    state = initial_state(E0, b, algo, random_lift(E0.N, seed=2))
+    if case == "nan_state":  # the last field, lambda, or raar's w
+        last = dataclasses.fields(state)[-1].name
+        state = dataclasses.replace(state, **{last: _first_entry(np.nan)(getattr(state, last))})
+    else:
+        b = _MALFORMED[case][0](b)
+    E = CountingEnsemble(E0)
+    with pytest.raises(InvalidDataError):
+        fixed_point_check(E, b, algo, state, _PARAM[algo])
+    assert (E.applies, E.adjoints) == (0, 0)
 
 
 # Each form's step parameter range as its message words it, and values outside it: NaN, +-inf, 0, a
@@ -980,7 +998,7 @@ def test_run_records_match_direct_formulas(request, algo, ensemble):
 
     checked = 0
     for rec, (z, lam) in zip(rows, pairs):
-        assert np.sign(rec.t_ratio) == np.sign(diagnostics(E, b, z, lam, param, rec.k, algo=algo).t_ratio), rec.k
+        assert np.sign(rec.t_ratio) == np.sign(_projected_row(E, b, z, lam, param, rec.k, algo=algo).t_ratio), rec.k
         residual, deriv, obj, t_ratio = _direct_record(E, b, z, lam, param, algo)
         if residual >= 1e-4:
             assert close(rec.t_ratio, t_ratio, 1e-6), rec.k
@@ -1024,9 +1042,9 @@ def test_row_in_reused_work_vectors_is_bitwise_fresh(request, algo, ensemble):
         v[:] = np.nan  # dirty: a row must not read what its work vectors held
     for k in (4, 9):  # two different rows back to back into the same vectors
         _lift, z, lam = steps[k]
-        pz, pl = E.project_range(z), E.project_range(lam)
-        reused = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, work)
-        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
+        pz, pl, lam_sq = E.project_range(z), E.project_range(lam), np.vdot(lam, lam).real
+        reused = diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, 17, algo, work)
+        fresh = diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, 17, algo, trace_row_work(E.N))
         for name in ("k", "param", "residual", "deriv_norm", "t_ratio", "objective", "wall_ns"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), (k, name)
         plain = _plain_row(b, b_norm, z, lam, pz, pl, param, algo)
@@ -1045,13 +1063,13 @@ def test_row_over_its_projections_is_bitwise_fresh(request, algo, ensemble):
     for k in (4, 9):
         _lift, z, lam = steps[k]
         held = z.tobytes(), lam.tobytes()
-        pz, pl = E.project_range(z), E.project_range(lam)
-        fresh = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
+        pz, pl, lam_sq = E.project_range(z), E.project_range(lam), np.vdot(lam, lam).real
+        fresh = diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, 17, algo, trace_row_work(E.N))
         t, u, r = trace_row_work(E.N)[2:]
         for v in (t, u, r):
             v[:] = np.nan
         pz, pl = pz.copy(), pl.copy()
-        aliased = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, (pz, pl, t, u, r))
+        aliased = diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, 17, algo, (pz, pl, t, u, r))
         assert np.array(dataclasses.astuple(aliased)).tobytes() == np.array(dataclasses.astuple(fresh)).tobytes(), k
         assert (z.tobytes(), lam.tobytes()) == held and b.tobytes() == held_b, k
 
@@ -1090,8 +1108,8 @@ def test_row_norms_agree_with_linalg_norm(request, algo, ensemble):
     b_norm = float(np.linalg.norm(b))
     steps = _public_steps(algo, E, b, initial_state(E, b, algo, random_lift(E.N, seed=6)), param, 9)
     for k, (_lift, z, lam) in enumerate(steps):
-        pz, pl = E.project_range(z), E.project_range(lam)
-        row = _trace_row(b, b_norm, z, lam, pz, pl, param, k, 17, algo, trace_row_work(E.N))
+        pz, pl, lam_sq = E.project_range(z), E.project_range(lam), np.vdot(lam, lam).real
+        row = diagnostics(b, b_norm, z, lam, lam_sq, pz, pl, param, k, 17, algo, trace_row_work(E.N))
         assert (row.k, row.param, row.wall_ns) == (k, param, 17)
         assert row.residual.hex() == (np.linalg.norm(z - pz) / b_norm).hex(), k
         _, deriv, obj = _plain_row(b, b_norm, z, lam, pz, pl, param, algo, norm=np.linalg.norm)
@@ -1113,13 +1131,13 @@ def test_carried_projections_stay_on_the_range(monkeypatch, algo):
     w0 = random_lift(E.N, seed=0)
     param = 0.25 if algo == "drs" else beta_from_rho(0.25)
     seen = []
-    record = solvers._trace_row
+    record = solvers.diagnostics
 
-    def keep_last(b, b_norm, z, lam, pz, pl, *rest):
+    def keep_last(b, b_norm, z, lam, lam_sq, pz, pl, *rest):
         seen[:] = [(z, lam, pz.copy(), pl.copy())]  # the row writes over pz and pl
-        return record(b, b_norm, z, lam, pz, pl, *rest)
+        return record(b, b_norm, z, lam, lam_sq, pz, pl, *rest)
 
-    monkeypatch.setattr(solvers, "_trace_row", keep_last)
+    monkeypatch.setattr(solvers, "diagnostics", keep_last)
     scale = 1e-12 * np.linalg.norm(b)
     stopped = run(E, b, algo, ParameterSchedule.constant(param), w0, 6000,
                   StoppingRule(residual_tol=1e-13, deriv_tol=1e-12))

@@ -36,6 +36,8 @@ RUNS = [
     # 5,001 rows, more than a trace writer holds before it appends to its file, and a stride
     ("solve-long", ["solve", "--fixed-budget", "--max-iters", "5000", *GAUSS]),
     ("solve-stride", ["solve", "--record-every", "7", *GAUSS]),
+    # the residual-only stop test, which builds a row between kept ones only when it fires
+    ("solve-residual-stop", ["solve", "--deriv-tol", "0", "--record-every", "50", *GAUSS]),
     ("solve-cdp-random", ["solve", *CDP]),
     ("solve-cdp-null", ["solve", *CDP, "--init", "null"]),
     ("solve-cdp-20x28", ["solve", "--ensemble", "cdp", "--grid", "20x28", "--max-iters", "300"]),
