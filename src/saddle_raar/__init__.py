@@ -23,7 +23,7 @@ from .analysis import (
     criticality_vector,
     diagnostics,
     dual_gradient,
-    fejer_monitor,
+    fejer_step,
     global_phase,
     objective,
     rho_from_beta,

@@ -14,7 +14,7 @@ Central objects, written with ``P`` = projection onto ``range(A*)`` and
   ``Xi = { xi real : <xi, b> = 0 }`` that quotients out global phase;
 * the measurement spectral gap ``lambda2`` certifying strict local
   minimality of the true solution;
-* the convergence functional ``T`` along a run (``fejer_monitor``) and
+* the convergence functional ``T`` of each step of a run (``fejer_step``) and
   its self-referenced inequality ratio, the trace's basin-of-attraction
   indicator ``t_ratio``, in the trace row ``diagnostics`` builds from a
   pair's range projections, as ``run`` builds every row it keeps.
@@ -63,7 +63,7 @@ __all__ = [
     "certify_drs_cross_section",
     "SpectralGapResult",
     "spectral_gap",
-    "fejer_monitor",
+    "fejer_step",
     "DiagnosticsRecord",
     "diagnostics",
 ]
@@ -592,31 +592,21 @@ def spectral_gap(E: MeasurementEnsemble, x0, grid, seed: int = 0) -> SpectralGap
     )
 
 
-def fejer_monitor(E: MeasurementEnsemble, b, iterates, betas, z_star, lam_star) -> dict:
-    """Contraction diagnostics along a run of lifted iterates.
+def fejer_step(E: MeasurementEnsemble, b, w_prev, w, beta: float, z_star, lam_star):
+    """``(T, margin, ratio, distance)`` of one step ``w_prev -> w`` of a run at relaxation ``beta``.
 
-    For each step ``k`` (``iterates[k-1] -> iterates[k]``) evaluates, at
-    the step's decomposition ``z_k = [w_{k-1}]_Z``, ``lam_k = w_{k-1} - z_k``:
-    the convergence functional ``T_k``, the contraction margin, and the
-    cross-term ratio ``r_k = (T_k - margin_k) / T_k`` (zero where ``T_k``
-    is at roundoff level).  Also returns the phase-aligned distances
-    ``d_k = min_alpha ||w_k - alpha w*||`` for every iterate.
-
-    ``betas`` gives the parameter used at each step (``betas[k]`` for the
-    step producing ``iterates[k]``).
+    At the step's decomposition ``z = [w_prev]_Z``, ``lam = w_prev - z``: the convergence
+    functional ``T``, the contraction margin, and the cross-term ratio ``(T - margin) / T``
+    (zero where ``T`` is at roundoff level, ``T <= (1e-12 ||b||)^2``); and the phase-aligned
+    distance ``min_alpha ||w - alpha w*||``, ``w* = z* + lam*``.  A caller streams a run
+    through it from ``run``'s hooks: ``on_iterate`` copies each lift, and ``on_record`` of
+    row ``k >= 1`` takes step ``k`` at the row's ``param``, which is that step's, and drops
+    ``w_{k-1}``; the start's distance is ``aligned_distance(w0, w*)``.
     """
     b = np.asarray(b, dtype=np.float64)
-    w_star = np.asarray(z_star) + np.asarray(lam_star)
-    floor = (1e-12 * np.linalg.norm(b)) ** 2
-    t_vals, margins, ratios = [], [], []
-    for k in range(1, len(iterates)):
-        z, lam = split_lift(iterates[k - 1], b)
-        t, m = _functional_and_margin(E, z, lam, z_star, lam_star, betas[k])
-        t_vals.append(t)
-        margins.append(m)
-        ratios.append((t - m) / t if t > floor else 0.0)
-    return {"T": np.array(t_vals), "margin": np.array(margins), "ratio": np.array(ratios),
-            "distance": np.array([aligned_distance(w, w_star) for w in iterates])}
+    t, m = _functional_and_margin(E, *split_lift(w_prev, b), z_star, lam_star, beta)
+    ratio = (t - m) / t if t > (1e-12 * np.linalg.norm(b)) ** 2 else 0.0
+    return t, m, ratio, aligned_distance(w, np.asarray(z_star) + np.asarray(lam_star))
 
 
 # ---------------------------------------------------------------------------

@@ -54,19 +54,9 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-class _ArrayEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return super().default(o)
-
-
 def write_json(path, obj) -> None:
-    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True, cls=_ArrayEncoder) + "\n").encode("utf-8"))
+    """``obj``, which holds JSON-native values only, as indented JSON with sorted keys."""
+    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _csv_bytes(rows) -> bytes:

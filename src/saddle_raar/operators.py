@@ -323,7 +323,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         self.padded = (2 * r, 2 * c)
         self.masks = masks
         self._conj_masks = masks.conj()
-        self.seed = seed
+        self.seed = None if seed is None else int(seed)
         self.random_mask_count = int(random_mask_count)
         self.l = masks.shape[0]
         self.n = r * c

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -532,16 +532,28 @@ def run(
     return RunResult(final_record=final, state=state, stop_reason=reason, z=z, lam=lam)
 
 
+def _checked_form(E: MeasurementEnsemble, b, algo: str, state, param: float):
+    """``(form, b)`` of a state check, once ``param``, ``b`` and each field of ``state``, by its name, are checked."""
+    form = _form(algo)
+    _checked_param(algo, param)
+    b = check_magnitudes(b, E.N)
+    for f in fields(state):
+        check_vector(getattr(state, f.name), E.N, f"state field {f.name}")
+    return form, b
+
+
 def fixed_point_check(E: MeasurementEnsemble, b, algo: str, state, param: float, tol: float = 1e-8):
     """``(pass flag, certificate)`` of a ``state`` of ``algo`` at step parameter ``param``.
 
     raar and admm: ``certify_fixed_point`` at their lift and ``min(param, 1 - 1e-12)``,
     reporting its summary; drs: passes when its largest ``drs_fixed_point_residuals``
     is at most ``tol * ||b||``, reporting them.  Every form's certificate holds the pass
-    flag as ``certified``.  A ``param`` outside the step's range raises ``ValueError``
-    before any operator call, as in ``curvature``.
+    flag as ``certified``.  Before any operator call, as in ``curvature``, a ``param``
+    outside the step's range raises ``ValueError``, and malformed ``b`` or a state field
+    of the wrong length or not finite ``InvalidDataError`` naming it.
     """
-    return _form(algo).check(E, b, state, _checked_param(algo, param), tol)
+    form, b = _checked_form(E, b, algo, state, param)
+    return form.check(E, b, state, param, tol)
 
 
 def curvature(E: MeasurementEnsemble, b, algo: str, state, param: float) -> SaddleCertificate:
@@ -549,8 +561,10 @@ def curvature(E: MeasurementEnsemble, b, algo: str, state, param: float) -> Sadd
 
     raar and admm: ``certify_cross_section_minimizer`` on the split of their lift,
     given the beta; drs: ``certify_drs_cross_section``, ``rho K_perp - diag(b/|z| - 1)``.
+    Its inputs are checked as ``fixed_point_check`` checks them.
     """
-    return _form(algo).curvature(E, b, state, _checked_param(algo, param))
+    form, b = _checked_form(E, b, algo, state, param)
+    return form.curvature(E, b, state, param)
 
 
 class Finish(NamedTuple):

@@ -15,7 +15,8 @@ from saddle_raar import (  # noqa: E402
     run,
 )
 from saddle_raar.analysis import (_functional_and_margin, _householder, _phase_factor, _projected_row,  # noqa: E402
-                                  _reflect)
+                                  _reflect, aligned_distance, fejer_step)
+from saddle_raar.operators import split_lift  # noqa: E402
 
 
 def run_rows(*args, **kwargs):
@@ -130,6 +131,53 @@ def convergence_functional(E, z, lam, z_star, lam_star, beta):
 def contraction_margin(E, z, lam, z_star, lam_star, beta):
     """Margin ``T(z, lam) - 2 <alpha z* - z, lam - alpha lam*>``; positive at each step means Fejer contraction."""
     return _functional_and_margin(E, z, lam, z_star, lam_star, beta)[1]
+
+
+def fejer_monitor(E, b, iterates, betas, z_star, lam_star) -> dict:
+    """Contraction diagnostics over a whole run held as a list of lifts: the reference ``fejer_step`` streams.
+
+    Step ``k`` (``iterates[k-1] -> iterates[k]``, parameter ``betas[k]``) gives ``T``, the margin
+    and the ratio at the split of ``iterates[k-1]``; ``distance`` holds every iterate's.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    w_star = np.asarray(z_star) + np.asarray(lam_star)
+    floor = (1e-12 * np.linalg.norm(b)) ** 2
+    t_vals, margins, ratios = [], [], []
+    for k in range(1, len(iterates)):
+        z, lam = split_lift(iterates[k - 1], b)
+        t, m = _functional_and_margin(E, z, lam, z_star, lam_star, betas[k])
+        t_vals.append(t)
+        margins.append(m)
+        ratios.append((t - m) / t if t > floor else 0.0)
+    return {"T": np.array(t_vals), "margin": np.array(margins), "ratio": np.array(ratios),
+            "distance": np.array([aligned_distance(w, w_star) for w in iterates])}
+
+
+class FejerStream:
+    """``run``'s hooks, streaming ``fejer_step`` over a run that keeps a row at every step.
+
+    ``on_iterate`` copies each lift (the first gives ``d_0``), and ``on_record`` of row ``k >= 1``
+    takes step ``k`` at the row's ``param`` and drops ``w_{k-1}``, so at most two lifts are held.
+    ``monitor()`` returns the steps as ``fejer_monitor``'s arrays.
+    """
+
+    def __init__(self, E, b, z_star, lam_star):
+        self.E, self.b, self.ref = E, b, (z_star, lam_star)
+        self.lifts, self.steps, self.d0 = [], [], None
+
+    def on_iterate(self, k, w):
+        if k == 0:
+            self.d0 = aligned_distance(w, np.asarray(self.ref[0]) + np.asarray(self.ref[1]))
+        self.lifts.append(w.copy())  # run's vector, valid during the call
+
+    def on_record(self, row):
+        if row.k >= 1:
+            self.steps.append(fejer_step(self.E, self.b, *self.lifts, row.param, *self.ref))
+            del self.lifts[0]
+
+    def monitor(self) -> dict:
+        t, margin, ratio, distance = (np.array(v) for v in zip(*self.steps))
+        return {"T": t, "margin": margin, "ratio": ratio, "distance": np.concatenate(([self.d0], distance))}
 
 
 def tangent_basis(b):

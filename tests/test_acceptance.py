@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 import saddle_raar as sr
-from saddle_raar.analysis import fejer_monitor
 from saddle_raar.experiments import cdp_case_run, cdp_case_suite, paired_success_cells
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import (
@@ -18,6 +17,7 @@ from saddle_raar.solvers import (
     drs_fixed_point_residuals,
     run,
 )
+from conftest import FejerStream
 
 _cache = {}
 
@@ -220,20 +220,24 @@ def test_criterion_09_fejer_contraction_along_case_a():
     t0 = time.perf_counter()
     suite, _ = _timed("case_a", _case_a)
     inst = suite.instance
-    ws, rows = [], []
-    path = cdp_case_run(inst, 0.95, on_iterate=lambda k, w: ws.append(w.copy()),  # w is run's, valid in the call
-                        on_record=rows.append)
     E, b = inst.ensemble, inst.b
-    # the kept lifts are the iterates themselves: the one at the hold (k = 300) gives the path's snapshot
-    assert len(ws) == 601
-    assert sr.reconstruct(E, *split_lift(ws[300], b)).tobytes() == path.x_snapshot.tobytes()
     z_star = E.apply_adjoint(inst.phantom.values)
-    lam_star = np.zeros_like(z_star)
-    betas = [r.param for r in rows]
-    mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
+    stream = FejerStream(E, b, z_star, np.zeros_like(z_star))  # holds two lifts, not the run's 601
+    snap = []
+
+    def observe(k, w):
+        stream.on_iterate(k, w)
+        if k == 300:
+            snap.append(sr.reconstruct(E, *split_lift(w, b)))
+
+    path = cdp_case_run(inst, 0.95, on_iterate=observe, on_record=stream.on_record)
+    mon = stream.monitor()
+    # the streamed lifts are the iterates themselves: the one at the hold (k = 300) gives the path's snapshot
+    assert len(mon["distance"]) == 601
+    assert snap[0].tobytes() == path.x_snapshot.tobytes()
     nonpos = np.where(mon["margin"] <= 0)[0]
     k0 = int(nonpos[-1]) + 2 if nonpos.size else 1
-    ok = k0 < len(ws) - 100
+    ok = k0 < len(mon["distance"]) - 100
     window_d = mon["distance"][k0 - 1:]
     max_increase = float(np.max(np.diff(window_d)))
     ok &= max_increase <= 1e-8

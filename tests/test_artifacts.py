@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
-from saddle_raar import (ParameterSchedule, StoppingRule, artifacts, build_gaussian_ensemble, initial_state,
-                         project_torus, random_lift, run)
+from saddle_raar import (ParameterSchedule, StoppingRule, artifacts, build_cdp_ensemble, build_gaussian_ensemble,
+                         ensemble_from_descriptor, initial_state, project_torus, random_lift, run)
 from saddle_raar.analysis import DiagnosticsRecord, _projected_row
 from saddle_raar.artifacts import (
     aligned_real_image,
@@ -108,8 +109,18 @@ def test_trace_writer_makes_nothing_before_its_first_row(tmp_path):
 
 def test_json_is_stable(tmp_path):
     path = tmp_path / "o.json"
-    write_json(path, {"b": np.float64(2.0), "a": np.arange(3)})
+    write_json(path, {"b": np.float64(2.0), "a": [0, 1, 2]})  # np.float64 is a float
     assert path.read_text() == '{\n  "a": [\n    0,\n    1,\n    2\n  ],\n  "b": 2.0\n}\n'
+
+
+def test_descriptor_built_from_a_numpy_seed_writes(tmp_path):
+    # write_json takes JSON-native values only: the ensemble keeps its seed as an int
+    path = tmp_path / "d.json"
+    E = build_cdp_ensemble((4, 4), seed=np.int64(3))
+    write_json(path, E.descriptor())
+    doc = json.loads(path.read_text())
+    assert doc["seed"] == 3 and type(E.seed) is int
+    assert np.array_equal(ensemble_from_descriptor(doc).masks, E.masks)
 
 
 def test_pgm_format(tmp_path):

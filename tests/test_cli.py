@@ -418,7 +418,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("field, at, value, message", [
         pytest.param("b", 0, -1.0, "magnitude data must be nonnegative", id="negative-b"),
         pytest.param("b", 0, math.nan, "magnitude data must be finite", id="nan-b"),
-        pytest.param("lam", 0, math.nan, "dual must be finite", id="nan-lam"),
+        pytest.param("lam", 0, math.nan, "state field lam must be finite", id="nan-lam"),
         pytest.param("b", None, None, "magnitude data has length 63, expected 64", id="short-b"),
     ])
     def test_drs_state_with_bad_data_is_rejected(self, tmp_path, capsys, field, at, value, message):
@@ -443,7 +443,6 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("algo", ["raar", "admm", "drs"])
     def test_certify_reads_a_state_through_the_form_that_wrote_it(self, tmp_path, algo):
-        from saddle_raar.artifacts import _ArrayEncoder
         from saddle_raar.solvers import curvature
 
         run_dir, out = tmp_path / "run", tmp_path / "cert"
@@ -455,7 +454,7 @@ class TestCertifyCommand:
         assert doc == json.loads((run_dir / "summary.json").read_text())["certificate"]
         state = load_solver_state(run_dir / "state.json")
         direct = curvature(state["ensemble"], state["b"], algo, state["state"], state["param"])
-        assert json.dumps(cross, sort_keys=True) == json.dumps(direct.summary(), sort_keys=True, cls=_ArrayEncoder)
+        assert json.dumps(cross, sort_keys=True) == json.dumps(direct.summary(), sort_keys=True)
         assert min_eig == direct.hessian_min_eig
         assert (cross["rho"] == 0.25) if algo == "drs" else (cross["beta"] == 0.9)
 

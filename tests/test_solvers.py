@@ -37,15 +37,14 @@ from saddle_raar.analysis import (
     certify_drs_cross_section,
     certify_fixed_point,
     dual_gradient,
-    fejer_monitor,
     objective,
 )
 import saddle_raar.operators as operators
 from saddle_raar.artifacts import load_solver_state, save_solver_state
 from saddle_raar.operators import split_lift
 from saddle_raar.solvers import curvature, drs_fixed_point_residuals, fixed_point_check
-from conftest import (CountingEnsemble, contraction_margin, convergence_functional, placed, random_complex, run_rows,
-                      trace_row_work)
+from conftest import (CountingEnsemble, FejerStream, contraction_margin, convergence_functional, fejer_monitor, placed,
+                      random_complex, run_rows, trace_row_work)
 
 
 class TestRaarStep:
@@ -305,44 +304,55 @@ class TestFixedPointConditions:
 class TestFejerContraction:
     def test_monotone_distances_and_partial_sum_bound(self, dense_wide):
         E, x0, b = dense_wide
-        beta = 0.9
         z_star = E.apply_adjoint(x0)
-        lam_star = np.zeros_like(z_star)
-        w0 = random_lift(E.N, seed=0)
-        ws = []
+        stream = FejerStream(E, b, z_star, np.zeros_like(z_star))
         run(
-            E, b, "raar", ParameterSchedule.constant(beta), w0, 400,
-            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: ws.append(w.copy()),
+            E, b, "raar", ParameterSchedule.constant(0.9), random_lift(E.N, seed=0), 400,
+            StoppingRule(fixed_budget=True), on_iterate=stream.on_iterate, on_record=stream.on_record,
         )
-        mon = fejer_monitor(E, b, ws, [beta] * len(ws), z_star, lam_star)
+        mon = stream.monitor()
         margins = mon["margin"]
         nonpos = np.where(margins <= 0)[0]
         k0 = int(nonpos[-1]) + 2 if nonpos.size else 1
-        assert k0 < len(ws) - 50, "no positive-margin window formed"
+        assert k0 < len(mon["distance"]) - 50, "no positive-margin window formed"
         window_d = mon["distance"][k0 - 1:]
         assert np.max(np.diff(window_d)) <= 1e-8
         r_max = float(np.max(mon["ratio"][k0 - 1:]))
         bound = window_d[0] ** 2 / (1.0 - max(r_max, 0.0))
         assert np.sum(mon["T"][k0 - 1:]) <= bound
 
+    def test_streamed_steps_are_bitwise_the_list_monitor(self, dense_wide):
+        # each step at its row's param, which is the param of the step that made the row's iterate
+        E, x0, b = dense_wide
+        z_star = E.apply_adjoint(x0)
+        lam_star = np.zeros_like(z_star)
+        stream, ws, rows = FejerStream(E, b, z_star, lam_star), [], []
+        run(E, b, "raar", ParameterSchedule(((100, 0.95), (300, 0.8))), random_lift(E.N, seed=0), 400,
+            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: (ws.append(w.copy()), stream.on_iterate(k, w)),
+            on_record=lambda row: (rows.append(row), stream.on_record(row)))
+        assert len(stream.lifts) == 1 and len(rows) == len(ws) == 401
+        mon = stream.monitor()
+        ref = fejer_monitor(E, b, ws, [r.param for r in rows], z_star, lam_star)
+        for key in ("T", "margin", "ratio", "distance"):
+            assert mon[key].tobytes() == ref[key].tobytes(), key
+
     def test_monitor_evaluates_the_functional_once_per_step(self, dense_wide):
         # T and the margin share one evaluation: two complement projections and one A per step
         E0, x0, b = dense_wide
         z_star = E0.apply_adjoint(x0)
         lam_star = np.zeros_like(z_star)
-        w0 = random_lift(E0.N, seed=0)
-        ws = []
-        run(E0, b, "raar", ParameterSchedule.constant(0.9), w0, 20, StoppingRule(fixed_budget=True),
-            on_iterate=lambda k, w: ws.append(w.copy()))
-        betas = [0.9 - 0.01 * k for k in range(len(ws))]
         E = CountingEnsemble(E0)
-        mon = fejer_monitor(E, b, ws, betas, z_star, lam_star)
+        stream, ws, rows = FejerStream(E, b, z_star, lam_star), [], []
+        run(E0, b, "raar", ParameterSchedule(((1, 0.89), (20, 0.7))), random_lift(E0.N, seed=0), 20,
+            StoppingRule(fixed_budget=True), on_iterate=lambda k, w: (ws.append(w.copy()), stream.on_iterate(k, w)),
+            on_record=lambda row: (rows.append(row), stream.on_record(row)))
+        mon = stream.monitor()
         assert (E.applies, E.adjoints) == (3 * 20, 2 * 20)
         for k in range(1, len(ws)):
-            z = project_torus(ws[k - 1], b)
-            lam = ws[k - 1] - z
-            assert mon["T"][k - 1] == convergence_functional(E, z, lam, z_star, lam_star, betas[k])
-            assert mon["margin"][k - 1] == contraction_margin(E, z, lam, z_star, lam_star, betas[k])
+            z, lam = split_lift(ws[k - 1], b)
+            beta = rows[k].param
+            assert mon["T"][k - 1] == convergence_functional(E0, z, lam, z_star, lam_star, beta)
+            assert mon["margin"][k - 1] == contraction_margin(E0, z, lam, z_star, lam_star, beta)
 
 
 def test_equivalence_on_diffraction_ensemble():
@@ -857,6 +867,22 @@ def test_fixed_point_check_rejects_malformed_data_before_any_operator_call(dense
     with pytest.raises(InvalidDataError):
         fixed_point_check(E, b, algo, state, _PARAM[algo])
     assert (E.applies, E.adjoints) == (0, 0)
+
+
+@pytest.mark.parametrize("check", [fixed_point_check, curvature])
+@pytest.mark.parametrize("bad", ["short", "nan"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_state_checks_name_a_malformed_field_before_any_operator_call(dense_small, algo, bad, check):
+    # a form combines its fields (admm's lift is z + lambda), so each field is checked alone, by its name
+    E0, _, b = dense_small
+    state = initial_state(E0, b, algo, random_lift(E0.N, seed=2))
+    edit = (lambda v: v[:-1]) if bad == "short" else _first_entry(np.nan)
+    for field in dataclasses.fields(state):
+        E = CountingEnsemble(E0)
+        malformed = dataclasses.replace(state, **{field.name: edit(getattr(state, field.name))})
+        with pytest.raises(InvalidDataError, match=f"^state field {field.name} (has length|must be finite)"):
+            check(E, b, algo, malformed, _PARAM[algo])
+        assert (E.applies, E.adjoints) == (0, 0), field.name
 
 
 # Each form's step parameter range as its message words it, and values outside it: NaN, +-inf, 0, a
